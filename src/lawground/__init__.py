@@ -1,5 +1,14 @@
 """Language-adaptive weight generation for box+mask grounding, desk scale."""
 
+import os
+
+# single-threaded BLAS: faster on these matrix sizes and trivially
+# deterministic. It must be set before numpy loads, so it sits ahead of the
+# first import that reaches numpy (.tensor); a process that imported numpy
+# before lawground keeps the thread count it started with.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .errors import (
     ConfigError,
     DataError,

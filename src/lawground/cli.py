@@ -3,13 +3,6 @@
 Exit codes: 0 ok, 2 configuration or dataset error, 3 numeric failure.
 """
 
-import os
-
-# single-threaded BLAS: faster on these matrix sizes and trivially
-# deterministic; must be set before numpy loads
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import argparse
 import sys
 

@@ -11,6 +11,7 @@ Dtype tags: 0 = float64, 1 = int64, 2 = uint8. Payloads are little-endian.
 Entry order is preserved, so save -> load -> save is byte-identical.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -24,24 +25,35 @@ _KIND_TO_TAG = {"f": 0, "i": 1, "u": 2}
 
 
 def write_arrays(path, arrays):
-    """Write an ordered mapping of name -> ndarray to `path`."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            arr = np.asarray(arr)
-            tag = _KIND_TO_TAG.get(arr.dtype.kind)
-            if tag is None:
-                raise DataError(f"unsupported dtype {arr.dtype} for entry {name!r}")
-            arr = arr.astype(_TAG_TO_DTYPE[tag], copy=False)
-            if not arr.flags["C_CONTIGUOUS"]:
-                arr = arr.copy()
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<BB", tag, arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    """Write an ordered mapping of name -> ndarray to `path`.
+
+    The bytes go to a sibling temp file that replaces `path` only once it is
+    complete, so a failed write leaves any previous file at `path` intact."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(arrays)))
+            for name, arr in arrays.items():
+                arr = np.asarray(arr)
+                tag = _KIND_TO_TAG.get(arr.dtype.kind)
+                if tag is None:
+                    raise DataError(
+                        f"unsupported dtype {arr.dtype} for entry {name!r}")
+                arr = arr.astype(_TAG_TO_DTYPE[tag], copy=False)
+                if not arr.flags["C_CONTIGUOUS"]:
+                    arr = arr.copy()
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<BB", tag, arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_arrays(path):

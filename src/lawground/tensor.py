@@ -7,8 +7,6 @@ its own topological order). Everything is float64 with fixed reduction
 orders, so repeated runs are bit-identical.
 """
 
-import threading
-
 import numpy as np
 from scipy.special import erf, expit
 
@@ -27,21 +25,12 @@ MASK_NEG = -1e30
 _SIG_HI = float(np.nextafter(1.0, 0.0))
 _SIG_LO = 1e-300
 
-_local = threading.local()
-
-
-def _stack():
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = []
-        _local.stack = stack
-    return stack
+_tapes = []  # active tapes, innermost last
 
 
 def active_tape():
-    """The innermost active Tape on this thread, or None."""
-    stack = _stack()
-    return stack[-1] if stack else None
+    """The innermost active Tape, or None."""
+    return _tapes[-1] if _tapes else None
 
 
 class Tape:
@@ -57,12 +46,16 @@ class Tape:
         self._consumed = False
 
     def __enter__(self):
-        _stack().append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _stack().pop()
+        popped = _tapes.pop()
         assert popped is self
+        if exc_type is not None:
+            # a forward that failed leaves no graph behind
+            self._entries.clear()
+            self._consumed = True
         return False
 
     def record(self, out, parents, backfn):
@@ -71,30 +64,47 @@ class Tape:
         self._entries.append((out, parents, backfn))
 
     def backward(self, loss):
+        """Replay the record in reverse, popping each entry as it runs.
+
+        The tape holds nothing afterwards, so the graph (which refers back to
+        the tape through each output's ``_tape``) is freed by reference
+        counting once the caller drops its last tensor of it.
+        """
         if loss.data.ndim != 0:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         if getattr(loss, "_tape", None) is not self:
             raise TapeError("loss was not produced on this tape (detached graph)")
         if self._consumed:
-            raise TapeError("backward already ran on this tape; build a new tape")
-        if not np.isfinite(loss.data):
-            raise NumericError(f"loss is not finite: {float(loss.data)}")
+            raise TapeError("backward already ran on this tape, or its forward "
+                            "failed; build a new tape")
         self._consumed = True
-
-        adjoint = {id(loss): np.ones((), dtype=np.float64)}
-        for out, parents, backfn in reversed(self._entries):
-            g = adjoint.pop(id(out), None)
-            if g is None:
-                continue
-            for parent, gp in zip(parents, backfn(g)):
-                if gp is None:
+        entries = self._entries
+        try:
+            if not np.isfinite(loss.data):
+                raise NumericError(f"loss is not finite: {float(loss.data)}")
+            # Adjoints are keyed by id() although popped entries free their
+            # tensors mid-sweep. That stays sound: backward creates no
+            # Tensor, and every live key belongs to a tensor that an entry
+            # not yet popped still holds (a parent on this tape was recorded
+            # before its child), so no key can name a freed object.
+            adjoint = {id(loss): np.ones((), dtype=np.float64)}
+            while entries:
+                out, parents, backfn = entries.pop()
+                g = adjoint.pop(id(out), None)
+                if g is None:
                     continue
-                if parent.requires_grad:
-                    parent.grad += gp
-                elif getattr(parent, "_tape", None) is self:
-                    pid = id(parent)
-                    held = adjoint.get(pid)
-                    adjoint[pid] = gp if held is None else held + gp
+                for parent, gp in zip(parents, backfn(g)):
+                    if gp is None:
+                        continue
+                    if parent.requires_grad:
+                        parent.grad += gp
+                    elif getattr(parent, "_tape", None) is self:
+                        pid = id(parent)
+                        held = adjoint.get(pid)
+                        adjoint[pid] = gp if held is None else held + gp
+        finally:
+            # a replay that stops early drops the rest of the graph too
+            entries.clear()
 
 
 def backward(loss):

@@ -7,8 +7,6 @@ all artifacts (checkpoints, CSV logs, batch hashes) are byte-stable.
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -101,27 +99,12 @@ def predict_sample(model, sample, threshold):
     return box, mask
 
 
-def _eval_workers():
-    raw = os.environ.get("LAWG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"LAWG_THREADS must be an integer, got {raw!r}") from None
-
-
 def evaluate_model(model, samples, threshold=0.35):
     """Box precision, mask mIoU, the relational subset, and length buckets.
 
-    Per-sample forwards may fan out across LAWG_THREADS workers (each forward
-    runs tape-free on read-only parameters); metrics reduce in sample order.
-    """
-    workers = _eval_workers()
-    run = lambda s: predict_sample(model, s, threshold)
-    if workers > 1 and len(samples) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(run, samples))
-    else:
-        outputs = [run(s) for s in samples]
+    Forwards run tape-free, one sample at a time; metrics reduce in sample
+    order."""
+    outputs = [predict_sample(model, s, threshold) for s in samples]
 
     def subset_metrics(indices):
         if not indices:
@@ -298,7 +281,9 @@ def train(cfg, out_dir):
                 batch_loss = batch_loss * (1.0 / cfg.batch_size)
             agg_parts = {k: v / cfg.batch_size for k, v in agg_parts.items()}
 
-            if not np.isfinite(batch_loss.data):
+            try:
+                tape.backward(batch_loss)
+            except NumericError as exc:
                 dump = {"step": step, "loss_parts": agg_parts,
                         "scene_ids": [train_samples[i].scene_id
                                       for i in indices],
@@ -307,9 +292,7 @@ def train(cfg, out_dir):
                     json.dumps(dump, sort_keys=True, indent=2),
                     encoding="utf-8")
                 raise NumericError(f"non-finite loss at step {step}; "
-                                   f"batch dumped to nan_dump.json")
-
-            tape.backward(batch_loss)
+                                   f"batch dumped to nan_dump.json") from exc
             scale = cfg.decay_factor if step > cfg.decay_step else 1.0
             opt.step(lr_scale=scale)
             opt.zero_grad()

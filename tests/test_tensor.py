@@ -270,6 +270,41 @@ def test_grads_merge_across_tapes():
     np.testing.assert_allclose(x.grad, np.full(3, 2.0), atol=0)
 
 
+def test_backward_empties_the_tape():
+    x = rand_tensor((3, 4), requires_grad=True)
+    with Tape() as tape:
+        loss = (x * x).sum()
+    assert len(tape._entries) == 2
+    tape.backward(loss)
+    assert tape._entries == []
+    np.testing.assert_allclose(x.grad, 2 * x.data, atol=1e-12)
+
+
+def test_nonfinite_loss_drops_entries():
+    x = Tensor(np.array([0.5, 1.0, 2.0]), requires_grad=True)
+    with Tape() as tape:
+        loss = (x * np.inf).sum()
+    with pytest.raises(NumericError):
+        tape.backward(loss)
+    assert tape._entries == []
+    assert not x.grad.any()
+
+
+def test_failed_forward_drops_entries():
+    x = rand_tensor((3,), requires_grad=True)
+    with pytest.raises(NumericError):
+        with Tape() as tape:
+            loss = x.sum()
+            log(x * 0.0)
+    assert tape._entries == []
+    with pytest.raises(TapeError):
+        tape.backward(loss)
+    with Tape() as fresh:
+        again = x.sum()
+    fresh.backward(again)
+    np.testing.assert_allclose(x.grad, np.ones(3), atol=0)
+
+
 # ---------------------------------------------------------------------------
 # gradient checking
 
@@ -386,3 +421,19 @@ def test_serial_rejects_garbage(tmp_path):
     p.write_bytes(b"not a container")
     with pytest.raises(DataError):
         serial.read_arrays(p)
+
+
+def test_serial_failed_write_keeps_previous_file(tmp_path):
+    from lawground.errors import DataError
+
+    path = tmp_path / "best.ckpt"
+    serial.write_arrays(path, {"a": RNG.normal(size=(2, 3)),
+                               "b": np.arange(4, dtype=np.int64)})
+    before = path.read_bytes()
+    bad = {"a": RNG.normal(size=(50, 50)),
+           "c": np.array([1 + 2j, 3 - 1j])}  # complex: no dtype tag
+    with pytest.raises(DataError):
+        serial.write_arrays(path, bad)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+    assert list(serial.read_arrays(path)) == ["a", "b"]
