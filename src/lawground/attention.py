@@ -1,9 +1,6 @@
 """Multi-head scaled dot-product attention shared by both transformer stacks."""
 
-import numpy as np
-
-from .errors import ShapeError
-from .tensor import Tensor, linear, matmul, reshape, softmax, transpose
+from .tensor import attention, linear
 
 
 def multihead_attention(x, fused_w, fused_b, out_w, out_b, heads, key_bias=None):
@@ -14,22 +11,5 @@ def multihead_attention(x, fused_w, fused_b, out_w, out_b, heads, key_bias=None)
     bias (used to push masked keys to exact-zero attention). Returns the
     block output (T, d) and the per-head attention probabilities (H, T, T).
     """
-    n_tok, d = x.shape
-    if d % heads:
-        raise ShapeError(f"head count {heads} does not divide width {d}")
-    dh = d // heads
-    qkv = linear(x, fused_w, fused_b)  # (T, 3d)
-
-    def split(block):
-        return transpose(reshape(block, (n_tok, heads, dh)), (1, 0, 2))
-
-    q = split(qkv[:, :d])
-    k = split(qkv[:, d:2 * d])
-    v = split(qkv[:, 2 * d:])
-    scores = matmul(q, transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(dh))
-    if key_bias is not None:
-        scores = scores + Tensor(key_bias[None, None, :])
-    probs = softmax(scores, axis=-1)
-    ctx = matmul(probs, v)  # (H, T, dh)
-    merged = reshape(transpose(ctx, (1, 0, 2)), (n_tok, d))
-    return linear(merged, out_w, out_b), probs
+    ctx, probs = attention(linear(x, fused_w, fused_b), heads, key_bias)
+    return linear(ctx, out_w, out_b), probs

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
 from .head import MultitaskHead
 from .law import build_law_params, generate_all
 from .params import ParamStore
@@ -119,8 +118,3 @@ class GroundingModel:
 
     def num_generator_params(self):
         return self.store.num_values("law.")
-
-    def check_config(self):
-        c = self.config
-        if c.mth_enabled is False and c.lap_enabled is False and not c.lawg_enabled:
-            raise ConfigError("at least one component must stay enabled")

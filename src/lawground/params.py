@@ -67,10 +67,6 @@ class ParamStore:
         for p in self._params.values():
             p.zero_grad()
 
-    def state_arrays(self):
-        """name -> raw float64 array, insertion-ordered (checkpoint payload)."""
-        return {name: p.data for name, p in self._params.items()}
-
     def load_state_arrays(self, arrays):
         missing = [n for n in self._params if n not in arrays]
         extra = [n for n in arrays if n not in self._params]

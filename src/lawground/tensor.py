@@ -341,16 +341,28 @@ def gelu(x):
     return _record(out, (x,), backfn)
 
 
+def _softmax_(p, axis=-1):
+    """Max-subtracted softmax of the float64 array p along `axis`, in place.
+
+    Finiteness is checked on the slice maxima: a NaN or +inf anywhere in a
+    slice makes its maximum non-finite, and so does a slice that is all -inf
+    (which would otherwise come out as NaN).
+    """
+    m = np.max(p, axis=axis, keepdims=True)
+    if not np.isfinite(m).all():
+        raise NumericError("softmax input contains NaN or +/-Inf")
+    p -= m
+    np.exp(p, out=p)
+    p /= np.sum(p, axis=axis, keepdims=True)
+    return p
+
+
 def softmax(x, axis=-1):
     """Max-subtracted softmax along `axis`; each slice sums to 1."""
     x = as_tensor(x)
     if x.data.shape[axis] < 1:
         raise ShapeError("softmax over an empty axis")
-    if not np.isfinite(np.max(x.data)):
-        raise NumericError("softmax input contains NaN or +/-Inf")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=axis, keepdims=True)
+    y = _softmax_(np.array(x.data), axis)
     out = Tensor(y)
 
     def backfn(g, y=y, axis=axis):
@@ -358,6 +370,52 @@ def softmax(x, axis=-1):
         return (y * (g - dot),)
 
     return _record(out, (x,), backfn)
+
+
+def attention(qkv, heads, key_bias=None):
+    """Scaled dot-product attention of fused (T, 3d) query/key/value rows.
+
+    Heads split each d-wide block into `heads` slices of dh = d / heads.
+    key_bias, when given, is a (T,) additive logit bias per key. Returns the
+    head-merged context (T, d), taped with qkv as its one parent, and the
+    probabilities (H, T, T) as an untaped Tensor. The (H, T, T) scores are
+    built once and softmaxed in place; backward writes the three gradient
+    blocks into one (T, 3d) buffer.
+    """
+    qkv = as_tensor(qkv)
+    if qkv.ndim != 2 or qkv.shape[1] % 3:
+        raise ShapeError(f"attention needs fused (T, 3d) rows, got {qkv.shape}")
+    n_tok, d = qkv.shape[0], qkv.shape[1] // 3
+    if d % heads:
+        raise ShapeError(f"head count {heads} does not divide width {d}")
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+    q, k, v = qkv.data.reshape(n_tok, 3, heads, dh).transpose(1, 2, 0, 3)
+    p = q @ np.swapaxes(k, -1, -2)
+    p *= scale
+    if key_bias is not None:
+        p += key_bias
+    _softmax_(p)
+    ctx = p @ v  # (H, T, dh)
+    out = Tensor(ctx.transpose(1, 0, 2).reshape(n_tok, d))
+
+    def backfn(g, p=p, q=q, k=k, v=v):
+        gctx = g.reshape(n_tok, heads, dh).transpose(1, 0, 2)
+        gqkv = np.empty((n_tok, 3 * d))
+        gq, gk, gv = gqkv.reshape(n_tok, 3, heads, dh).transpose(1, 2, 0, 3)
+        gv[...] = np.swapaxes(p, -1, -2) @ gctx
+        gs = gctx @ np.swapaxes(v, -1, -2)  # w.r.t. p, then (in place) scores
+        dot = np.sum(gs * p, axis=-1, keepdims=True)
+        gs -= dot
+        gs *= p
+        gs *= scale
+        gq[...] = gs @ k
+        # k's gradient as (q^T gs)^T, the product the unfused ops took; BLAS
+        # may round gs^T q differently
+        gk[...] = np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2)
+        return (gqkv,)
+
+    return _record(out, (qkv,), backfn), Tensor(p)
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +697,3 @@ def grad_check(f, xs, h=1e-5):
                 worst = err
     return worst
 
-
-def assert_finite(x, what="tensor"):
-    data = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if not np.isfinite(data).all():
-        raise NumericError(f"{what} contains NaN or Inf")

@@ -16,7 +16,8 @@ from . import netpbm
 from .config import config_to_text, parse_config_text, validate
 from .errors import ConfigError, NumericError
 from .head import binarize
-from .losses import LossWeights, box_iou, mask_iou, prec_at_05, total_loss
+from .losses import (LossWeights, box_iou, mask_iou, miou, prec_at_05,
+                     total_loss)
 from .model import GroundingModel, ModelConfig
 from .optim import AdamW
 from .serial import array_to_str, read_arrays, str_to_array, write_arrays
@@ -115,8 +116,7 @@ def evaluate_model(model, samples, threshold=0.35):
         masks = [outputs[i][1] for i in indices]
         iou = None
         if all(m is not None for m in masks):
-            iou = float(np.mean([mask_iou(m, samples[i].mask())
-                                 for m, i in zip(masks, indices)]))
+            iou = miou(masks, [samples[i].mask() for i in indices])
         return {"count": len(indices), "prec_at_05": prec, "miou": iou}
 
     every = list(range(len(samples)))

@@ -28,9 +28,11 @@ from lawground.model import GroundingModel, ModelConfig
 from lawground.params import ParamStore
 from lawground.synthground import generate_dataset, load_dataset
 from lawground.tensor import (
+    MASK_NEG,
     Tape,
     Tensor,
     absval,
+    attention,
     bilinear_upsample,
     gelu,
     grad_check,
@@ -160,6 +162,12 @@ def test_criterion_2_gradient_suite():
           [rt((2, 3, 3)), rt((2, 2, 2, 2)), rt((2,))])
     check("bilinear_upsample",
           lambda x: (bilinear_upsample(x, 2) ** 2.0).sum(), [rt((3, 4))])
+    # own stream, so every other check keeps its inputs
+    att_rng = np.random.default_rng(11)
+    masked = np.array([0.0, 0.0, MASK_NEG, 0.0, MASK_NEG])
+    for name, bias in (("attention", None), ("attention_key_bias", masked)):
+        check(name, lambda qkv: (attention(qkv, 2, bias)[0] ** 2.0).sum(),
+              [Tensor(att_rng.normal(size=(5, 12)), requires_grad=True)])
 
     # full multitask loss through a 2-block toy model, grads w.r.t. all params
     model = toy_model(seed=5)

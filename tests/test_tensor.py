@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from lawground.attention import multihead_attention
 from lawground.errors import NumericError, ShapeError, TapeError
 from lawground import serial
 from lawground.tensor import (
+    MASK_NEG,
     Tape,
     Tensor,
     absval,
+    attention,
     backward,
     bilinear_upsample,
     gelu,
@@ -17,9 +20,11 @@ from lawground.tensor import (
     matmul,
     matvec,
     maximum,
+    reshape,
     sigmoid,
     softmax,
     take_rows,
+    transpose,
     transposed_conv2x,
 )
 
@@ -106,6 +111,96 @@ def test_softmax_monotone():
 def test_softmax_rejects_nan():
     with pytest.raises(NumericError):
         softmax(Tensor([0.0, np.nan]))
+
+
+def test_softmax_rejects_all_neg_inf_row():
+    # one live row is not enough: a row with no finite logit has no softmax
+    with pytest.raises(NumericError, match="NaN or"):
+        softmax(Tensor([[0.0, 1.0], [-np.inf, -np.inf]]), axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# fused attention
+
+
+def composed_attention(qkv, heads, key_bias=None):
+    """Reference: the same attention built from taped primitives."""
+    n_tok, d = qkv.shape[0], qkv.shape[1] // 3
+    dh = d // heads
+
+    def split(block):
+        return transpose(reshape(block, (n_tok, heads, dh)), (1, 0, 2))
+
+    q = split(qkv[:, :d])
+    k = split(qkv[:, d:2 * d])
+    v = split(qkv[:, 2 * d:])
+    scores = matmul(q, transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(dh))
+    if key_bias is not None:
+        scores = scores + Tensor(key_bias[None, None, :])
+    probs = softmax(scores, axis=-1)
+    ctx = matmul(probs, v)
+    return reshape(transpose(ctx, (1, 0, 2)), (n_tok, d)), probs
+
+
+def run_attention(fn, qkv, heads, key_bias, upstream):
+    """Forward context and probabilities, plus d<ctx, upstream>/d qkv."""
+    x = Tensor(qkv.copy(), requires_grad=True)
+    with Tape() as tape:
+        ctx, probs = fn(x, heads, key_bias)
+        loss = (ctx * Tensor(upstream)).sum()
+    tape.backward(loss)
+    return ctx.data, probs.data, x.grad
+
+
+@pytest.mark.parametrize("n_tok,heads,dh", [(7, 2, 16), (9, 4, 16), (6, 3, 3)])
+def test_attention_matches_composed_primitives(n_tok, heads, dh):
+    d = heads * dh
+    qkv = RNG.normal(size=(n_tok, 3 * d))
+    upstream = RNG.normal(size=(n_tok, d))
+    key_bias = np.where(np.arange(n_tok) < n_tok - 2, 0.0, MASK_NEG)
+    for bias in (None, key_bias):
+        got = run_attention(attention, qkv, heads, bias, upstream)
+        want = run_attention(composed_attention, qkv, heads, bias, upstream)
+        for g, w in zip(got, want):
+            if dh == 16:  # scale 1/4 is exact: same arithmetic, same bits
+                assert np.array_equal(g, w)
+            else:
+                np.testing.assert_allclose(g, w, rtol=1e-15, atol=0)
+
+
+def test_attention_masked_key_gets_exact_zero():
+    qkv = RNG.normal(size=(5, 12))
+    key_bias = np.array([0.0, MASK_NEG, 0.0, 0.0, MASK_NEG])
+    _, probs = attention(Tensor(qkv), 2, key_bias)
+    assert (probs.data[:, :, [1, 4]] == 0.0).all()
+    assert (probs.data[:, :, [0, 2, 3]] > 0.0).all()
+    np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-15)
+
+
+def test_multihead_attention_records_three_entries():
+    x, w, b = rand_tensor((5, 4)), rand_tensor((12, 4)), rand_tensor((12,))
+    ow, ob = rand_tensor((4, 4)), rand_tensor((4,))
+    with Tape() as tape:
+        out, probs = multihead_attention(x, w, b, ow, ob, 2)
+    assert len(tape._entries) == 3  # linear, attention, linear
+    assert out.shape == (5, 4) and probs.shape == (2, 5, 5)
+    assert probs._tape is None
+
+
+def test_attention_nan_raises_and_records_nothing():
+    qkv = RNG.normal(size=(4, 6))
+    qkv[2, 1] = np.nan
+    with Tape() as tape:
+        with pytest.raises(NumericError, match="NaN or"):
+            attention(Tensor(qkv, requires_grad=True), 1)
+        assert tape._entries == []
+
+
+def test_attention_shape_errors():
+    with pytest.raises(ShapeError):
+        attention(Tensor(np.zeros((4, 8))), 1)   # width not a multiple of 3
+    with pytest.raises(ShapeError, match="head count"):
+        attention(Tensor(np.zeros((4, 12))), 3)  # 3 heads do not divide 4
 
 
 # ---------------------------------------------------------------------------
