@@ -143,10 +143,5 @@ def main(argv=None):
         return 3
 
 
-def synthground_main(argv=None):
-    """Second entry point; `synthground gen ...` mirrors `lawground gen ...`."""
-    return main(argv)
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -15,11 +15,8 @@ static backbone.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DataError, ShapeError
 from .tensor import (
-    MASK_NEG,
     Tensor,
     gelu,
     matmul,
@@ -35,33 +32,12 @@ from .tensor import (
 class GeneratedLayerWeights:
     """Fused (3*d_model, d_in) projection and its bias for one visual layer.
 
-    The query/key/value views are consecutive row blocks of `fused`;
+    Rows stack the query, key and value projections in that order;
     regenerated per expression, never cached across expressions.
     """
 
     fused: Tensor
     bias: Tensor
-
-    def _third(self):
-        d_out = self.fused.shape[0]
-        if d_out % 3:
-            raise ShapeError(f"fused projection rows {d_out} not divisible by 3")
-        return d_out // 3
-
-    @property
-    def query(self):
-        d = self._third()
-        return self.fused[:d, :]
-
-    @property
-    def key(self):
-        d = self._third()
-        return self.fused[d:2 * d, :]
-
-    @property
-    def value(self):
-        d = self._third()
-        return self.fused[2 * d:, :]
 
 
 @dataclass
@@ -111,22 +87,18 @@ def build_law_params(store, backbone, d_l, groups, reduction, rank_dw):
         groups=groups, rank_dw=rank_dw)
 
 
-def aggregate(feats, mask, layer_embed, groups):
+def aggregate(feats, layer_embed, groups):
     """Group-wise token attention and weighted sum for one visual layer.
 
-    Returns the aggregated feature (d_l,) and the attention (G, L); masked
-    token positions get exactly zero attention.
+    Returns the aggregated feature (d_l,) and the attention (G, L).
     """
     n_tok, d_l = feats.shape
     if d_l % groups:
         raise ShapeError(f"groups {groups} must divide feature width {d_l}")
-    if not mask.any():
-        raise DataError("cannot aggregate an all-masked token sequence")
     gsize = d_l // groups
     grouped = transpose(reshape(feats, (n_tok, groups, gsize)), (1, 0, 2))  # (G,L,gs)
     emb = reshape(layer_embed, (groups, 1, gsize))
     logits = tsum(grouped * emb, axis=2)                                   # (G,L)
-    logits = logits + Tensor(np.where(mask, 0.0, MASK_NEG)[None, :])
     alpha = softmax(logits, axis=1)
     pooled = tsum(reshape(alpha, (groups, n_tok, 1)) * grouped, axis=1)    # (G,gs)
     return reshape(pooled, (d_l,)), alpha
@@ -156,24 +128,13 @@ def generate_weights(reduced, params, layer):
         bias=params.static_bias[layer])
 
 
-def generate_all(feats, mask, params):
+def generate_all(feats, params):
     """Weights for every visual layer plus the per-layer token attentions."""
     weights, alphas = [], []
     for i in range(params.n_layers):
-        pooled, alpha = aggregate(feats, mask, params.layer_embeds[i], params.groups)
+        pooled, alpha = aggregate(feats, params.layer_embeds[i], params.groups)
         reduced = reduce(pooled, params.reducers[i])
         weights.append(generate_weights(reduced, params, i))
         alphas.append(alpha)
     return weights, alphas
 
-
-def count_dynamic_params(n_layers, d_l, reduction, rank_dw, d_in, d_model):
-    """Closed-form size of the generator's own parameter set.
-
-    Per layer: embedding (d_l) + reducer (d_h*d_l) + core affine map
-    (d_h*d_w^2 weights, d_w^2 bias); shared: the two rank factors.
-    """
-    d_h = d_l // reduction
-    d_out = 3 * d_model
-    per_layer = d_l + d_h * d_l + d_h * rank_dw * rank_dw + rank_dw * rank_dw
-    return n_layers * per_layer + rank_dw * (d_in + d_out)

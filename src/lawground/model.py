@@ -92,13 +92,13 @@ class GroundingModel:
         feats = self.text.encode(tokens)
         alphas = []
         if self.law is not None and not use_static_weights:
-            weights, alpha_tensors = generate_all(feats.feats, feats.mask, self.law)
+            weights, alpha_tensors = generate_all(feats, self.law)
             alphas = [a.data for a in alpha_tensors]
         else:
             weights = self.backbone.static_weights()
         visual, attn = self.backbone.forward(image, weights,
                                              collect_attention=collect_attention)
-        cls_feat = feats.cls
+        cls_feat = feats[0]
         pool_map = None
         if self.head.lap_enabled:
             pooled, pool_map = self.head.lap_pool(visual, cls_feat)

@@ -1,4 +1,5 @@
-"""Binary netpbm readers/writers: PPM (color), PBM (bitmask), PGM (grayscale)."""
+"""Binary netpbm io: PPM (color) and PBM (bitmask) read and write, PGM
+(grayscale) write."""
 
 import numpy as np
 
@@ -71,12 +72,3 @@ def write_pgm(path, gray):
         fh.write(f"P5\n{w} {h}\n255\n".encode())
         fh.write(gray.tobytes())
 
-
-def read_pgm(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    (w, h, maxval), pos = _read_header(blob, b"P5", 3)
-    if maxval != 255:
-        raise DataError(f"{path}: unsupported maxval {maxval}")
-    data = np.frombuffer(blob, dtype=np.uint8, count=h * w, offset=pos)
-    return data.reshape(h, w).copy()

@@ -63,10 +63,6 @@ class ParamStore:
     def num_values(self, prefix=""):
         return sum(p.size for n, p in self._params.items() if n.startswith(prefix))
 
-    def zero_grads(self):
-        for p in self._params.values():
-            p.zero_grad()
-
     def load_state_arrays(self, arrays):
         missing = [n for n in self._params if n not in arrays]
         extra = [n for n in arrays if n not in self._params]

@@ -15,11 +15,6 @@ from .errors import NumericError, ShapeError, TapeError
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 
-# Additive logit bias for masked softmax entries. Finite logits are absorbed
-# (|x| < ulp(1e30)/2), so masked slots compare equal regardless of content and
-# underflow to exactly 0.0 after the max-subtracted exp.
-MASK_NEG = -1e30
-
 # sigmoid outputs are clamped into the open interval (0,1); the true gradient
 # beyond these saturations is < 4e-17, so clamping does not disturb training.
 _SIG_HI = float(np.nextafter(1.0, 0.0))
@@ -141,13 +136,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def numpy(self):
-        """The raw array; treat as read-only."""
-        return self.data
-
-    def detach(self):
-        return Tensor(self.data)
 
     def zero_grad(self):
         if self.grad is not None:
@@ -372,15 +360,14 @@ def softmax(x, axis=-1):
     return _record(out, (x,), backfn)
 
 
-def attention(qkv, heads, key_bias=None):
+def attention(qkv, heads):
     """Scaled dot-product attention of fused (T, 3d) query/key/value rows.
 
     Heads split each d-wide block into `heads` slices of dh = d / heads.
-    key_bias, when given, is a (T,) additive logit bias per key. Returns the
-    head-merged context (T, d), taped with qkv as its one parent, and the
-    probabilities (H, T, T) as an untaped Tensor. The (H, T, T) scores are
-    built once and softmaxed in place; backward writes the three gradient
-    blocks into one (T, 3d) buffer.
+    Returns the head-merged context (T, d), taped with qkv as its one
+    parent, and the probabilities (H, T, T) as an untaped Tensor. The
+    (H, T, T) scores are built once and softmaxed in place; backward writes
+    the three gradient blocks into one (T, 3d) buffer.
     """
     qkv = as_tensor(qkv)
     if qkv.ndim != 2 or qkv.shape[1] % 3:
@@ -393,8 +380,6 @@ def attention(qkv, heads, key_bias=None):
     q, k, v = qkv.data.reshape(n_tok, 3, heads, dh).transpose(1, 2, 0, 3)
     p = q @ np.swapaxes(k, -1, -2)
     p *= scale
-    if key_bias is not None:
-        p += key_bias
     _softmax_(p)
     ctx = p @ v  # (H, T, dh)
     out = Tensor(ctx.transpose(1, 0, 2).reshape(n_tok, d))
@@ -472,14 +457,6 @@ def matvec(w, v):
         return (gw.reshape(w.shape), gv)
 
     return _record(out, (w, v), backfn)
-
-
-def vdot(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ShapeError(f"vdot: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(np.dot(a.data, b.data))
-    return _record(out, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def tsum(x, axis=None, keepdims=False):

@@ -1,19 +1,15 @@
 """Expression tokenizer and the small transformer text encoder.
 
 Tokenization is lowercase whitespace splitting against a fixed vocabulary.
-Sequences are [CLS]-prefixed and padded/truncated to a fixed length; the
-boolean mask marks [CLS] and real tokens. The encoder is a pre-norm
-transformer whose attention adds a -1e30 logit bias on padded keys, so pad
-content can never leak into real-token rows.
+A token sequence is [CLS] followed by the expression's words, truncated to
+max_len ids and never padded, so the encoder attends over real tokens only.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import multihead_attention
 from .errors import DataError
-from .tensor import MASK_NEG, Tensor, gelu, layer_norm, linear, take_rows
+from .tensor import gelu, layer_norm, linear, take_rows
 
 PAD_ID, CLS_ID, UNK_ID = 0, 1, 2
 RESERVED = ("[PAD]", "[CLS]", "[UNK]")
@@ -50,35 +46,13 @@ class Vocabulary:
         return cls(words)
 
 
-@dataclass
-class TokenSequence:
-    ids: np.ndarray    # int64, length == max_len, position 0 is [CLS]
-    mask: np.ndarray   # bool, True on [CLS] and real tokens only
-
-
-@dataclass
-class LinguisticFeatures:
-    feats: Tensor      # (L, d_l)
-    mask: np.ndarray   # (L,) bool
-
-    @property
-    def cls(self):
-        """Summary feature of the whole expression (row 0)."""
-        return self.feats[0]
-
-
 def tokenize(expression, vocab, max_len=40):
+    """int64 ids: [CLS], then the first max_len - 1 words."""
     words = expression.strip().lower().split()
     if not words:
         raise DataError("empty expression")
-    ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    mask = np.zeros(max_len, dtype=bool)
-    ids[0] = CLS_ID
-    mask[0] = True
-    for pos, word in enumerate(words[:max_len - 1], start=1):
-        ids[pos] = vocab.id_of(word)
-        mask[pos] = True
-    return TokenSequence(ids=ids, mask=mask)
+    return np.array([CLS_ID] + [vocab.id_of(w) for w in words[:max_len - 1]],
+                    dtype=np.int64)
 
 
 class TextEncoder:
@@ -113,21 +87,22 @@ class TextEncoder:
         self.final_g = store.ones("text.final_ln.gain", (width,))
         self.final_b = store.zeros("text.final_ln.bias", (width,))
 
-    def encode(self, tokens):
-        ids, mask = tokens.ids, tokens.mask
+    def encode(self, ids):
+        """Features (len(ids), width) of a token sequence; row 0 is [CLS],
+        the summary of the whole expression."""
+        if len(ids) > self.max_len:
+            raise DataError(f"{len(ids)} tokens exceed max_len {self.max_len}")
         if ids.min() < 0 or ids.max() >= self.vocab_size:
             raise DataError(
                 f"token id out of range for vocabulary of {self.vocab_size}")
-        key_bias = np.where(mask, 0.0, MASK_NEG)
         x = take_rows(self.embed, ids) + self.pos[:len(ids), :]
         for blk in self.blocks:
             h = layer_norm(x, blk["ln1_g"], blk["ln1_b"])
             attn_out, _ = multihead_attention(
                 h, blk["qkv_w"], blk["qkv_b"], blk["out_w"], blk["out_b"],
-                self.heads, key_bias=key_bias)
+                self.heads)
             x = x + attn_out
             h = layer_norm(x, blk["ln2_g"], blk["ln2_b"])
             h = gelu(linear(h, blk["mlp_w1"], blk["mlp_b1"]))
             x = x + linear(h, blk["mlp_w2"], blk["mlp_b2"])
-        x = layer_norm(x, self.final_g, self.final_b)
-        return LinguisticFeatures(feats=x, mask=mask)
+        return layer_norm(x, self.final_g, self.final_b)

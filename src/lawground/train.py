@@ -353,20 +353,14 @@ def _write_grid_csv(path, grid):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def word_layer_affinity(model, tokens):
-    """Per-word layer preference: group- and occurrence-averaged token
-    attention, then a softmax across layers (columns sum to 1 per word)."""
-    feats = model.text.encode(tokens)
-    from .law import generate_all
-
-    _, alphas = generate_all(feats.feats, feats.mask, model.law)
-    scores = np.stack([a.data.mean(axis=0) for a in alphas])  # (layers, L)
+def word_layer_affinity(vocab, tokens, alphas):
+    """Per-word layer preference from a forward's per-layer (G, L) token
+    attentions: group- and occurrence-averaged, then a softmax across layers
+    (columns sum to 1 per word)."""
+    scores = np.stack([a.mean(axis=0) for a in alphas])  # (layers, L)
     words = {}
-    for pos in range(len(tokens.ids)):
-        if not tokens.mask[pos] or pos == 0:
-            continue
-        word = model.vocab.word_of(int(tokens.ids[pos]))
-        words.setdefault(word, []).append(pos)
+    for pos in range(1, len(tokens)):  # position 0 is [CLS]
+        words.setdefault(vocab.word_of(int(tokens[pos])), []).append(pos)
     table = {}
     for word, positions in words.items():
         per_layer = scores[:, positions].mean(axis=1)
@@ -421,7 +415,7 @@ def inspect(ckpt_path, data_path, scene_id, out_dir):
             "# weight generation disabled in this checkpoint; "
             "no token attention recorded\n" + header + "\n", encoding="utf-8")
     else:
-        table = word_layer_affinity(model, tokens)
+        table = word_layer_affinity(model.vocab, tokens, pred.alphas)
         lines = [header]
         for word, col in table.items():
             lines.append(word + "," + ",".join(repr(float(v)) for v in col))

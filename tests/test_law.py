@@ -1,14 +1,10 @@
 import math
 
 import numpy as np
-import pytest
 
-from lawground.errors import DataError
 from lawground.law import (
     DecompositionParams,
-    GeneratedLayerWeights,
     aggregate,
-    count_dynamic_params,
     generate_all,
     generate_weights,
     reduce,
@@ -25,7 +21,7 @@ def erf_gelu(x):
     return x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def brute_aggregate(feats, mask, embed, groups):
+def brute_aggregate(feats, embed, groups):
     """Independent per-group oracle: plain-float dot products and softmax."""
     n_tok, d_l = feats.shape
     gsize = d_l // groups
@@ -37,57 +33,52 @@ def brute_aggregate(feats, mask, embed, groups):
         for j in range(n_tok):
             f_gj = feats[j, g * gsize:(g + 1) * gsize]
             logits.append(sum(float(a) * float(b) for a, b in zip(e_g, f_gj)))
-        live = [j for j in range(n_tok) if mask[j]]
-        m = max(logits[j] for j in live)
-        weights = {j: math.exp(logits[j] - m) for j in live}
-        z = sum(weights.values())
-        for j in live:
+        m = max(logits)
+        weights = [math.exp(v - m) for v in logits]
+        z = sum(weights)
+        for j in range(n_tok):
             alpha[g, j] = weights[j] / z
-        for j in live:
             pooled[g * gsize:(g + 1) * gsize] += alpha[g, j] * feats[j, g * gsize:(g + 1) * gsize]
     return pooled, alpha
 
 
 def test_aggregate_singleton_mask():
-    feats = Tensor(RNG.normal(size=(5, 8)))
-    mask = np.array([True, False, False, False, False])
+    # a one-token sequence: all attention on it, pooled feature is that token
+    feats = Tensor(RNG.normal(size=(1, 8)))
     embed = Tensor(RNG.normal(size=8))
-    pooled, alpha = aggregate(feats, mask, embed, groups=2)
-    np.testing.assert_allclose(alpha.data[:, 0], [1.0, 1.0], atol=0)
-    assert (alpha.data[:, 1:] == 0.0).all()
+    pooled, alpha = aggregate(feats, embed, groups=2)
+    np.testing.assert_allclose(alpha.data, [[1.0], [1.0]], atol=0)
     np.testing.assert_allclose(pooled.data, feats.data[0], atol=0)
 
 
 def test_aggregate_zero_embedding_is_mean():
-    feats = Tensor(RNG.normal(size=(4, 8)))
-    mask = np.array([True, True, True, False])
-    pooled, alpha = aggregate(feats, mask, Tensor(np.zeros(8)), groups=4)
-    np.testing.assert_allclose(alpha.data[:, :3], np.full((4, 3), 1 / 3), atol=1e-15)
-    np.testing.assert_allclose(pooled.data, feats.data[:3].mean(axis=0), atol=1e-15)
+    feats = Tensor(RNG.normal(size=(3, 8)))
+    pooled, alpha = aggregate(feats, Tensor(np.zeros(8)), groups=4)
+    np.testing.assert_allclose(alpha.data, np.full((4, 3), 1 / 3), atol=1e-15)
+    np.testing.assert_allclose(pooled.data, feats.data.mean(axis=0), atol=1e-15)
 
 
 def test_aggregate_matches_brute_force():
-    feats = RNG.normal(size=(3, 12))
-    mask = np.array([True, True, True])
-    embed = RNG.normal(size=12)
-    pooled, alpha = aggregate(Tensor(feats), mask, Tensor(embed), groups=3)
-    want_pooled, want_alpha = brute_aggregate(feats, mask, embed, 3)
-    np.testing.assert_allclose(alpha.data, want_alpha, atol=1e-12)
-    np.testing.assert_allclose(pooled.data, want_pooled, atol=1e-12)
+    for n_tok in RNG.integers(1, 8, size=5):
+        feats = RNG.normal(size=(int(n_tok), 12))
+        embed = RNG.normal(size=12)
+        pooled, alpha = aggregate(Tensor(feats), Tensor(embed), groups=3)
+        want_pooled, want_alpha = brute_aggregate(feats, embed, 3)
+        np.testing.assert_allclose(alpha.data, want_alpha, atol=1e-12)
+        np.testing.assert_allclose(pooled.data, want_pooled, atol=1e-12)
 
 
 def test_aggregate_alpha_normalization_and_exact_zeros():
-    feats = Tensor(RNG.normal(size=(6, 8), scale=3.0))
-    mask = np.array([True, True, False, True, False, False])
-    _, alpha = aggregate(feats, mask, Tensor(RNG.normal(size=8)), groups=2)
+    feats = RNG.normal(size=(6, 8), scale=3.0)
+    embed = RNG.normal(size=8)
+    _, alpha = aggregate(Tensor(feats), Tensor(embed), groups=2)
     np.testing.assert_allclose(alpha.data.sum(axis=1), [1.0, 1.0], atol=1e-9)
-    assert (alpha.data[:, ~mask] == 0.0).all()
-
-
-def test_aggregate_all_masked_is_error():
-    with pytest.raises(DataError):
-        aggregate(Tensor(np.zeros((3, 4))), np.zeros(3, dtype=bool),
-                  Tensor(np.zeros(4)), groups=2)
+    # a token whose logits trail the best by far more than exp's range
+    # (-745) gets exactly zero attention in every group
+    feats[4] = -1e3 * np.sign(embed)
+    _, alpha = aggregate(Tensor(feats), Tensor(embed), groups=2)
+    assert (alpha.data[:, 4] == 0.0).all() and (alpha.data[:, :4] > 0.0).all()
+    np.testing.assert_allclose(alpha.data.sum(axis=1), [1.0, 1.0], atol=1e-9)
 
 
 def test_reduce_zero_weights():
@@ -171,32 +162,29 @@ def test_generate_weights_matches_triple_product_oracle():
 
 def test_generate_all_zero_core_ignores_expression():
     params = make_decomp(zero_core=True)
-    mask = np.array([True, True, True])
-    w1, _ = generate_all(Tensor(RNG.normal(size=(3, 8))), mask, params)
-    w2, _ = generate_all(Tensor(RNG.normal(size=(3, 8))), mask, params)
+    w1, _ = generate_all(Tensor(RNG.normal(size=(3, 8))), params)
+    w2, _ = generate_all(Tensor(RNG.normal(size=(5, 8))), params)
     for a, b in zip(w1, w2):
         assert np.array_equal(a.fused.data, b.fused.data)
 
 
 def test_generate_all_deterministic():
     params = make_decomp(zero_core=False)
-    feats = Tensor(RNG.normal(size=(3, 8)))
-    mask = np.array([True, True, False])
-    w1, _ = generate_all(feats, mask, params)
-    w2, _ = generate_all(feats, mask, params)
+    feats = Tensor(RNG.normal(size=(2, 8)))
+    w1, _ = generate_all(feats, params)
+    w2, _ = generate_all(feats, params)
     for a, b in zip(w1, w2):
         assert np.array_equal(a.fused.data, b.fused.data)
 
 
 def test_generate_all_sensitive_to_any_token():
-    # forward differencing: nudging one unmasked token moves every layer
+    # forward differencing: nudging one token moves every layer
     params = make_decomp(zero_core=False)
     feats = RNG.normal(size=(3, 8))
-    mask = np.array([True, True, True])
-    base, _ = generate_all(Tensor(feats), mask, params)
+    base, _ = generate_all(Tensor(feats), params)
     bumped = feats.copy()
     bumped[2] += 1e-3
-    moved, _ = generate_all(Tensor(bumped), mask, params)
+    moved, _ = generate_all(Tensor(bumped), params)
     for a, b in zip(base, moved):
         assert np.abs(a.fused.data - b.fused.data).max() > 0.0
 
@@ -204,10 +192,9 @@ def test_generate_all_sensitive_to_any_token():
 def test_generate_all_layers_are_independent():
     params = make_decomp(zero_core=False)
     feats = Tensor(RNG.normal(size=(3, 8)))
-    mask = np.array([True, True, True])
-    base, _ = generate_all(feats, mask, params)
+    base, _ = generate_all(feats, params)
     params.layer_embeds[1].data[...] += 0.37
-    moved, _ = generate_all(feats, mask, params)
+    moved, _ = generate_all(feats, params)
     assert np.array_equal(base[0].fused.data, moved[0].fused.data)
     assert not np.array_equal(base[1].fused.data, moved[1].fused.data)
 
@@ -215,8 +202,9 @@ def test_generate_all_layers_are_independent():
 def test_generated_views_stack_back_to_fused():
     params = make_decomp(zero_core=False)
     out = generate_weights(Tensor(RNG.normal(size=4)), params, 0)
-    stacked = np.concatenate(
-        [out.query.data, out.key.data, out.value.data], axis=0)
+    d = out.fused.shape[0] // 3
+    query, key, value = (out.fused[i * d:(i + 1) * d, :] for i in range(3))
+    stacked = np.concatenate([query.data, key.data, value.data], axis=0)
     assert np.array_equal(stacked, out.fused.data)
 
 
@@ -229,35 +217,32 @@ def test_dynamic_delta_rank_bound():
     assert (sv[params.rank_dw:] < 1e-10).all()
 
 
-def test_count_dynamic_params_edge_cases():
-    # d_w=0: only embedding and reducer terms remain
-    assert count_dynamic_params(3, 8, 2, 0, 4, 4) == 3 * (8 + 4 * 8)
-    base = count_dynamic_params(4, 64, 16, 8, 64, 64)
-    doubled = count_dynamic_params(8, 64, 16, 8, 64, 64)
-    shared = 8 * (64 + 192)
-    assert doubled - shared == 2 * (base - shared)
-
-
 def test_count_dynamic_params_matches_parameter_store():
+    n_layers, d_l, reduction, d_w, d_model = 12, 64, 16, 8, 64
     store = ParamStore(0)
-    backbone = VisualBackbone(store, image_size=64, patch=8, d_model=64,
-                              blocks=12, heads=4)
-    build_law_params(store, backbone, d_l=64, groups=4, reduction=16, rank_dw=8)
-    walked = store.num_values("law.")
-    assert walked == count_dynamic_params(12, 64, 16, 8, 64, 64) == 9728
+    backbone = VisualBackbone(store, image_size=64, patch=8, d_model=d_model,
+                              blocks=n_layers, heads=4)
+    build_law_params(store, backbone, d_l=d_l, groups=4, reduction=reduction,
+                     rank_dw=d_w)
+    # closed form. Per layer: embedding (d_l) + reducer (d_h*d_l) + core
+    # affine map (d_h*d_w^2 weights, d_w^2 bias); shared: the two rank
+    # factors, (d_in + 3*d_model) * d_w
+    d_h = d_l // reduction
+    per_layer = d_l + d_h * d_l + d_h * d_w * d_w + d_w * d_w
+    want = n_layers * per_layer + d_w * (d_model + 3 * d_model)
+    assert store.num_values("law.") == want == 9728
 
 
 def test_gradients_reach_every_generator_parameter():
     params = make_decomp(zero_core=False)
     feats = Tensor(RNG.normal(size=(3, 8)), requires_grad=True)
-    mask = np.array([True, True, True])
     leaves = [feats, params.out_factor, params.in_factor,
               *params.layer_embeds, *params.reducers,
               *params.core_weights, *params.core_biases,
               *params.static_fused]
 
     def loss_fn(*_):
-        weights, _ = generate_all(feats, mask, params)
+        weights, _ = generate_all(feats, params)
         total = None
         for w in weights:
             term = (w.fused * w.fused).sum()
@@ -270,7 +255,6 @@ def test_gradients_reach_every_generator_parameter():
 def test_shared_factor_grad_is_sum_of_per_layer_clones():
     params = make_decomp(zero_core=False)
     feats = Tensor(RNG.normal(size=(3, 8)))
-    mask = np.array([True, True, True])
 
     def readout(weight_list):
         total = None
@@ -281,7 +265,7 @@ def test_shared_factor_grad_is_sum_of_per_layer_clones():
 
     params.out_factor.zero_grad()
     with Tape() as tape:
-        weights, _ = generate_all(feats, mask, params)
+        weights, _ = generate_all(feats, params)
         loss = readout(weights)
     tape.backward(loss)
     shared_grad = params.out_factor.grad.copy()
@@ -297,7 +281,7 @@ def test_shared_factor_grad_is_sum_of_per_layer_clones():
             static_fused=params.static_fused, static_bias=params.static_bias,
             groups=params.groups, rank_dw=params.rank_dw)
         with Tape() as tape:
-            pooled, _ = aggregate(feats, mask, params.layer_embeds[layer],
+            pooled, _ = aggregate(feats, params.layer_embeds[layer],
                                   params.groups)
             reduced = reduce(pooled, params.reducers[layer])
             w = generate_weights(reduced, cloned_params, layer)

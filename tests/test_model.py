@@ -64,11 +64,11 @@ def test_nonzero_core_makes_features_expression_sensitive(vocab, image):
 
 
 def test_pad_length_invariance_end_to_end(vocab, image):
-    # same expression, two different pad lengths: outputs bit-identical
+    # same expression, two different max_len: outputs bit-identical
     short = GroundingModel(tiny_config(max_len=6), vocab, seed=9)
     long = GroundingModel(tiny_config(max_len=8), vocab, seed=9)
-    # force identical shared parameters: copy the short model's text params
-    # where shapes differ only in padded rows
+    # force identical shared parameters: copy the short model's params; the
+    # position table differs only in rows the short model lacks
     for name, p in short.store.items():
         q = long.store[name]
         if p.data.shape == q.data.shape:

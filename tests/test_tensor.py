@@ -6,7 +6,6 @@ from lawground.attention import multihead_attention
 from lawground.errors import NumericError, ShapeError, TapeError
 from lawground import serial
 from lawground.tensor import (
-    MASK_NEG,
     Tape,
     Tensor,
     absval,
@@ -124,7 +123,8 @@ def test_softmax_rejects_all_neg_inf_row():
 
 
 def composed_attention(qkv, heads, key_bias=None):
-    """Reference: the same attention built from taped primitives."""
+    """Reference: the same attention built from taped primitives; key_bias,
+    when given, is a (T,) additive logit bias per key."""
     n_tok, d = qkv.shape[0], qkv.shape[1] // 3
     dh = d // heads
 
@@ -142,11 +142,11 @@ def composed_attention(qkv, heads, key_bias=None):
     return reshape(transpose(ctx, (1, 0, 2)), (n_tok, d)), probs
 
 
-def run_attention(fn, qkv, heads, key_bias, upstream):
+def run_attention(fn, qkv, heads, upstream):
     """Forward context and probabilities, plus d<ctx, upstream>/d qkv."""
     x = Tensor(qkv.copy(), requires_grad=True)
     with Tape() as tape:
-        ctx, probs = fn(x, heads, key_bias)
+        ctx, probs = fn(x, heads)
         loss = (ctx * Tensor(upstream)).sum()
     tape.backward(loss)
     return ctx.data, probs.data, x.grad
@@ -157,24 +157,13 @@ def test_attention_matches_composed_primitives(n_tok, heads, dh):
     d = heads * dh
     qkv = RNG.normal(size=(n_tok, 3 * d))
     upstream = RNG.normal(size=(n_tok, d))
-    key_bias = np.where(np.arange(n_tok) < n_tok - 2, 0.0, MASK_NEG)
-    for bias in (None, key_bias):
-        got = run_attention(attention, qkv, heads, bias, upstream)
-        want = run_attention(composed_attention, qkv, heads, bias, upstream)
-        for g, w in zip(got, want):
-            if dh == 16:  # scale 1/4 is exact: same arithmetic, same bits
-                assert np.array_equal(g, w)
-            else:
-                np.testing.assert_allclose(g, w, rtol=1e-15, atol=0)
-
-
-def test_attention_masked_key_gets_exact_zero():
-    qkv = RNG.normal(size=(5, 12))
-    key_bias = np.array([0.0, MASK_NEG, 0.0, 0.0, MASK_NEG])
-    _, probs = attention(Tensor(qkv), 2, key_bias)
-    assert (probs.data[:, :, [1, 4]] == 0.0).all()
-    assert (probs.data[:, :, [0, 2, 3]] > 0.0).all()
-    np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-15)
+    got = run_attention(attention, qkv, heads, upstream)
+    want = run_attention(composed_attention, qkv, heads, upstream)
+    for g, w in zip(got, want):
+        if dh == 16:  # scale 1/4 is exact: same arithmetic, same bits
+            assert np.array_equal(g, w)
+        else:
+            np.testing.assert_allclose(g, w, rtol=1e-15, atol=0)
 
 
 def test_multihead_attention_records_three_entries():

@@ -3,7 +3,7 @@ import pytest
 
 from lawground.errors import DataError
 from lawground.params import ParamStore
-from lawground.tensor import Tape, layer_norm, take_rows
+from lawground.tensor import gelu, layer_norm, linear, take_rows
 from lawground.text import (
     CLS_ID,
     PAD_ID,
@@ -12,6 +12,7 @@ from lawground.text import (
     Vocabulary,
     tokenize,
 )
+from test_tensor import composed_attention
 
 WORDS = ["red", "green", "blue", "circle", "square", "left", "of", "the"]
 
@@ -39,23 +40,28 @@ def test_vocab_file_round_trip(tmp_path, vocab):
 
 def test_tokenize_basic(vocab):
     seq = tokenize("red circle", vocab, max_len=6)
-    assert seq.ids.tolist() == [CLS_ID, vocab.id_of("red"), vocab.id_of("circle"),
-                                PAD_ID, PAD_ID, PAD_ID]
-    assert seq.mask.tolist() == [True, True, True, False, False, False]
+    assert seq.dtype == np.int64
+    assert seq.tolist() == [CLS_ID, vocab.id_of("red"), vocab.id_of("circle")]
 
 
 def test_tokenize_unknown_word(vocab):
     seq = tokenize("red dragon", vocab, max_len=6)
-    assert seq.ids[2] == UNK_ID
+    assert seq[2] == UNK_ID
 
 
 def test_tokenize_truncates_keeping_earliest(vocab):
     words = WORDS * 3  # longer than max_len
     seq = tokenize(" ".join(words), vocab, max_len=8)
-    assert len(seq.ids) == 8
-    assert seq.mask.all()
-    assert seq.ids[0] == CLS_ID
-    assert [vocab.word_of(i) for i in seq.ids[1:]] == words[:7]
+    assert len(seq) == 8
+    assert seq[0] == CLS_ID
+    assert [vocab.word_of(i) for i in seq[1:]] == words[:7]
+
+
+def test_tokenize_length_is_words_plus_cls_capped(vocab):
+    for n_words in range(1, 12):
+        seq = tokenize(" ".join(["red"] * n_words), vocab, max_len=8)
+        assert len(seq) == min(n_words, 7) + 1
+        assert PAD_ID not in seq
 
 
 def test_tokenize_rejects_empty(vocab):
@@ -66,7 +72,7 @@ def test_tokenize_rejects_empty(vocab):
 def test_tokenize_lowercases(vocab):
     a = tokenize("RED Circle", vocab, max_len=6)
     b = tokenize("red circle", vocab, max_len=6)
-    assert np.array_equal(a.ids, b.ids)
+    assert np.array_equal(a, b)
 
 
 def build_encoder(vocab, max_len=8, layers=2, width=16, heads=2, seed=0):
@@ -79,33 +85,63 @@ def build_encoder(vocab, max_len=8, layers=2, width=16, heads=2, seed=0):
 def test_encode_shapes(vocab):
     enc, _ = build_encoder(vocab)
     out = enc.encode(tokenize("red circle", vocab, max_len=8))
-    assert out.feats.shape == (8, 16)
-    assert out.cls.shape == (16,)
+    assert out.shape == (3, 16)  # one row per real token, [CLS] first
 
 
-def test_encode_pad_content_invariance(vocab):
-    # same real tokens, different junk beyond the mask: real rows identical
-    enc, _ = build_encoder(vocab)
-    seq_a = tokenize("red circle", vocab, max_len=8)
-    seq_b = tokenize("red circle", vocab, max_len=8)
-    seq_b.ids[4:] = vocab.id_of("the")  # junk ids in masked region
-    out_a = enc.encode(seq_a).feats.data
-    out_b = enc.encode(seq_b).feats.data
-    assert np.array_equal(out_a[:3], out_b[:3])
+def padded_reference(enc, ids):
+    """The encoder run the padded way: ids filled with [PAD] up to max_len,
+    every pad key pushed out of the softmax by a -1e30 logit bias, and the
+    real-token rows read back."""
+    n = len(ids)
+    padded = np.full(enc.max_len, PAD_ID, dtype=np.int64)
+    padded[:n] = ids
+    key_bias = np.where(np.arange(enc.max_len) < n, 0.0, -1e30)
+    x = take_rows(enc.embed, padded) + enc.pos
+    for blk in enc.blocks:
+        h = layer_norm(x, blk["ln1_g"], blk["ln1_b"])
+        ctx, _ = composed_attention(linear(h, blk["qkv_w"], blk["qkv_b"]),
+                                    enc.heads, key_bias)
+        x = x + linear(ctx, blk["out_w"], blk["out_b"])
+        h = layer_norm(x, blk["ln2_g"], blk["ln2_b"])
+        h = gelu(linear(h, blk["mlp_w1"], blk["mlp_b1"]))
+        x = x + linear(h, blk["mlp_w2"], blk["mlp_b2"])
+    return layer_norm(x, enc.final_g, enc.final_b).data[:n]
+
+
+def test_encode_matches_padded_reference(vocab):
+    enc, store = build_encoder(vocab, max_len=10)
+    rng = np.random.default_rng(5)
+    for _, p in store.items():  # random gains and biases too, not just weights
+        p.data[...] = rng.normal(0.0, 0.5, p.shape)
+    for expr in ("red", "red circle", "blue square left of the red circle",
+                 " ".join(WORDS + ["green"])):
+        ids = tokenize(expr, vocab, max_len=10)
+        np.testing.assert_allclose(enc.encode(ids).data,
+                                   padded_reference(enc, ids),
+                                   rtol=0, atol=1e-13)
+
+
+def test_encode_expression_longer_than_max_len(vocab):
+    enc, _ = build_encoder(vocab, max_len=8)
+    seq = tokenize(" ".join(WORDS * 6), vocab, max_len=8)
+    out = enc.encode(seq)
+    assert out.shape == (8, 16) and np.isfinite(out.data).all()
+    with pytest.raises(DataError, match="exceed max_len"):
+        enc.encode(np.ones(9, dtype=np.int64))
 
 
 def test_encode_determinism(vocab):
     enc, _ = build_encoder(vocab)
     seq = tokenize("blue square left of the red circle", vocab, max_len=8)
-    a = enc.encode(seq).feats.data
-    b = enc.encode(seq).feats.data
+    a = enc.encode(seq).data
+    b = enc.encode(seq).data
     assert np.array_equal(a, b)
 
 
 def test_encode_rejects_out_of_range_ids(vocab):
     enc, _ = build_encoder(vocab)
     seq = tokenize("red circle", vocab, max_len=8)
-    seq.ids[1] = len(vocab) + 7
+    seq[1] = len(vocab) + 7
     with pytest.raises(DataError):
         enc.encode(seq)
 
@@ -116,8 +152,8 @@ def test_encode_degenerate_config_is_residual_clean(vocab):
     store["text.block0.attn.out.weight"].data[...] = 0.0
     store["text.block0.mlp.fc2.weight"].data[...] = 0.0
     seq = tokenize("red circle", vocab, max_len=8)
-    got = enc.encode(seq).feats.data
-    want = layer_norm(take_rows(enc.embed, seq.ids) + enc.pos,
+    got = enc.encode(seq).data
+    want = layer_norm(take_rows(enc.embed, seq) + enc.pos[:len(seq)],
                       enc.final_g, enc.final_b).data
     np.testing.assert_allclose(got, want, atol=0)
 
@@ -131,6 +167,6 @@ def test_encode_grad_check_small_config(vocab):
 
     def loss_fn(*_):
         out = enc.encode(seq)
-        return (out.feats * out.feats).mean()
+        return (out * out).mean()
 
     assert grad_check(loss_fn, params) <= 1e-4

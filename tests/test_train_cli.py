@@ -363,12 +363,14 @@ def test_word_affinity_matches_manual_trace(dataset, tmp_path):
     model, _, _, _ = training.load_checkpoint(tmp_path / "run" / "last.ckpt",
                                               dataset)
     tokens = model.tokenize("red circle left of the red square")
-    table = training.word_layer_affinity(model, tokens)
+    image = model.image_tensor(np.zeros((32, 32, 3), dtype=np.uint8))
+    pred = model.forward(image, tokens)
+    table = training.word_layer_affinity(model.vocab, tokens, pred.alphas)
+    assert list(table) == ["red", "circle", "left", "of", "the", "square"]
 
     from lawground.law import generate_all
 
-    feats = model.text.encode(tokens)
-    _, alphas = generate_all(feats.feats, feats.mask, model.law)
+    _, alphas = generate_all(model.text.encode(tokens), model.law)
     # manual trace for the duplicated word "red" (positions 1 and 6)
     per_layer = np.array([a.data.mean(axis=0)[[1, 6]].mean() for a in alphas])
     want = np.exp(per_layer - per_layer.max())
@@ -405,15 +407,6 @@ def test_cli_gen_and_exit_codes(tmp_path, capsys):
     assert (out / "index.jsonl").exists()
     assert (out / "manifest.sha").exists()
     assert "wrote dataset" in capsys.readouterr().out
-
-
-def test_cli_synthground_alias(tmp_path):
-    from lawground.cli import synthground_main
-
-    out = tmp_path / "ds"
-    assert synthground_main(["gen", "--out", str(out), "--n-train", "2",
-                             "--n-val", "1", "--n-test", "1", "--res", "32"]) == 0
-    assert (out / "vocab.txt").exists()
 
 
 def test_cli_train_eval_inspect_round_trip(dataset, tmp_path, capsys):
