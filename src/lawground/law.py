@@ -15,17 +15,10 @@ static backbone.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError, ShapeError
-from .tensor import (
-    Tensor,
-    gelu,
-    matmul,
-    matvec,
-    reshape,
-    softmax,
-    transpose,
-    tsum,
-)
+from .tensor import Tensor, _record, _softmax_, as_tensor, gelu_cdf, gelu_slope
 
 
 @dataclass
@@ -87,54 +80,86 @@ def build_law_params(store, backbone, d_l, groups, reduction, rank_dw):
         groups=groups, rank_dw=rank_dw)
 
 
-def aggregate(feats, layer_embed, groups):
-    """Group-wise token attention and weighted sum for one visual layer.
+def layer_cores(feats, params):
+    """Every layer's core matrix from the (L, d_l) token features, as one op.
 
-    Returns the aggregated feature (d_l,) and the attention (G, L).
+    Per layer n: a group-wise softmax over tokens of embed_n . feats (G
+    groups of d_l/G channels), the attention-weighted sum of the tokens, the
+    bias-free reducer with GeLU, and the core affine map reshaped row-major.
+    Returns the (N, d_w, d_w) cores, taped with feats and every embedding,
+    reducer and core map as parents, and the (N, G, L) token attention as an
+    array.
     """
+    feats = as_tensor(feats)
     n_tok, d_l = feats.shape
+    groups, n_layers, d_w = params.groups, params.n_layers, params.rank_dw
     if d_l % groups:
         raise ShapeError(f"groups {groups} must divide feature width {d_l}")
     gsize = d_l // groups
-    grouped = transpose(reshape(feats, (n_tok, groups, gsize)), (1, 0, 2))  # (G,L,gs)
-    emb = reshape(layer_embed, (groups, 1, gsize))
-    logits = tsum(grouped * emb, axis=2)                                   # (G,L)
-    alpha = softmax(logits, axis=1)
-    pooled = tsum(reshape(alpha, (groups, n_tok, 1)) * grouped, axis=1)    # (G,gs)
-    return reshape(pooled, (d_l,)), alpha
+    embeds = np.stack([e.data for e in params.layer_embeds])
+    reducers = np.stack([r.data for r in params.reducers])
+    core_ws = np.stack([w.data for w in params.core_weights])
+    core_bs = np.stack([b.data for b in params.core_biases])
+    grouped = feats.data.reshape(n_tok, groups, gsize)
+    emb = embeds.reshape(n_layers, groups, gsize)
+    alpha = _softmax_(np.einsum("lgk,ngk->ngl", grouped, emb))     # (N,G,L)
+    pooled = np.einsum("ngl,lgk->ngk", alpha, grouped).reshape(n_layers, d_l)
+    pre = np.einsum("nhd,nd->nh", reducers, pooled)
+    cdf = gelu_cdf(pre)
+    reduced = pre * cdf
+    cores = np.einsum("nch,nh->nc", core_ws, reduced) + core_bs
+    out = Tensor(cores.reshape(n_layers, d_w, d_w))
+
+    def backfn(g):
+        g_flat = g.reshape(n_layers, d_w * d_w)
+        g_cw = g_flat[:, :, None] * reduced[:, None, :]
+        g_pre = np.einsum("nch,nc->nh", core_ws, g_flat) * gelu_slope(pre, cdf)
+        g_red = g_pre[:, :, None] * pooled[:, None, :]
+        g_pool = np.einsum("nhd,nh->nd", reducers, g_pre).reshape(
+            n_layers, groups, gsize)
+        g_alpha = np.einsum("ngk,lgk->ngl", g_pool, grouped)
+        g_logit = alpha * (g_alpha - np.sum(g_alpha * alpha, axis=-1,
+                                            keepdims=True))
+        g_emb = np.einsum("ngl,lgk->ngk", g_logit, grouped)
+        g_feats = (np.einsum("ngl,ngk->lgk", alpha, g_pool)
+                   + np.einsum("ngl,ngk->lgk", g_logit, emb))
+        return (g_feats.reshape(n_tok, d_l), *g_emb.reshape(n_layers, d_l),
+                *g_red, *g_cw, *g_flat)
+
+    parents = (feats, *params.layer_embeds, *params.reducers,
+               *params.core_weights, *params.core_biases)
+    return _record(out, parents, backfn), alpha
 
 
-def reduce(aggregated, reducer):
-    """Bias-free linear reduction with GeLU: (d_h, d_l) @ (d_l,) -> (d_h,)."""
-    return gelu(matvec(reducer, aggregated))
-
-
-def generate_weights(reduced, params, layer):
-    """Compose one layer's fused projection: static + low-rank dynamic update.
-
-    The core map's flat output reshapes to (d_w, d_w) row-major. The bias is
-    the layer's static one (the dynamic path only generates the matrix).
-    """
-    d_w = params.rank_dw
-    core_flat = matvec(params.core_weights[layer], reduced) + params.core_biases[layer]
-    core = reshape(core_flat, (d_w, d_w))
-    delta = matmul(matmul(params.out_factor, core), transpose(params.in_factor))
-    if delta.shape != params.static_fused[layer].shape:
+def fused_weight(params, cores, layer):
+    """One layer's fused projection static + out_factor @ core @ in_factor^T,
+    as one op with the static weights, both factors and the (N, d_w, d_w)
+    cores as parents."""
+    static, out_f, in_f = (params.static_fused[layer], params.out_factor,
+                           params.in_factor)
+    core = cores.data[layer]
+    left = out_f.data @ core
+    delta = left @ in_f.data.T
+    if delta.shape != static.shape:
         raise ShapeError(
             f"decomposition produced {delta.shape}, static weights are "
-            f"{params.static_fused[layer].shape}")
-    return GeneratedLayerWeights(
-        fused=params.static_fused[layer] + delta,
-        bias=params.static_bias[layer])
+            f"{static.shape}")
+    out = Tensor(static.data + delta)
+
+    def backfn(g):
+        g_left = g @ in_f.data
+        g_cores = np.zeros(cores.shape)
+        g_cores[layer] = out_f.data.T @ g_left
+        return (g, g_left @ core.T, g_cores, g.T @ left)
+
+    return _record(out, (static, out_f, cores, in_f), backfn)
 
 
 def generate_all(feats, params):
-    """Weights for every visual layer plus the per-layer token attentions."""
-    weights, alphas = [], []
-    for i in range(params.n_layers):
-        pooled, alpha = aggregate(feats, params.layer_embeds[i], params.groups)
-        reduced = reduce(pooled, params.reducers[i])
-        weights.append(generate_weights(reduced, params, i))
-        alphas.append(alpha)
-    return weights, alphas
-
+    """Weights for every visual layer plus the per-layer (G, L) token
+    attentions; records 1 + n_layers tape entries."""
+    cores, alpha = layer_cores(feats, params)
+    weights = [GeneratedLayerWeights(fused=fused_weight(params, cores, i),
+                                     bias=params.static_bias[i])
+               for i in range(params.n_layers)]
+    return weights, [Tensor(a) for a in alpha]

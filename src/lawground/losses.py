@@ -12,10 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor import Tensor, absval, as_tensor, log, maximum, minimum
+from .tensor import Tensor, _record, as_tensor
 
 # guards 0/0 for degenerate (empty) boxes without disturbing regular values
 _TINY = 1e-300
+# dice smoothing, added to the overlap and to the mask sums
+_DICE_EPS = 1.0
 
 MODES = ("rec", "res", "multitask")
 
@@ -30,63 +32,101 @@ class LossWeights:
     focal_gamma: float = 2.0
 
 
-def l1_loss(box_true, box_pred):
-    """Mean absolute component difference over the 4 box components."""
-    return absval(as_tensor(box_true) - as_tensor(box_pred)).mean()
+def box_loss(box_true, box_pred, weights):
+    """weights.l1 * L1 + weights.giou * (1 - GIoU) of two (4,) boxes, as one op.
+
+    L1 is the mean absolute component difference. GIoU = IoU - |C minus
+    union| / |C| over the smallest enclosing box C, so 1 - GIoU lies in
+    [0, 2]. Negative extents are clamped to empty boxes and _TINY guards 0/0
+    for empty ones. Where a max or min ties, the gradient takes the path of
+    its first argument: the extent over 0, the true box's edge over the
+    predicted one, the overlap over 0, union and C over _TINY. Only box_pred
+    is a parent. Returns the scalar Tensor and the unweighted L1 and
+    1 - GIoU as floats.
+    """
+    pred = as_tensor(box_pred)
+    true = as_tensor(box_true).data
+    diff = true - pred.data
+    l1 = float(np.mean(np.abs(diff)))
+    # per axis (x, y): the extent, both edges and the area of each box
+    sized = pred.data[2:] >= 0.0
+    size_t, size_p = np.maximum(true[2:], 0.0), np.where(sized, pred.data[2:], 0.0)
+    lo_t, hi_t = true[:2] - size_t * 0.5, true[:2] + size_t * 0.5
+    lo_p, hi_p = pred.data[:2] - size_p * 0.5, pred.data[:2] + size_p * 0.5
+    # intersection: the true edge wins ties of both its min and its max
+    in_hi_t, in_lo_t = hi_t <= hi_p, lo_t >= lo_p
+    span = np.where(in_hi_t, hi_t, hi_p) - np.where(in_lo_t, lo_t, lo_p)
+    overlaps = span >= 0.0
+    inter_wh = np.where(overlaps, span, 0.0)
+    # enclosing box, same tie rule
+    out_hi_t, out_lo_t = hi_t >= hi_p, lo_t <= lo_p
+    encl_wh = np.where(out_hi_t, hi_t, hi_p) - np.where(out_lo_t, lo_t, lo_p)
+    inter = inter_wh[0] * inter_wh[1]
+    union = size_t[0] * size_t[1] + size_p[0] * size_p[1] - inter
+    enclosing = encl_wh[0] * encl_wh[1]
+    union_c, encl_c = max(union, _TINY), max(enclosing, _TINY)
+    iou = inter / union_c
+    giou_loss = float(1.0 - (iou - (enclosing - union) / encl_c))
+    out = Tensor(weights.l1 * l1 + weights.giou * giou_loss)
+
+    def backfn(g):
+        # 1 - GIoU = 1 - inter / union_c + (enclosing - union) / encl_c
+        gg = g * weights.giou
+        g_gap = gg / encl_c                     # adjoint of enclosing - union
+        g_union = (gg * iou / union_c if union >= _TINY else 0.0) - g_gap
+        g_encl = g_gap - (g_gap * (enclosing - union) / encl_c
+                          if enclosing >= _TINY else 0.0)
+        g_inter = -gg / union_c - g_union
+        # product rule per axis, then to the predicted edges where they won
+        g_span = g_inter * inter_wh[::-1] * overlaps
+        g_encl_wh = g_encl * encl_wh[::-1]
+        g_hi = g_span * ~in_hi_t + g_encl_wh * ~out_hi_t
+        g_lo = -g_span * ~in_lo_t - g_encl_wh * ~out_lo_t
+        # edges are center -/+ extent / 2, and the extent spans the area
+        g_size = (g_union * size_p[::-1] + 0.5 * (g_hi - g_lo)) * sized
+        grad = np.concatenate([g_lo + g_hi, g_size])
+        grad -= np.sign(diff) * (g * weights.l1 / 4.0)
+        return (grad,)
+
+    return _record(out, (pred,), backfn), l1, giou_loss
 
 
-def _corners(box):
-    # negative extents are clamped to empty boxes
-    w = maximum(box[2], 0.0)
-    h = maximum(box[3], 0.0)
-    x1 = box[0] - w * 0.5
-    x2 = box[0] + w * 0.5
-    y1 = box[1] - h * 0.5
-    y2 = box[1] + h * 0.5
-    return x1, y1, x2, y2, w * h
+def mask_loss(mask_true, mask_pred, weights):
+    """weights.focal * focal + weights.dice * dice of a probability map, as
+    one op.
 
-
-def giou_loss(box_true, box_pred):
-    """1 - GIoU, where GIoU = IoU - |C minus union| / |C| over the smallest
-    enclosing box C. Lies in [0, 2]."""
-    ax1, ay1, ax2, ay2, area_a = _corners(as_tensor(box_true))
-    bx1, by1, bx2, by2, area_b = _corners(as_tensor(box_pred))
-    iw = maximum(minimum(ax2, bx2) - maximum(ax1, bx1), 0.0)
-    ih = maximum(minimum(ay2, by2) - maximum(ay1, by1), 0.0)
-    inter = iw * ih
-    union = area_a + area_b - inter
-    iou = inter / maximum(union, _TINY)
-    cw = maximum(ax2, bx2) - minimum(ax1, bx1)
-    ch = maximum(ay2, by2) - minimum(ay1, by1)
-    enclosing = cw * ch
-    giou = iou - (enclosing - union) / maximum(enclosing, _TINY)
-    return 1.0 - giou
-
-
-def focal_loss(mask_true, mask_pred, alpha=0.25, gamma=2.0):
-    """Mean over pixels of -alpha * (1 - p_t)^gamma * log(p_t).
-
-    p_t is the predicted probability of the true class. With gamma=0,
-    alpha=1 this is exactly mean binary cross-entropy.
+    Focal is the pixel mean of -alpha * (1 - p_t)^gamma * log(p_t), p_t the
+    predicted probability of the true class (gamma=0, alpha=1 is mean binary
+    cross-entropy); dice is 1 - (2*overlap + 1) / (sum_true + sum_pred + 1).
+    Only mask_pred is a parent. Returns the scalar Tensor and the unweighted
+    focal and dice terms as floats.
     """
     pred = as_tensor(mask_pred)
-    true = as_tensor(mask_true)
+    true = as_tensor(mask_true).data
     if pred.shape != true.shape:
         raise ShapeError(f"mask shapes differ: {true.shape} vs {pred.shape}")
-    if np.any(pred.data <= 0.0) or np.any(pred.data >= 1.0):
+    p = pred.data
+    if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise NumericError("focal loss needs probabilities strictly inside (0, 1)")
-    p_t = pred * true + (1.0 - pred) * (1.0 - true)
-    return ((1.0 - p_t) ** float(gamma) * log(p_t)).mean() * (-float(alpha))
+    alpha, gamma = float(weights.focal_alpha), float(weights.focal_gamma)
+    p_t = p * true + (1.0 - p) * (1.0 - true)
+    miss = 1.0 - p_t
+    log_pt = np.log(p_t)
+    focus = miss ** gamma
+    focal = float(np.mean(focus * log_pt)) * -alpha
+    overlap_eps = 2.0 * float(np.sum(true * p)) + _DICE_EPS
+    total_eps = float(np.sum(true)) + float(np.sum(p)) + _DICE_EPS
+    dice = 1.0 - overlap_eps / total_eps
+    out = Tensor(weights.focal * focal + weights.dice * dice)
 
+    def backfn(g):
+        d_pt = focus / p_t - gamma * miss ** (gamma - 1.0) * log_pt
+        g_focal = d_pt * (2.0 * true - 1.0) * (-alpha * weights.focal * g / p.size)
+        g_dice = (overlap_eps / total_eps - 2.0 * true) * (
+            weights.dice * g / total_eps)
+        return (g_focal + g_dice,)
 
-def dice_loss(mask_true, mask_pred, eps=1.0):
-    """1 - (2*overlap + eps) / (sum_true + sum_pred + eps)."""
-    pred = as_tensor(mask_pred)
-    true = as_tensor(mask_true)
-    if pred.shape != true.shape:
-        raise ShapeError(f"mask shapes differ: {true.shape} vs {pred.shape}")
-    overlap = (true * pred).sum()
-    return 1.0 - (2.0 * overlap + eps) / (true.sum() + pred.sum() + eps)
+    return _record(out, (pred,), backfn), focal, dice
 
 
 def total_loss(box_true, box_pred, mask_true, mask_pred, weights=None,
@@ -98,17 +138,9 @@ def total_loss(box_true, box_pred, mask_true, mask_pred, weights=None,
     parts = {}
     det = seg = None
     if mode in ("rec", "multitask"):
-        part_l1 = l1_loss(box_true, box_pred)
-        part_giou = giou_loss(box_true, box_pred)
-        det = w.l1 * part_l1 + w.giou * part_giou
-        parts["l1"] = part_l1.item()
-        parts["giou"] = part_giou.item()
+        det, parts["l1"], parts["giou"] = box_loss(box_true, box_pred, w)
     if mode in ("res", "multitask"):
-        part_focal = focal_loss(mask_true, mask_pred, w.focal_alpha, w.focal_gamma)
-        part_dice = dice_loss(mask_true, mask_pred)
-        seg = w.focal * part_focal + w.dice * part_dice
-        parts["focal"] = part_focal.item()
-        parts["dice"] = part_dice.item()
+        seg, parts["focal"], parts["dice"] = mask_loss(mask_true, mask_pred, w)
     if det is None:
         total = seg
     elif seg is None:

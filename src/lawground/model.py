@@ -81,17 +81,12 @@ class GroundingModel:
         arr = np.transpose(rgb_uint8.astype(np.float64) / 255.0, (2, 0, 1))
         return Tensor(arr, requires_grad=requires_grad)
 
-    def forward(self, image, tokens, collect_attention=False,
-                use_static_weights=False):
-        """Full forward pass for one (image, expression) pair.
-
-        use_static_weights bypasses weight generation and runs the backbone
-        on its own static projections (the reference path for the
-        zero-initialized dynamic term).
-        """
+    def forward(self, image, tokens, collect_attention=False):
+        """Full forward pass for one (image, expression) pair; without a
+        weight generator the backbone runs on its own static projections."""
         feats = self.text.encode(tokens)
         alphas = []
-        if self.law is not None and not use_static_weights:
+        if self.law is not None:
             weights, alpha_tensors = generate_all(feats, self.law)
             alphas = [a.data for a in alpha_tensors]
         else:
@@ -115,6 +110,3 @@ class GroundingModel:
         for name, p in self.store.items():
             (backbone if name.startswith(BACKBONE_PREFIXES) else rest).append((name, p))
         return backbone, rest
-
-    def num_generator_params(self):
-        return self.store.num_values("law.")

@@ -162,20 +162,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, e):
-        return power(self, e)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -246,68 +234,6 @@ def mul(a, b):
                    _unbroadcast(g * a.data, b.shape)))
 
 
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data / b.data)
-    return _record(
-        out, (a, b),
-        lambda g: (_unbroadcast(g / b.data, a.shape),
-                   _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
-
-
-def power(x, e):
-    """x**e for a float exponent; x must be positive unless e is a whole number."""
-    x = as_tensor(x)
-    e = float(e)
-    out = Tensor(x.data ** e)
-    if not np.isfinite(out.data).all():
-        raise NumericError(f"power({e}) produced non-finite values")
-    return _record(out, (x,), lambda g: (g * e * x.data ** (e - 1.0),))
-
-
-def maximum(a, b):
-    """Elementwise max; on ties the gradient goes to the first argument."""
-    a, b = as_tensor(a), as_tensor(b)
-    take_a = a.data >= b.data
-    out = Tensor(np.where(take_a, a.data, b.data))
-    return _record(
-        out, (a, b),
-        lambda g: (_unbroadcast(g * take_a, a.shape),
-                   _unbroadcast(g * ~take_a, b.shape)))
-
-
-def minimum(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    take_a = a.data <= b.data
-    out = Tensor(np.where(take_a, a.data, b.data))
-    return _record(
-        out, (a, b),
-        lambda g: (_unbroadcast(g * take_a, a.shape),
-                   _unbroadcast(g * ~take_a, b.shape)))
-
-
-def absval(x):
-    x = as_tensor(x)
-    out = Tensor(np.abs(x.data))
-    return _record(out, (x,), lambda g: (g * np.sign(x.data),))
-
-
-def log(x):
-    x = as_tensor(x)
-    if np.any(x.data <= 0.0):
-        raise NumericError("log of a non-positive value")
-    out = Tensor(np.log(x.data))
-    return _record(out, (x,), lambda g: (g / x.data,))
-
-
-def exp(x):
-    x = as_tensor(x)
-    out = Tensor(np.exp(x.data))
-    if not np.isfinite(out.data).all():
-        raise NumericError("exp overflow")
-    return _record(out, (x,), lambda g: (g * out.data,))
-
-
 def sigmoid(x):
     """Logistic function, clamped into the open interval (0, 1)."""
     x = as_tensor(x)
@@ -316,17 +242,22 @@ def sigmoid(x):
     return _record(out, (x,), lambda g: (g * p * (1.0 - p),))
 
 
+def gelu_cdf(x):
+    """Standard normal CDF of the array x, exact-erf form."""
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+
+
+def gelu_slope(x, cdf):
+    """Derivative of gelu at the array x, given gelu_cdf(x)."""
+    return cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT2PI)
+
+
 def gelu(x):
     """x * CDF_N(0,1)(x), exact-erf form."""
     x = as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = gelu_cdf(x.data)
     out = Tensor(x.data * cdf)
-
-    def backfn(g, x=x, cdf=cdf):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return (g * (cdf + x.data * pdf),)
-
-    return _record(out, (x,), backfn)
+    return _record(out, (x,), lambda g: (g * gelu_slope(x.data, cdf),))
 
 
 def _softmax_(p, axis=-1):
@@ -405,24 +336,6 @@ def attention(qkv, heads):
 
 # ---------------------------------------------------------------------------
 # linear algebra and shape ops
-
-
-def matmul(a, b):
-    """Matrix product over the last two axes (leading axes broadcast).
-
-    Gradient rules: dA = dC @ B^T, dB = A^T @ dC.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions disagree for {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def backfn(g, a=a, b=b):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
-
-    return _record(out, (a, b), backfn)
 
 
 def linear(x, w, b=None):

@@ -19,10 +19,9 @@ from lawground.config import TrainConfig, validate
 from lawground.head import MultitaskHead, binarize
 from lawground.law import (
     DecompositionParams,
-    aggregate,
+    fused_weight,
     generate_all,
-    generate_weights,
-    reduce as law_reduce,
+    layer_cores,
 )
 from lawground.model import GroundingModel, ModelConfig
 from lawground.params import ParamStore
@@ -30,19 +29,13 @@ from lawground.synthground import generate_dataset, load_dataset
 from lawground.tensor import (
     Tape,
     Tensor,
-    absval,
     attention,
     bilinear_upsample,
     gelu,
     grad_check,
     layer_norm,
     linear,
-    log,
-    matmul,
     matvec,
-    maximum,
-    minimum,
-    power,
     sigmoid,
     softmax,
     take_rows,
@@ -125,44 +118,64 @@ def test_criterion_2_gradient_suite():
     def rt(shape, scale=1.0):
         return Tensor(RNG.normal(0, scale, shape), requires_grad=True)
 
+    def sq(y):
+        return (y * y).sum()
+
     # every differentiable op, randomized small shapes
-    check("matmul", lambda a, b: (matmul(a, b) ** 2.0).sum(),
-          [rt((4, 5)), rt((5, 3))])
-    check("linear", lambda x, w, b: (linear(x, w, b) ** 2.0).sum(),
+    check("linear", lambda x, w, b: sq(linear(x, w, b)),
           [rt((3, 4)), rt((5, 4)), rt((5,))])
-    check("matvec", lambda w, v: (matvec(w, v) ** 2.0).sum(),
-          [rt((4, 6)), rt((6,))])
-    check("add_mul_sub_div",
-          lambda a, b: ((a + b) * (a - b) / (b * b + 1.0)).sum(),
+    check("matvec", lambda w, v: sq(matvec(w, v)), [rt((4, 6)), rt((6,))])
+    check("add_mul_sub",
+          lambda a, b: ((a + b) * (a - b) * (b * b + 1.0)).sum(),
           [rt((3, 4)), rt((3, 4))])
-    check("power", lambda x: ((x * x + 0.5) ** 1.7).sum(), [rt((6,))])
-    check("maximum_minimum",
-          lambda a, b: (maximum(a, b) * minimum(a, b)).sum(),
-          [rt((8,)), rt((8,))])
-    check("absval", lambda x: absval(x).sum(), [rt((9,))])
-    check("log", lambda x: log(x * x + 0.3).sum(), [rt((8,))])
-    check("sigmoid", lambda x: (sigmoid(x) ** 2.0).sum(), [rt((8,))])
+    check("sigmoid", lambda x: sq(sigmoid(x)), [rt((8,))])
     check("gelu", lambda x: gelu(x).sum(), [rt((8,))])
-    check("softmax", lambda x: (softmax(x, -1) ** 2.0).sum(), [rt((4, 6))])
-    check("sum_mean", lambda x: (x.sum(axis=0) ** 2.0).mean(), [rt((4, 5))])
-    check("reshape_transpose",
-          lambda x: (transpose(x.reshape((6, 2))) ** 2.0).sum(), [rt((3, 4))])
-    check("getitem", lambda x: (x[1:3, ::2] ** 2.0).sum(), [rt((4, 5))])
-    check("take_rows",
-          lambda t: (take_rows(t, np.array([0, 2, 2])) ** 2.0).sum(),
+    check("softmax", lambda x: sq(softmax(x, -1)), [rt((4, 6))])
+    check("sum_mean", lambda x: (x.sum(axis=0) * x.sum(axis=0)).mean(),
+          [rt((4, 5))])
+    check("reshape_transpose", lambda x: sq(transpose(x.reshape((6, 2)))),
+          [rt((3, 4))])
+    check("getitem", lambda x: sq(x[1:3, ::2]), [rt((4, 5))])
+    check("take_rows", lambda t: sq(take_rows(t, np.array([0, 2, 2]))),
           [rt((4, 3))])
-    check("layer_norm",
-          lambda x, g, b: (layer_norm(x, g, b) ** 2.0).sum(),
+    check("layer_norm", lambda x, g, b: sq(layer_norm(x, g, b)),
           [rt((4, 6)), rt((6,)), rt((6,))])
-    check("transposed_conv2x",
-          lambda x, k, b: (transposed_conv2x(x, k, b) ** 2.0).sum(),
+    check("transposed_conv2x", lambda x, k, b: sq(transposed_conv2x(x, k, b)),
           [rt((2, 3, 3)), rt((2, 2, 2, 2)), rt((2,))])
-    check("bilinear_upsample",
-          lambda x: (bilinear_upsample(x, 2) ** 2.0).sum(), [rt((3, 4))])
-    # own stream, so every other check keeps its inputs
+    check("bilinear_upsample", lambda x: sq(bilinear_upsample(x, 2)),
+          [rt((3, 4))])
+    # own streams, so every other check keeps its inputs
     att_rng = np.random.default_rng(11)
-    check("attention", lambda qkv: (attention(qkv, 2)[0] ** 2.0).sum(),
+    check("attention", lambda qkv: sq(attention(qkv, 2)[0]),
           [Tensor(att_rng.normal(size=(5, 12)), requires_grad=True)])
+    op_rng = np.random.default_rng(12)
+
+    def ot(shape, scale=0.5):
+        return Tensor(op_rng.normal(0, scale, shape), requires_grad=True)
+
+    law = DecompositionParams(
+        layer_embeds=[ot((4,)), ot((4,))], reducers=[ot((2, 4)), ot((2, 4))],
+        core_weights=[ot((4, 2)), ot((4, 2))], core_biases=[ot((4,)), ot((4,))],
+        out_factor=ot((6, 2)), in_factor=ot((2, 2)),
+        static_fused=[ot((6, 2)), ot((6, 2))], static_bias=[ot((6,)), ot((6,))],
+        groups=2, rank_dw=2)
+    feats = ot((3, 4), 1.0)
+    check("layer_cores", lambda *_: sq(layer_cores(feats, law)[0]),
+          [feats, *law.layer_embeds, *law.reducers, *law.core_weights,
+           *law.core_biases])
+    cores = ot((2, 2, 2))
+    check("fused_weight", lambda *_: sq(fused_weight(law, cores, 1)),
+          [law.static_fused[1], law.out_factor, cores, law.in_factor])
+    box_true = op_rng.uniform([0.3, 0.3, 0.1, 0.1], [0.7, 0.7, 0.4, 0.4])
+    check("box_loss",
+          lambda b: losses.box_loss(box_true, b, losses.LossWeights())[0],
+          [Tensor(op_rng.uniform([0.3, 0.3, 0.1, 0.1], [0.7, 0.7, 0.4, 0.4]),
+                  requires_grad=True)])
+    mask_true = (op_rng.uniform(size=(3, 3)) > 0.5).astype(float)
+    check("mask_loss",
+          lambda z: losses.mask_loss(mask_true, sigmoid(z),
+                                     losses.LossWeights())[0],
+          [ot((3, 3), 1.0)])
 
     # full multitask loss through a 2-block toy model, grads w.r.t. all params
     model = toy_model(seed=5)
@@ -209,7 +222,8 @@ def test_criterion_3_zero_core_equivalence():
     feats_equal = np.array_equal(pred_a.visual.tokens.data,
                                  pred_b.visual.tokens.data)
 
-    static = model.forward(image, tok_a, use_static_weights=True)
+    model.law = None  # the backbone's own static projections
+    static = model.forward(image, tok_a)
     static_equal = (
         np.array_equal(pred_a.visual.tokens.data, static.visual.tokens.data)
         and np.array_equal(pred_a.box.data, static.box.data)
@@ -234,14 +248,31 @@ def test_criterion_4_oracle_equivalence():
         if err > tol:
             failures.append((tag, err))
 
-    # token aggregation vs per-group plain-float loops
+    def erf_gelu(v):
+        return v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
+
+    def one_layer(rng, groups, embed, reducer, core_w, core_b, d_w, d_out,
+                  d_in):
+        return DecompositionParams(
+            layer_embeds=[Tensor(embed)], reducers=[Tensor(reducer)],
+            core_weights=[Tensor(core_w)], core_biases=[Tensor(core_b)],
+            out_factor=Tensor(rng.normal(size=(d_out, d_w))),
+            in_factor=Tensor(rng.normal(size=(d_in, d_w))),
+            static_fused=[Tensor(rng.normal(size=(d_out, d_in)))],
+            static_bias=[Tensor(rng.normal(size=d_out))],
+            groups=groups, rank_dw=d_w)
+
+    # token aggregation vs per-group plain-float loops; an identity reducer
+    # and core map expose gelu(pooled) in the first d_l core entries
     for case in range(n_cases):
         rng = np.random.default_rng(case)
         n_tok, groups, gsize = int(rng.integers(1, 6)), int(rng.integers(1, 4)), 3
         d_l = groups * gsize
         feats = rng.normal(size=(n_tok, d_l))
         embed = rng.normal(size=d_l)
-        pooled, alpha = aggregate(Tensor(feats), Tensor(embed), groups)
+        params = one_layer(rng, groups, embed, np.eye(d_l), np.eye(9, d_l),
+                           np.zeros(9), 3, 3, 3)
+        cores, alpha = layer_cores(Tensor(feats), params)
         want_alpha = np.zeros((groups, n_tok))
         want_pooled = np.zeros(d_l)
         for g in range(groups):
@@ -253,26 +284,26 @@ def test_criterion_4_oracle_equivalence():
             for j in range(n_tok):
                 want_alpha[g, j] = math.exp(logits[j] - top) / z
                 want_pooled[sl] += want_alpha[g, j] * feats[j, sl]
-        close("aggregate", alpha.data, want_alpha, ORACLE_TOL_CLOSED)
-        close("aggregate-pooled", pooled.data, want_pooled, ORACLE_TOL_CLOSED)
+        close("aggregate", alpha[0], want_alpha, ORACLE_TOL_CLOSED)
+        close("aggregate-pooled", cores.data.reshape(-1)[:d_l],
+              [erf_gelu(v) for v in want_pooled], ORACLE_TOL_CLOSED)
 
-    # decomposed weight generation vs entry-by-entry triple product
+    # weight generation from one token (pooled = the token) vs the reducer,
+    # the core map and the triple product entry by entry
     for case in range(n_cases):
         rng = np.random.default_rng(1000 + case)
-        d_h, d_w, d_in, d_model = 3, 2, 3, 3
+        groups, d_l, d_h, d_w, d_in, d_model = 2, 6, 3, 2, 3, 3
         d_out = 3 * d_model
-
-        def t(shape):
-            return Tensor(rng.normal(size=shape))
-
-        params = DecompositionParams(
-            layer_embeds=[t((6,))], reducers=[t((d_h, 6))],
-            core_weights=[t((d_w * d_w, d_h))], core_biases=[t((d_w * d_w,))],
-            out_factor=t((d_out, d_w)), in_factor=t((d_in, d_w)),
-            static_fused=[t((d_out, d_in))], static_bias=[t((d_out,))],
-            groups=2, rank_dw=d_w)
-        reduced = rng.normal(size=d_h)
-        got = generate_weights(Tensor(reduced), params, 0).fused.data
+        params = one_layer(rng, groups, rng.normal(size=d_l),
+                           rng.normal(size=(d_h, d_l)),
+                           rng.normal(size=(d_w * d_w, d_h)),
+                           rng.normal(size=d_w * d_w), d_w, d_out, d_in)
+        token = rng.normal(size=d_l)
+        weights, _ = generate_all(Tensor(token[None]), params)
+        got = weights[0].fused.data
+        reduced = [erf_gelu(sum(params.reducers[0].data[h, j] * token[j]
+                                for j in range(d_l)))
+                   for h in range(d_h)]
         core = np.zeros((d_w, d_w))
         for r in range(d_w * d_w):
             core.flat[r] = (sum(params.core_weights[0].data[r, j] * reduced[j]
@@ -358,7 +389,8 @@ def test_criterion_4_oracle_equivalence():
                        rng.uniform(0.05, 0.4), rng.uniform(0.05, 0.4)])
         bp = np.array([rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8),
                        rng.uniform(0.05, 0.4), rng.uniform(0.05, 0.4)])
-        close("l1", losses.l1_loss(bt, bp).item(),
+        _, l1, giou = losses.box_loss(bt, bp, losses.LossWeights())
+        close("l1", l1,
               sum(abs(bt[i] - bp[i]) for i in range(4)) / 4.0,
               ORACLE_TOL_ARITH)
 
@@ -374,18 +406,19 @@ def test_criterion_4_oracle_equivalence():
         union = aa + ba - inter
         c = (max(ax2, bx2) - min(ax1, bx1)) * (max(ay2, by2) - min(ay1, by1))
         want_giou = 1.0 - (inter / union - (c - union) / c)
-        close("giou", losses.giou_loss(bt, bp).item(), want_giou,
+        close("giou", giou, want_giou,
               ORACLE_TOL_ARITH)
 
         s = (rng.uniform(size=(4, 4)) > 0.5).astype(float)
         p = rng.uniform(0.05, 0.95, (4, 4))
         p_t = p * s + (1 - p) * (1 - s)
         want_focal = float(np.mean(-0.25 * (1 - p_t) ** 2 * np.log(p_t)))
-        close("focal", losses.focal_loss(s, p).item(), want_focal,
+        _, focal, dice = losses.mask_loss(s, p, losses.LossWeights())
+        close("focal", focal, want_focal,
               ORACLE_TOL_ARITH)
         want_dice = 1.0 - (2 * float((s * p).sum()) + 1.0) / (
             float(s.sum()) + float(p.sum()) + 1.0)
-        close("dice", losses.dice_loss(s, p).item(), want_dice,
+        close("dice", dice, want_dice,
               ORACLE_TOL_ARITH)
 
     for case in range(n_cases):

@@ -209,7 +209,8 @@ def test_head_grad_checks():
         visual = VisualFeatures(tokens=tokens_t,
                                 grid=visual.grid, side=2)
         pooled, _ = head.lap_pool(visual, cls_t)
-        return (head.predict_box(pooled) ** 2.0).sum()
+        box = head.predict_box(pooled)
+        return (box * box).sum()
 
     assert grad_check(box_loss, [tokens, cls]) <= 1e-4
 
@@ -217,7 +218,8 @@ def test_head_grad_checks():
 
     def mask_loss(grid_t, cls_t):
         visual = VisualFeatures(tokens=Tensor(np.zeros((4, 4))), grid=grid_t, side=2)
-        return (head.predict_mask(visual, cls_t).probs ** 2.0).mean()
+        probs = head.predict_mask(visual, cls_t).probs
+        return (probs * probs).mean()
 
     assert grad_check(mask_loss, [grid, cls]) <= 1e-4
 

@@ -4,14 +4,25 @@ import numpy as np
 
 from lawground.law import (
     DecompositionParams,
-    aggregate,
-    generate_all,
-    generate_weights,
-    reduce,
+    GeneratedLayerWeights,
     build_law_params,
+    fused_weight,
+    generate_all,
+    layer_cores,
 )
 from lawground.params import ParamStore
-from lawground.tensor import Tape, Tensor, grad_check
+from lawground.tensor import (
+    Tape,
+    Tensor,
+    gelu,
+    grad_check,
+    linear,
+    matvec,
+    reshape,
+    softmax,
+    transpose,
+    tsum,
+)
 from lawground.vit import VisualBackbone
 
 RNG = np.random.default_rng(7)
@@ -42,62 +53,145 @@ def brute_aggregate(feats, embed, groups):
     return pooled, alpha
 
 
+def brute_cores(feats, params):
+    """Plain-float chain per layer: brute_aggregate, the GeLU reduction and
+    the core affine map. Returns (N, d_w, d_w) cores and (N, G, L) alphas."""
+    cores, alphas = [], []
+    for i in range(params.n_layers):
+        pooled, alpha = brute_aggregate(feats, params.layer_embeds[i].data,
+                                        params.groups)
+        reducer = params.reducers[i].data
+        reduced = [erf_gelu(sum(float(reducer[h, j]) * float(pooled[j])
+                                for j in range(len(pooled))))
+                   for h in range(reducer.shape[0])]
+        w, b = params.core_weights[i].data, params.core_biases[i].data
+        flat = [sum(float(w[r, h]) * reduced[h] for h in range(len(reduced)))
+                + float(b[r]) for r in range(len(b))]
+        cores.append(np.reshape(flat, (params.rank_dw, params.rank_dw)))
+        alphas.append(alpha)
+    return np.array(cores), np.array(alphas)
+
+
+# composed reference: the generator as taped primitives, one layer at a time
+
+
+def composed_aggregate(feats, layer_embed, groups):
+    n_tok, d_l = feats.shape
+    gsize = d_l // groups
+    grouped = transpose(reshape(feats, (n_tok, groups, gsize)), (1, 0, 2))
+    emb = reshape(layer_embed, (groups, 1, gsize))
+    alpha = softmax(tsum(grouped * emb, axis=2), axis=1)                  # (G,L)
+    pooled = tsum(reshape(alpha, (groups, n_tok, 1)) * grouped, axis=1)   # (G,gs)
+    return reshape(pooled, (d_l,)), alpha
+
+
+def composed_generate_all(feats, params):
+    d_w = params.rank_dw
+    weights, alphas = [], []
+    for i in range(params.n_layers):
+        pooled, alpha = composed_aggregate(feats, params.layer_embeds[i],
+                                           params.groups)
+        reduced = gelu(matvec(params.reducers[i], pooled))
+        core = reshape(matvec(params.core_weights[i], reduced)
+                       + params.core_biases[i], (d_w, d_w))
+        # out_factor @ core @ in_factor^T
+        delta = linear(linear(params.out_factor, transpose(core)),
+                       params.in_factor)
+        weights.append(GeneratedLayerWeights(
+            fused=params.static_fused[i] + delta, bias=params.static_bias[i]))
+        alphas.append(alpha)
+    return weights, alphas
+
+
+def one_layer(groups=2):
+    params = make_decomp(n_layers=1, zero_core=False)
+    params.groups = groups
+    return params
+
+
 def test_aggregate_singleton_mask():
     # a one-token sequence: all attention on it, pooled feature is that token
-    feats = Tensor(RNG.normal(size=(1, 8)))
-    embed = Tensor(RNG.normal(size=8))
-    pooled, alpha = aggregate(feats, embed, groups=2)
-    np.testing.assert_allclose(alpha.data, [[1.0], [1.0]], atol=0)
-    np.testing.assert_allclose(pooled.data, feats.data[0], atol=0)
+    params = one_layer()
+    feats = RNG.normal(size=(1, 8))
+    cores, alpha = layer_cores(Tensor(feats), params)
+    np.testing.assert_allclose(alpha, [[[1.0], [1.0]]], atol=0)
+    want, _ = brute_cores(feats, params)
+    np.testing.assert_allclose(cores.data, want, rtol=1e-13, atol=1e-15)
 
 
 def test_aggregate_zero_embedding_is_mean():
-    feats = Tensor(RNG.normal(size=(3, 8)))
-    pooled, alpha = aggregate(feats, Tensor(np.zeros(8)), groups=4)
-    np.testing.assert_allclose(alpha.data, np.full((4, 3), 1 / 3), atol=1e-15)
-    np.testing.assert_allclose(pooled.data, feats.data.mean(axis=0), atol=1e-15)
+    params = one_layer(groups=4)
+    params.layer_embeds[0].data[...] = 0.0
+    feats = RNG.normal(size=(3, 8))
+    cores, alpha = layer_cores(Tensor(feats), params)
+    np.testing.assert_allclose(alpha, np.full((1, 4, 3), 1 / 3), atol=1e-15)
+    want, _ = brute_cores(feats, params)
+    np.testing.assert_allclose(cores.data, want, rtol=1e-13, atol=1e-15)
 
 
 def test_aggregate_matches_brute_force():
     for n_tok in RNG.integers(1, 8, size=5):
+        params = make_decomp(n_layers=3, d_l=12, d_h=3, zero_core=False,
+                             seed=int(n_tok))
+        params.groups = 3
         feats = RNG.normal(size=(int(n_tok), 12))
-        embed = RNG.normal(size=12)
-        pooled, alpha = aggregate(Tensor(feats), Tensor(embed), groups=3)
-        want_pooled, want_alpha = brute_aggregate(feats, embed, 3)
-        np.testing.assert_allclose(alpha.data, want_alpha, atol=1e-12)
-        np.testing.assert_allclose(pooled.data, want_pooled, atol=1e-12)
+        cores, alpha = layer_cores(Tensor(feats), params)
+        want_cores, want_alpha = brute_cores(feats, params)
+        np.testing.assert_allclose(alpha, want_alpha, atol=1e-12)
+        np.testing.assert_allclose(cores.data, want_cores, atol=1e-12)
 
 
 def test_aggregate_alpha_normalization_and_exact_zeros():
+    params = one_layer()
     feats = RNG.normal(size=(6, 8), scale=3.0)
-    embed = RNG.normal(size=8)
-    _, alpha = aggregate(Tensor(feats), Tensor(embed), groups=2)
-    np.testing.assert_allclose(alpha.data.sum(axis=1), [1.0, 1.0], atol=1e-9)
+    embed = params.layer_embeds[0].data
+    _, alpha = layer_cores(Tensor(feats), params)
+    np.testing.assert_allclose(alpha[0].sum(axis=1), [1.0, 1.0], atol=1e-9)
     # a token whose logits trail the best by far more than exp's range
     # (-745) gets exactly zero attention in every group
     feats[4] = -1e3 * np.sign(embed)
-    _, alpha = aggregate(Tensor(feats), Tensor(embed), groups=2)
-    assert (alpha.data[:, 4] == 0.0).all() and (alpha.data[:, :4] > 0.0).all()
-    np.testing.assert_allclose(alpha.data.sum(axis=1), [1.0, 1.0], atol=1e-9)
+    _, alpha = layer_cores(Tensor(feats), params)
+    assert (alpha[0][:, 4] == 0.0).all() and (alpha[0][:, :4] > 0.0).all()
+    np.testing.assert_allclose(alpha[0].sum(axis=1), [1.0, 1.0], atol=1e-9)
+
+
+def identity_cores(reducer, d_l):
+    """One layer whose core map copies the reduced vector (d_h = d_w^2)."""
+    d_h = reducer.shape[0]
+    params = make_decomp(n_layers=1, d_l=d_l, d_h=d_h, d_w=int(d_h ** 0.5),
+                         zero_core=True)
+    params.reducers[0].data[...] = reducer
+    params.core_weights[0].data[...] = np.eye(d_h)
+    return params
 
 
 def test_reduce_zero_weights():
-    out = reduce(Tensor(RNG.normal(size=8)), Tensor(np.zeros((2, 8))))
-    np.testing.assert_allclose(out.data, [0.0, 0.0], atol=0)
+    params = one_layer()
+    params.reducers[0].data[...] = 0.0
+    cores, _ = layer_cores(Tensor(RNG.normal(size=(3, 8))), params)
+    # gelu(0) = 0: only the core bias is left
+    assert np.array_equal(cores.data.reshape(-1), params.core_biases[0].data)
 
 
 def test_reduce_row_selection():
-    reducer = Tensor([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
-    out = reduce(Tensor([2.0, -2.0, 9.0, 9.0]), reducer)
-    np.testing.assert_allclose(out.data, [erf_gelu(2.0), erf_gelu(-2.0)], atol=1e-15)
+    reducer = np.zeros((4, 8))
+    reducer[0, 0] = reducer[1, 1] = 1.0
+    params = identity_cores(reducer, 8)
+    token = np.array([[2.0, -2.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0]])
+    cores, _ = layer_cores(Tensor(token), params)
+    np.testing.assert_allclose(cores.data.reshape(-1),
+                               [erf_gelu(2.0), erf_gelu(-2.0), 0.0, 0.0],
+                               atol=1e-15)
 
 
 def test_reduce_matches_direct_evaluation():
-    w = RNG.normal(size=(3, 12))
-    h = RNG.normal(size=12)
-    got = reduce(Tensor(h), Tensor(w)).data
-    want = np.array([erf_gelu(sum(float(w[i, j]) * float(h[j]) for j in range(12)))
-                     for i in range(3)])
+    w = RNG.normal(size=(4, 12))
+    h = RNG.normal(size=(1, 12))
+    params = identity_cores(w, 12)
+    got = layer_cores(Tensor(h), params)[0].data.reshape(-1)
+    want = np.array([erf_gelu(sum(float(w[i, j]) * float(h[0, j])
+                                  for j in range(12)))
+                     for i in range(4)])
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -125,29 +219,29 @@ def make_decomp(n_layers=2, d_l=8, d_h=4, d_w=2, d_in=4, d_model=4, zero_core=Tr
 
 def test_generate_weights_zero_core_is_exactly_static():
     params = make_decomp(zero_core=True)
-    out = generate_weights(Tensor(RNG.normal(size=4)), params, 0)
-    assert np.array_equal(out.fused.data, params.static_fused[0].data)
-    assert np.array_equal(out.bias.data, params.static_bias[0].data)
+    feats = Tensor(RNG.normal(size=(3, 8)))
+    cores, _ = layer_cores(feats, params)
+    assert not cores.data.any()
+    weights, _ = generate_all(feats, params)
+    for i, out in enumerate(weights):
+        assert np.array_equal(out.fused.data, params.static_fused[i].data)
+        assert out.bias is params.static_bias[i]
 
 
 def test_generate_weights_zero_factor_annihilates():
     params = make_decomp(zero_core=False)
     params.out_factor.data[...] = 0.0
-    out = generate_weights(Tensor(RNG.normal(size=4)), params, 1)
-    assert np.array_equal(out.fused.data, params.static_fused[1].data)
+    out = fused_weight(params, Tensor(RNG.normal(size=(2, 2, 2))), 1)
+    assert np.array_equal(out.data, params.static_fused[1].data)
 
 
 def test_generate_weights_matches_triple_product_oracle():
     # 2x2 everything: entry-by-entry brute force of static + P @ core @ Q^T
     params = make_decomp(n_layers=1, d_l=4, d_h=2, d_w=2, d_in=2, d_model=2,
                          zero_core=False, seed=11)
-    reduced = RNG.normal(size=2)
-    got = generate_weights(Tensor(reduced), params, 0).fused.data
+    core = RNG.normal(size=(2, 2))
+    got = fused_weight(params, Tensor(core[None]), 0).data
 
-    core = np.zeros((2, 2))
-    for r in range(4):
-        core.flat[r] = sum(params.core_weights[0].data[r, j] * reduced[j]
-                           for j in range(2)) + params.core_biases[0].data[r]
     want = params.static_fused[0].data.copy()
     p, q = params.out_factor.data, params.in_factor.data
     for i in range(6):
@@ -201,18 +295,18 @@ def test_generate_all_layers_are_independent():
 
 def test_generated_views_stack_back_to_fused():
     params = make_decomp(zero_core=False)
-    out = generate_weights(Tensor(RNG.normal(size=4)), params, 0)
-    d = out.fused.shape[0] // 3
-    query, key, value = (out.fused[i * d:(i + 1) * d, :] for i in range(3))
+    fused = fused_weight(params, Tensor(RNG.normal(size=(2, 2, 2))), 0)
+    d = fused.shape[0] // 3
+    query, key, value = (fused[i * d:(i + 1) * d, :] for i in range(3))
     stacked = np.concatenate([query.data, key.data, value.data], axis=0)
-    assert np.array_equal(stacked, out.fused.data)
+    assert np.array_equal(stacked, fused.data)
 
 
 def test_dynamic_delta_rank_bound():
     params = make_decomp(n_layers=1, d_l=8, d_h=4, d_w=2, d_in=6, d_model=6,
                          zero_core=False, seed=5)
-    out = generate_weights(Tensor(RNG.normal(size=4)), params, 0)
-    delta = out.fused.data - params.static_fused[0].data
+    fused = fused_weight(params, Tensor(RNG.normal(size=(1, 2, 2))), 0)
+    delta = fused.data - params.static_fused[0].data
     sv = np.linalg.svd(delta, compute_uv=False)
     assert (sv[params.rank_dw:] < 1e-10).all()
 
@@ -281,11 +375,47 @@ def test_shared_factor_grad_is_sum_of_per_layer_clones():
             static_fused=params.static_fused, static_bias=params.static_bias,
             groups=params.groups, rank_dw=params.rank_dw)
         with Tape() as tape:
-            pooled, _ = aggregate(feats, params.layer_embeds[layer],
-                                  params.groups)
-            reduced = reduce(pooled, params.reducers[layer])
-            w = generate_weights(reduced, cloned_params, layer)
-            loss = (w.fused * w.fused).sum()
+            cores, _ = layer_cores(feats, params)
+            w = fused_weight(cloned_params, cores, layer)
+            loss = (w * w).sum()
         tape.backward(loss)
         clone_grads += clone.grad
     np.testing.assert_allclose(shared_grad, clone_grads, rtol=1e-12, atol=1e-12)
+
+
+def run_generator(fn, feats, params, upstream):
+    """Fused weights, alphas and d<weights, upstream>/d every leaf."""
+    leaves = [feats, params.out_factor, params.in_factor, *params.layer_embeds,
+              *params.reducers, *params.core_weights, *params.core_biases,
+              *params.static_fused]
+    for leaf in leaves:
+        leaf.zero_grad()
+    with Tape() as tape:
+        weights, alphas = fn(feats, params)
+        loss = None
+        for w, u in zip(weights, upstream):
+            term = (w.fused * Tensor(u)).sum()
+            loss = term if loss is None else loss + term
+    tape.backward(loss)
+    return ([w.fused.data for w in weights],
+            [a.data for a in alphas], [leaf.grad.copy() for leaf in leaves])
+
+
+def test_generate_all_matches_composed_oracle():
+    for seed, n_tok in ((0, 1), (1, 4), (2, 9)):
+        params = make_decomp(n_layers=3, d_l=8, d_h=4, d_w=2, zero_core=False,
+                             seed=seed)
+        feats = Tensor(RNG.normal(size=(n_tok, 8)), requires_grad=True)
+        upstream = [RNG.normal(size=w.shape) for w in params.static_fused]
+        got = run_generator(generate_all, feats, params, upstream)
+        want = run_generator(composed_generate_all, feats, params, upstream)
+        for g_list, w_list in zip(got, want):
+            for g, w in zip(g_list, w_list):
+                assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+
+def test_generate_all_records_one_entry_per_layer_plus_one():
+    params = make_decomp(n_layers=3, zero_core=False)
+    with Tape() as tape:
+        generate_all(Tensor(RNG.normal(size=(4, 8)), requires_grad=True), params)
+    assert len(tape._entries) == 1 + params.n_layers

@@ -9,18 +9,36 @@ from lawground.errors import ConfigError, NumericError, ShapeError
 from lawground.losses import (
     LossWeights,
     box_iou,
-    dice_loss,
-    focal_loss,
-    giou_loss,
-    l1_loss,
+    box_loss,
     mask_iou,
+    mask_loss,
     miou,
     prec_at_05,
     total_loss,
 )
-from lawground.tensor import Tensor, grad_check
+from lawground.tensor import Tape, Tensor, grad_check
 
 RNG = np.random.default_rng(99)
+
+
+# the unweighted terms, read from the two closed-form ops
+
+
+def l1_loss(box_true, box_pred):
+    return box_loss(box_true, box_pred, LossWeights())[1]
+
+
+def giou_loss(box_true, box_pred):
+    return box_loss(box_true, box_pred, LossWeights())[2]
+
+
+def focal_loss(mask_true, mask_pred, alpha=0.25, gamma=2.0):
+    weights = LossWeights(focal_alpha=alpha, focal_gamma=gamma)
+    return mask_loss(mask_true, mask_pred, weights)[1]
+
+
+def dice_loss(mask_true, mask_pred):
+    return mask_loss(mask_true, mask_pred, LossWeights())[2]
 
 
 def random_box(rng=RNG):
@@ -34,17 +52,17 @@ def random_box(rng=RNG):
 
 def test_l1_identical_is_zero():
     b = random_box()
-    assert l1_loss(b, b).item() == 0.0
+    assert l1_loss(b, b) == 0.0
 
 
 def test_l1_unit_cube():
-    assert l1_loss([0, 0, 0, 0], [1, 1, 1, 1]).item() == 1.0
+    assert l1_loss([0, 0, 0, 0], [1, 1, 1, 1]) == 1.0
 
 
 def test_l1_matches_component_loop():
     a, b = random_box(), random_box()
     want = sum(abs(a[i] - b[i]) for i in range(4)) / 4.0
-    assert abs(l1_loss(a, b).item() - want) < 1e-15
+    assert abs(l1_loss(a, b) - want) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -73,27 +91,27 @@ def brute_giou_loss(a, b):
 
 def test_giou_identical_boxes():
     b = random_box()
-    assert abs(giou_loss(b, b).item()) < 1e-12
+    assert abs(giou_loss(b, b)) < 1e-12
 
 
 def test_giou_touching_boxes_loss_one():
     a = [0.25, 0.5, 0.5, 1.0]
     b = [0.75, 0.5, 0.5, 1.0]
-    assert giou_loss(a, b).item() == 1.0
+    assert giou_loss(a, b) == 1.0
 
 
 def test_giou_matches_interval_oracle():
     rng = np.random.default_rng(5)
     for _ in range(200):
         a, b = random_box(rng), random_box(rng)
-        assert abs(giou_loss(a, b).item() - brute_giou_loss(a, b)) < 1e-12
+        assert abs(giou_loss(a, b) - brute_giou_loss(a, b)) < 1e-13
 
 
 def test_giou_symmetric_and_bounded():
     for _ in range(50):
         a, b = random_box(), random_box()
-        lab = giou_loss(a, b).item()
-        lba = giou_loss(b, a).item()
+        lab = giou_loss(a, b)
+        lba = giou_loss(b, a)
         assert abs(lab - lba) < 1e-12
         assert 0.0 <= lab <= 2.0
 
@@ -101,20 +119,53 @@ def test_giou_symmetric_and_bounded():
 def test_giou_never_exceeds_iou():
     for _ in range(50):
         a, b = random_box(), random_box()
-        giou = 1.0 - giou_loss(a, b).item()
+        giou = 1.0 - giou_loss(a, b)
         assert giou <= box_iou(a, b) + 1e-12
 
 
 def test_giou_degenerate_boxes_defined():
-    # empty boxes still produce finite values
-    val = giou_loss([0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]).item()
+    # empty boxes still produce finite values and finite gradients
+    val = giou_loss([0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0])
     assert math.isfinite(val)
+    for pred in ([0.5, 0.5, 0.0, 0.0], [0.2, 0.7, -0.1, 0.0]):
+        b = Tensor(np.array(pred), requires_grad=True)
+        with Tape() as tape:
+            loss, _, _ = box_loss([0.5, 0.5, 0.0, 0.0], b, LossWeights())
+        tape.backward(loss)
+        assert np.isfinite(b.grad).all()
+    # a negative extent is an empty box, and the clamp passes no gradient
+    true = [0.5, 0.5, 0.3, 0.2]
+    b = Tensor(np.array([0.45, 0.55, -0.1, 0.3]), requires_grad=True)
+    with Tape() as tape:
+        loss, _, giou = box_loss(true, b, LossWeights(l1=0.0))
+    tape.backward(loss)
+    assert abs(giou - brute_giou_loss(true, b.data)) < 1e-13
+    assert b.grad[2] == 0.0 and b.grad[3] != 0.0
+
+
+def test_giou_ties_take_the_true_edges():
+    # equal y extents: the overlap and the enclosing box both take the true
+    # box's y edges, so the predicted height moves the loss through the
+    # union's area only, and the predicted y center not at all
+    true = np.array([0.40, 0.5, 0.30, 0.2])
+    b = Tensor(np.array([0.50, 0.5, 0.20, 0.2]), requires_grad=True)
+    with Tape() as tape:
+        loss, _, _ = box_loss(true, b, LossWeights(l1=0.0))
+    tape.backward(loss)
+    inter_w, encl_w, h = 0.55 - 0.40, 0.60 - 0.25, 0.2
+    inter = inter_w * h
+    union = 0.3 * h + 0.2 * h - inter
+    # loss = 2 - inter / union - union / (encl_w * h); d union / d h_pred = 0.2
+    want = (inter / union ** 2 - 1.0 / (encl_w * h)) * 0.2
+    assert b.grad[1] == 0.0
+    assert abs(b.grad[3] - want) < 1e-12
 
 
 def test_giou_grad_check_nondegenerate():
-    a = Tensor(random_box(), requires_grad=True)
+    a = random_box()
     b = Tensor(random_box(), requires_grad=True)
-    assert grad_check(lambda a, b: giou_loss(a, b), [a, b]) <= 1e-4
+    giou_only = LossWeights(l1=0.0)
+    assert grad_check(lambda b: box_loss(a, b, giou_only)[0], b) <= 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +175,22 @@ def test_giou_grad_check_nondegenerate():
 def test_focal_saturated_match_is_tiny():
     s = np.ones((4, 4))
     p = np.full((4, 4), 1.0 - 1e-12)
-    assert focal_loss(s, p).item() <= 1e-9
+    assert focal_loss(s, p) <= 1e-9
 
 
 def test_focal_reduces_to_bce():
     rng = np.random.default_rng(8)
     s = (rng.uniform(size=(5, 5)) > 0.5).astype(float)
     p = rng.uniform(0.05, 0.95, (5, 5))
-    got = focal_loss(s, p, alpha=1.0, gamma=0.0).item()
+    got = focal_loss(s, p, alpha=1.0, gamma=0.0)
     want = float(np.mean(-(s * np.log(p) + (1 - s) * np.log(1 - p))))
-    assert abs(got - want) < 1e-12
+    assert abs(got - want) < 1e-13
 
 
 def test_focal_single_pixel_closed_form():
     got = focal_loss(np.array([[1.0]]), np.array([[0.5]]), alpha=0.25, gamma=2.0)
     want = 0.25 * 0.25 * math.log(2.0)
-    assert abs(got.item() - want) < 1e-15
+    assert abs(got - want) < 1e-15
 
 
 def test_focal_rejects_boundary_probabilities():
@@ -152,7 +203,8 @@ def test_focal_rejects_boundary_probabilities():
 def test_focal_grad_check():
     s = (RNG.uniform(size=(3, 3)) > 0.5).astype(float)
     p = Tensor(RNG.uniform(0.1, 0.9, (3, 3)), requires_grad=True)
-    assert grad_check(lambda p: focal_loss(s, p), p) <= 1e-4
+    focal_only = LossWeights(focal=1.0, dice=0.0)
+    assert grad_check(lambda p: mask_loss(s, p, focal_only)[0], p) <= 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +212,21 @@ def test_focal_grad_check():
 
 
 def test_dice_perfect_ones():
+    # the mask op takes probabilities inside (0, 1) only: perfect is 1 - 1e-15
     m = np.ones((3, 3))
-    assert dice_loss(m, m).item() == 0.0
+    assert 0.0 <= dice_loss(m, np.full((3, 3), 1.0 - 1e-15)) < 1e-15
 
 
 def test_dice_all_miss_formula():
     n = 9
-    got = dice_loss(np.ones((3, 3)), np.zeros((3, 3))).item()
+    got = dice_loss(np.ones((3, 3)), np.full((3, 3), 1e-300))
     assert abs(got - (1.0 - 1.0 / (n + 1))) < 1e-15
 
 
 def test_dice_matches_direct_sums():
     s = (RNG.uniform(size=(6, 6)) > 0.5).astype(float)
     p = RNG.uniform(0.0, 1.0, (6, 6))
-    got = dice_loss(s, p).item()
+    got = dice_loss(s, p)
     want = 1.0 - (2.0 * float((s * p).sum()) + 1.0) / (float(s.sum()) + float(p.sum()) + 1.0)
     assert abs(got - want) < 1e-14
 
@@ -186,7 +239,8 @@ def test_dice_shape_mismatch():
 def test_dice_grad_check():
     s = (RNG.uniform(size=(3, 3)) > 0.5).astype(float)
     p = Tensor(RNG.uniform(0.1, 0.9, (3, 3)), requires_grad=True)
-    assert grad_check(lambda p: dice_loss(s, p), p) <= 1e-4
+    dice_only = LossWeights(focal=0.0, dice=1.0)
+    assert grad_check(lambda p: mask_loss(s, p, dice_only)[0], p) <= 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +276,10 @@ def test_total_matches_recomposition():
     soft_p = RNG.uniform(0.1, 0.9, (4, 4))
     w = LossWeights()
     got, parts = total_loss(box_t, box_p, mask_t, soft_p, w)
-    want = (w.l1 * l1_loss(box_t, box_p).item()
-            + w.giou * giou_loss(box_t, box_p).item()
-            + w.focal * focal_loss(mask_t, soft_p).item()
-            + w.dice * dice_loss(mask_t, soft_p).item())
+    want = (w.l1 * l1_loss(box_t, box_p)
+            + w.giou * giou_loss(box_t, box_p)
+            + w.focal * focal_loss(mask_t, soft_p)
+            + w.dice * dice_loss(mask_t, soft_p))
     assert abs(got.item() - want) < 1e-12
     assert set(parts) == {"l1", "giou", "focal", "dice", "total"}
 
@@ -243,11 +297,9 @@ def test_total_decreases_under_gradient_step():
     box_logits = Tensor(RNG.normal(0, 0.1, 4), requires_grad=True)
     mask_logits = Tensor(RNG.normal(0, 0.1, (4, 4)), requires_grad=True)
 
-    from lawground.tensor import Tape, sigmoid
+    from lawground.tensor import sigmoid
 
     def value():
-        from lawground.tensor import Tape
-
         with Tape() as tape:
             loss, _ = total_loss(box_t, sigmoid(box_logits), mask_t,
                                  sigmoid(mask_logits))
@@ -321,9 +373,9 @@ def test_miou_empty_union_counts_full():
 def test_giou_loss_nonnegative_property(vals):
     a = np.array(vals[:4])
     b = np.array(vals[4:])
-    val = giou_loss(a, b).item()
+    val = giou_loss(a, b)
     assert -1e-12 <= val <= 2.0 + 1e-12
-    assert abs(val - giou_loss(b, a).item()) < 1e-12
+    assert abs(val - giou_loss(b, a)) < 1e-12
 
 
 @given(st.integers(0, 2 ** 16 - 1))
@@ -332,8 +384,8 @@ def test_losses_nonnegative_property(seed):
     rng = np.random.default_rng(seed)
     s = (rng.uniform(size=(3, 3)) > 0.5).astype(float)
     p = rng.uniform(0.05, 0.95, (3, 3))
-    assert focal_loss(s, p).item() >= 0.0
-    assert 0.0 <= dice_loss(s, p).item() < 1.0
+    assert focal_loss(s, p) >= 0.0
+    assert 0.0 <= dice_loss(s, p) < 1.0
     a = np.array([rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8),
                   rng.uniform(0.05, 0.4), rng.uniform(0.05, 0.4)])
-    assert l1_loss(a, a + 0.01).item() >= 0.0
+    assert l1_loss(a, a + 0.01) >= 0.0

@@ -1,8 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from lawground import losses
 from lawground.model import GroundingModel, ModelConfig
 from lawground.synthground import LEXICON
+from lawground.tensor import Tape
 from lawground.text import Vocabulary
 
 RNG = np.random.default_rng(3)
@@ -43,7 +48,8 @@ def test_zero_init_equals_static_backbone_exactly(vocab, image):
     x = model.image_tensor(image)
     toks = model.tokenize("small green square")
     generated = model.forward(x, toks)
-    static = model.forward(x, toks, use_static_weights=True)
+    model.law = None  # the backbone's own static projections
+    static = model.forward(x, toks)
     assert np.array_equal(generated.visual.tokens.data, static.visual.tokens.data)
     assert np.array_equal(generated.box.data, static.box.data)
     assert np.array_equal(generated.mask.probs.data, static.mask.probs.data)
@@ -91,7 +97,7 @@ def test_ablation_toggles_isolate_parameters(vocab):
     no_lap = GroundingModel(tiny_config(lap_enabled=False), vocab, seed=1)
     no_mth = GroundingModel(tiny_config(mth_enabled=False), vocab, seed=1)
 
-    assert no_lawg.num_generator_params() == 0
+    assert no_lawg.store.num_values("law.") == 0
     assert not any(n.startswith("law.") for n in no_lawg.store.names())
     assert not any(n.startswith("head.pool.") for n in no_lap.store.names())
     assert not any(n.startswith("head.up") for n in no_mth.store.names())
@@ -141,3 +147,19 @@ def test_full_model_grad_check_small(vocab, image):
               model.store["vit.block0.attn.qkv.weight"],
               model.store["text.embed"]]
     assert grad_check(loss_fn, subset) <= 1e-4
+
+
+def test_tape_entries_per_sample_match_readme(vocab):
+    # the default config has the desk64 shapes
+    model = GroundingModel(ModelConfig(), vocab, seed=0)
+    x = model.image_tensor(RNG.integers(0, 255, (64, 64, 3), dtype=np.uint8))
+    mask = np.zeros((64, 64))
+    mask[10:30, 20:40] = 1.0
+    with Tape() as tape:
+        pred = model.forward(x, model.tokenize("red circle left of the square"))
+        losses.total_loss(np.array([0.4, 0.3, 0.3, 0.3]), pred.box, mask,
+                          pred.mask.probs)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    stated = re.search(r"records (\d+)\s+tape\s+entries\s+per\s+sample", readme)
+    assert stated and len(tape._entries) == int(stated.group(1))
