@@ -1,104 +1,74 @@
 """Flat key=value configuration with dotted keys.
 
-Every training-protocol constant is a default here and can be overridden by
-a config file line like `optim.lr_backbone = 1e-3` or `# comment`. Unknown
-keys and untypeable values raise ConfigError.
+Every training-protocol constant and model shape is a `TrainConfig` field
+and can be overridden by a config file line like `optim.lr_backbone = 1e-3`
+or `# comment`. A field's dotted key is its section, a dot, and its name
+without the section prefix: `text_width` in section `text` is `text.width`.
+Unknown keys and untypeable values raise ConfigError.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .losses import MODES
 
 
+def _knob(section, default):
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass
 class TrainConfig:
-    data_path: str = ""
-    image_size: int = 64
-    patch: int = 8
-    d_model: int = 64
-    blocks: int = 4
-    heads: int = 4
-    mlp_ratio: int = 4
-    text_width: int = 64
-    text_layers: int = 2
-    text_heads: int = 4
-    max_len: int = 40
-    groups: int = 4
-    rank_dw: int = 8
-    reduction_r: int = 16
-    pool_dim: int = 32
-    threshold: float = 0.35
-    loss_l1: float = 1.0
-    loss_giou: float = 1.0
-    loss_focal: float = 4.0
-    loss_dice: float = 4.0
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
-    lr_backbone: float = 4e-5
-    lr_rest: float = 4e-4
-    weight_decay: float = 1e-4
-    decay_factor: float = 0.1
-    decay_step: int = 0          # 0 -> two thirds of train.steps
-    steps: int = 3000
-    batch_size: int = 16
-    seed: int = 0
-    mode: str = "multitask"
-    eval_every: int = 250
-    log_every: int = 50
-    flip_prob: float = 0.5
-    lawg_enabled: bool = True
-    lap_enabled: bool = True
-    mth_enabled: bool = True
+    data_path: str = _knob("data", "")
+    image_size: int = _knob("model", 64)
+    patch: int = _knob("model", 8)
+    d_model: int = _knob("model", 64)
+    blocks: int = _knob("model", 4)
+    heads: int = _knob("model", 4)
+    mlp_ratio: int = _knob("model", 4)
+    text_width: int = _knob("text", 64)
+    text_layers: int = _knob("text", 2)
+    text_heads: int = _knob("text", 4)
+    max_len: int = _knob("text", 40)
+    groups: int = _knob("law", 4)
+    rank_dw: int = _knob("law", 8)
+    reduction_r: int = _knob("law", 16)
+    pool_dim: int = _knob("head", 32)
+    threshold: float = _knob("head", 0.35)
+    loss_l1: float = _knob("loss", 1.0)
+    loss_giou: float = _knob("loss", 1.0)
+    loss_focal: float = _knob("loss", 4.0)
+    loss_dice: float = _knob("loss", 4.0)
+    focal_alpha: float = _knob("loss", 0.25)
+    focal_gamma: float = _knob("loss", 2.0)
+    lr_backbone: float = _knob("optim", 4e-5)
+    lr_rest: float = _knob("optim", 4e-4)
+    weight_decay: float = _knob("optim", 1e-4)
+    decay_factor: float = _knob("optim", 0.1)
+    decay_step: int = _knob("optim", 0)  # 0 -> two thirds of train.steps
+    steps: int = _knob("train", 3000)
+    batch_size: int = _knob("train", 16)
+    seed: int = _knob("train", 0)
+    mode: str = _knob("train", "multitask")
+    eval_every: int = _knob("train", 250)
+    log_every: int = _knob("train", 50)
+    flip_prob: float = _knob("train", 0.5)
+    lawg_enabled: bool = _knob("ablation", True)
+    lap_enabled: bool = _knob("ablation", True)
+    mth_enabled: bool = _knob("ablation", True)
 
 
-# dotted config key -> dataclass attribute
-KEYMAP = {
-    "data.path": "data_path",
-    "model.image_size": "image_size",
-    "model.patch": "patch",
-    "model.d_model": "d_model",
-    "model.blocks": "blocks",
-    "model.heads": "heads",
-    "model.mlp_ratio": "mlp_ratio",
-    "text.width": "text_width",
-    "text.layers": "text_layers",
-    "text.heads": "text_heads",
-    "text.max_len": "max_len",
-    "law.groups": "groups",
-    "law.rank_dw": "rank_dw",
-    "law.reduction_r": "reduction_r",
-    "head.pool_dim": "pool_dim",
-    "head.threshold": "threshold",
-    "loss.l1": "loss_l1",
-    "loss.giou": "loss_giou",
-    "loss.focal": "loss_focal",
-    "loss.dice": "loss_dice",
-    "loss.focal_alpha": "focal_alpha",
-    "loss.focal_gamma": "focal_gamma",
-    "optim.lr_backbone": "lr_backbone",
-    "optim.lr_rest": "lr_rest",
-    "optim.weight_decay": "weight_decay",
-    "optim.decay_factor": "decay_factor",
-    "optim.decay_step": "decay_step",
-    "train.steps": "steps",
-    "train.batch_size": "batch_size",
-    "train.seed": "seed",
-    "train.mode": "mode",
-    "train.eval_every": "eval_every",
-    "train.log_every": "log_every",
-    "train.flip_prob": "flip_prob",
-    "ablation.lawg_enabled": "lawg_enabled",
-    "ablation.lap_enabled": "lap_enabled",
-    "ablation.mth_enabled": "mth_enabled",
-}
-
-_ATTR_TO_KEY = {attr: key for key, attr in KEYMAP.items()}
-_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
+def _dotted_key(f):
+    section = f.metadata["section"]
+    return f"{section}.{f.name.removeprefix(section + '_')}"
 
 
-def _parse_value(key, attr, raw):
-    kind = _TYPES[attr]
+# dotted config key -> dataclass field, in field order
+_FIELDS = {_dotted_key(f): f for f in fields(TrainConfig)}
+
+
+def _parse_value(key, raw):
+    kind = type(_FIELDS[key].default)
     raw = raw.strip()
     try:
         if kind is bool:
@@ -127,10 +97,9 @@ def parse_config_text(text, base=None):
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        attr = KEYMAP.get(key)
-        if attr is None:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        setattr(cfg, attr, _parse_value(key, attr, raw))
+        setattr(cfg, _FIELDS[key].name, _parse_value(key, raw))
     return cfg
 
 
@@ -146,11 +115,11 @@ def load_config(path, base=None):
 def config_to_text(cfg):
     """Canonical serialization (checkpoint echo); field order is fixed."""
     lines = []
-    for f in fields(TrainConfig):
+    for key, f in _FIELDS.items():
         value = getattr(cfg, f.name)
         if isinstance(value, bool):
             value = "true" if value else "false"
-        lines.append(f"{_ATTR_TO_KEY[f.name]} = {value}")
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

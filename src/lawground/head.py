@@ -136,7 +136,7 @@ class MultitaskHead:
         return MaskPrediction(quarter_logits=logits, probs=probs)
 
 
-def binarize(probs, threshold=0.35):
+def binarize(probs, threshold):
     """Pixel is foreground iff probability >= threshold."""
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"binarization threshold must be in (0, 1), got {threshold}")

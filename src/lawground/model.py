@@ -1,6 +1,6 @@
 """End-to-end grounding model: text encoder -> weight generator -> visual
 backbone -> box/mask head, with the three component toggles used by the
-ablation arms.
+ablation arms. Its shapes, toggles and seed come from one `TrainConfig`.
 """
 
 from dataclasses import dataclass, field
@@ -18,28 +18,6 @@ BACKBONE_PREFIXES = ("text.", "vit.")
 
 
 @dataclass
-class ModelConfig:
-    image_size: int = 64
-    patch: int = 8
-    d_model: int = 64
-    blocks: int = 4
-    heads: int = 4
-    mlp_ratio: int = 4
-    d_text: int = 64
-    text_layers: int = 2
-    text_heads: int = 4
-    max_len: int = 40
-    groups: int = 4
-    rank_dw: int = 8
-    reduction: int = 16
-    pool_dim: int = 32
-    threshold: float = 0.35
-    lawg_enabled: bool = True
-    lap_enabled: bool = True
-    mth_enabled: bool = True
-
-
-@dataclass
 class Prediction:
     box: Tensor                     # (4,) normalized cx, cy, w, h
     mask: object = None             # MaskPrediction or None
@@ -50,12 +28,12 @@ class Prediction:
 
 
 class GroundingModel:
-    def __init__(self, config, vocab, seed=0):
+    def __init__(self, config, vocab):
         self.config = config
         self.vocab = vocab
-        self.store = ParamStore(seed)
+        self.store = ParamStore(config.seed)
         self.text = TextEncoder(
-            self.store, vocab_size=len(vocab), width=config.d_text,
+            self.store, vocab_size=len(vocab), width=config.text_width,
             layers=config.text_layers, heads=config.text_heads,
             max_len=config.max_len)
         self.backbone = VisualBackbone(
@@ -65,11 +43,11 @@ class GroundingModel:
         self.law = None
         if config.lawg_enabled:
             self.law = build_law_params(
-                self.store, self.backbone, d_l=config.d_text,
-                groups=config.groups, reduction=config.reduction,
+                self.store, self.backbone, d_l=config.text_width,
+                groups=config.groups, reduction=config.reduction_r,
                 rank_dw=config.rank_dw)
         self.head = MultitaskHead(
-            self.store, d_model=config.d_model, d_text=config.d_text,
+            self.store, d_model=config.d_model, d_text=config.text_width,
             pool_dim=config.pool_dim, stride=config.patch,
             lap_enabled=config.lap_enabled, mask_enabled=config.mth_enabled)
 

@@ -151,12 +151,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -215,14 +209,6 @@ def add(a, b):
     return _record(
         out, (a, b),
         lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-
-
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data)
-    return _record(
-        out, (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a, b):
@@ -355,21 +341,13 @@ def linear(x, w, b=None):
 
 
 def matvec(w, v):
-    """(m x k) @ (k,) -> (m,). Batched w is allowed: (..., m, k) @ (k,)."""
+    """(m x k) @ (k,) -> (m,)."""
     w, v = as_tensor(w), as_tensor(v)
-    if v.ndim != 1 or w.ndim < 2 or w.shape[-1] != v.shape[0]:
+    if v.ndim != 1 or w.ndim != 2 or w.shape[1] != v.shape[0]:
         raise ShapeError(f"matvec: incompatible shapes {w.shape} and {v.shape}")
     out = Tensor(w.data @ v.data)
-
-    def backfn(g, w=w, v=v):
-        if w.ndim == 2:
-            return (np.multiply.outer(g, v.data), w.data.T @ g)
-        gw = g[..., None] * v.data
-        gv = np.tensordot(w.data, g, axes=(tuple(range(w.ndim - 1)),
-                                           tuple(range(g.ndim))))
-        return (gw.reshape(w.shape), gv)
-
-    return _record(out, (w, v), backfn)
+    return _record(out, (w, v),
+                   lambda g: (np.multiply.outer(g, v.data), w.data.T @ g))
 
 
 def tsum(x, axis=None, keepdims=False):

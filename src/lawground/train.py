@@ -18,7 +18,7 @@ from .errors import ConfigError, NumericError
 from .head import binarize
 from .losses import (LossWeights, box_iou, mask_iou, miou, prec_at_05,
                      total_loss)
-from .model import GroundingModel, ModelConfig
+from .model import GroundingModel
 from .optim import AdamW
 from .serial import array_to_str, read_arrays, str_to_array, write_arrays
 from .synthground import flip_sample, load_dataset, load_vocab
@@ -31,19 +31,10 @@ METRIC_COLUMNS = ("step", "split", "prec_at_05", "miou", "loss_total",
 LENGTH_BUCKETS = ((1, 5), (6, 7), (8, 10), (11, None))
 
 
-def model_config_from(cfg):
-    return ModelConfig(
-        image_size=cfg.image_size, patch=cfg.patch, d_model=cfg.d_model,
-        blocks=cfg.blocks, heads=cfg.heads, mlp_ratio=cfg.mlp_ratio,
-        d_text=cfg.text_width, text_layers=cfg.text_layers,
-        text_heads=cfg.text_heads, max_len=cfg.max_len, groups=cfg.groups,
-        rank_dw=cfg.rank_dw, reduction=cfg.reduction_r, pool_dim=cfg.pool_dim,
-        threshold=cfg.threshold, lawg_enabled=cfg.lawg_enabled,
-        lap_enabled=cfg.lap_enabled, mth_enabled=cfg.mth_enabled)
-
-
 def build_model(cfg, vocab):
-    return GroundingModel(model_config_from(cfg), vocab, seed=cfg.seed)
+    """The one place training and checkpoint loading build a model, so a
+    wrapper around it (bench/tracing.py's) sees every model built."""
+    return GroundingModel(cfg, vocab)
 
 
 def loss_weights_from(cfg):
@@ -100,7 +91,7 @@ def predict_sample(model, sample, threshold):
     return box, mask
 
 
-def evaluate_model(model, samples, threshold=0.35):
+def evaluate_model(model, samples, threshold):
     """Box precision, mask mIoU, the relational subset, and length buckets.
 
     Forwards run tape-free, one sample at a time; metrics reduce in sample

@@ -23,7 +23,7 @@ from lawground.law import (
     generate_all,
     layer_cores,
 )
-from lawground.model import GroundingModel, ModelConfig
+from lawground.model import GroundingModel
 from lawground.params import ParamStore
 from lawground.synthground import generate_dataset, load_dataset
 from lawground.tensor import (
@@ -44,7 +44,7 @@ from lawground.tensor import (
     tsum,
 )
 from lawground.text import Vocabulary
-from lawground.train import build_model, train
+from lawground.train import train
 from lawground.vit import VisualBackbone, VisualFeatures
 
 RNG = np.random.default_rng(2024)
@@ -72,10 +72,11 @@ def report(name, ok, detail=""):
 
 def toy_model(seed=0, **kw):
     cfg = dict(image_size=16, patch=8, d_model=8, blocks=2, heads=2,
-               mlp_ratio=2, d_text=8, text_layers=1, text_heads=2, max_len=6,
-               groups=2, rank_dw=2, reduction=2, pool_dim=4)
+               mlp_ratio=2, text_width=8, text_layers=1, text_heads=2,
+               max_len=6, groups=2, rank_dw=2, reduction_r=2, pool_dim=4,
+               seed=seed)
     cfg.update(kw)
-    return GroundingModel(ModelConfig(**cfg), Vocabulary(WORDS), seed=seed)
+    return GroundingModel(TrainConfig(**cfg), Vocabulary(WORDS))
 
 
 @pytest.fixture(scope="module")
@@ -125,8 +126,8 @@ def test_criterion_2_gradient_suite():
     check("linear", lambda x, w, b: sq(linear(x, w, b)),
           [rt((3, 4)), rt((5, 4)), rt((5,))])
     check("matvec", lambda w, v: sq(matvec(w, v)), [rt((4, 6)), rt((6,))])
-    check("add_mul_sub",
-          lambda a, b: ((a + b) * (a - b) * (b * b + 1.0)).sum(),
+    check("add_mul_neg",
+          lambda a, b: ((a + b) * (a + -b) * (b * b + 1.0)).sum(),
           [rt((3, 4)), rt((3, 4))])
     check("sigmoid", lambda x: sq(sigmoid(x)), [rt((8,))])
     check("gelu", lambda x: gelu(x).sum(), [rt((8,))])
@@ -211,7 +212,7 @@ def test_criterion_2_gradient_suite():
 
 
 def test_criterion_3_zero_core_equivalence():
-    model = GroundingModel(ModelConfig(), Vocabulary(WORDS), seed=3)
+    model = GroundingModel(TrainConfig(seed=3), Vocabulary(WORDS))
     image = model.image_tensor(
         RNG.integers(0, 255, (64, 64, 3), dtype=np.uint8))
     tok_a = model.tokenize("red circle")

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lawground import losses
-from lawground.model import GroundingModel, ModelConfig
+from lawground.config import TrainConfig
+from lawground.model import GroundingModel
 from lawground.synthground import LEXICON
 from lawground.tensor import Tape
 from lawground.text import Vocabulary
@@ -15,10 +16,10 @@ RNG = np.random.default_rng(3)
 
 def tiny_config(**kw):
     base = dict(image_size=16, patch=8, d_model=8, blocks=2, heads=2,
-                mlp_ratio=2, d_text=8, text_layers=1, text_heads=2, max_len=8,
-                groups=2, rank_dw=2, reduction=2, pool_dim=4)
+                mlp_ratio=2, text_width=8, text_layers=1, text_heads=2,
+                max_len=8, groups=2, rank_dw=2, reduction_r=2, pool_dim=4)
     base.update(kw)
-    return ModelConfig(**base)
+    return TrainConfig(**base)
 
 
 @pytest.fixture
@@ -34,7 +35,7 @@ def image():
 def test_zero_init_visual_features_ignore_expression(vocab, image):
     # the dynamic-core maps start at exactly zero: the backbone features
     # cannot depend on the expression
-    model = GroundingModel(tiny_config(), vocab, seed=4)
+    model = GroundingModel(tiny_config(seed=4), vocab)
     x = model.image_tensor(image)
     a = model.forward(x, model.tokenize("red circle"))
     b = model.forward(x, model.tokenize("leftmost triangle above the blue square"))
@@ -44,7 +45,7 @@ def test_zero_init_visual_features_ignore_expression(vocab, image):
 
 
 def test_zero_init_equals_static_backbone_exactly(vocab, image):
-    model = GroundingModel(tiny_config(), vocab, seed=4)
+    model = GroundingModel(tiny_config(seed=4), vocab)
     x = model.image_tensor(image)
     toks = model.tokenize("small green square")
     generated = model.forward(x, toks)
@@ -56,7 +57,7 @@ def test_zero_init_equals_static_backbone_exactly(vocab, image):
 
 
 def test_nonzero_core_makes_features_expression_sensitive(vocab, image):
-    model = GroundingModel(tiny_config(), vocab, seed=4)
+    model = GroundingModel(tiny_config(seed=4), vocab)
     for i in range(model.config.blocks):
         core = model.store[f"law.layer{i}.core.weight"]
         core.data[...] = RNG.normal(0, 0.5, core.shape)
@@ -71,8 +72,8 @@ def test_nonzero_core_makes_features_expression_sensitive(vocab, image):
 
 def test_pad_length_invariance_end_to_end(vocab, image):
     # same expression, two different max_len: outputs bit-identical
-    short = GroundingModel(tiny_config(max_len=6), vocab, seed=9)
-    long = GroundingModel(tiny_config(max_len=8), vocab, seed=9)
+    short = GroundingModel(tiny_config(max_len=6, seed=9), vocab)
+    long = GroundingModel(tiny_config(max_len=8, seed=9), vocab)
     # force identical shared parameters: copy the short model's params; the
     # position table differs only in rows the short model lacks
     for name, p in short.store.items():
@@ -92,10 +93,10 @@ def test_pad_length_invariance_end_to_end(vocab, image):
 
 
 def test_ablation_toggles_isolate_parameters(vocab):
-    full = GroundingModel(tiny_config(), vocab, seed=1)
-    no_lawg = GroundingModel(tiny_config(lawg_enabled=False), vocab, seed=1)
-    no_lap = GroundingModel(tiny_config(lap_enabled=False), vocab, seed=1)
-    no_mth = GroundingModel(tiny_config(mth_enabled=False), vocab, seed=1)
+    full = GroundingModel(tiny_config(seed=1), vocab)
+    no_lawg = GroundingModel(tiny_config(lawg_enabled=False, seed=1), vocab)
+    no_lap = GroundingModel(tiny_config(lap_enabled=False, seed=1), vocab)
+    no_mth = GroundingModel(tiny_config(mth_enabled=False, seed=1), vocab)
 
     assert no_lawg.store.num_values("law.") == 0
     assert not any(n.startswith("law.") for n in no_lawg.store.names())
@@ -108,7 +109,7 @@ def test_ablation_toggles_isolate_parameters(vocab):
 
 
 def test_parameter_groups_split_backbone_and_rest(vocab):
-    model = GroundingModel(tiny_config(), vocab, seed=1)
+    model = GroundingModel(tiny_config(seed=1), vocab)
     backbone, rest = model.parameter_groups()
     backbone_names = {n for n, _ in backbone}
     rest_names = {n for n, _ in rest}
@@ -122,7 +123,7 @@ def test_full_model_grad_check_small(vocab, image):
     from lawground import losses
     from lawground.tensor import grad_check
 
-    model = GroundingModel(tiny_config(), vocab, seed=7)
+    model = GroundingModel(tiny_config(seed=7), vocab)
     toks = model.tokenize("red circle")
     gt_box = np.array([0.4, 0.5, 0.3, 0.3])
     gt_mask = np.zeros((16, 16))
@@ -151,7 +152,7 @@ def test_full_model_grad_check_small(vocab, image):
 
 def test_tape_entries_per_sample_match_readme(vocab):
     # the default config has the desk64 shapes
-    model = GroundingModel(ModelConfig(), vocab, seed=0)
+    model = GroundingModel(TrainConfig(), vocab)
     x = model.image_tensor(RNG.integers(0, 255, (64, 64, 3), dtype=np.uint8))
     mask = np.zeros((64, 64))
     mask[10:30, 20:40] = 1.0

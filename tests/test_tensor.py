@@ -397,6 +397,8 @@ def test_grad_check_matvec_and_layernorm():
     b = Tensor(np.zeros(6), requires_grad=True)
     x = rand_tensor((5, 6), requires_grad=True)
     assert grad_check(lambda w, v: square_sum(matvec(w, v)), [w, v]) <= 1e-4
+    with pytest.raises(ShapeError):  # w must be 2-D
+        matvec(Tensor(np.zeros((2, 4, 6))), v)
     assert grad_check(lambda x, g, b: square_sum(layer_norm(x, g, b)),
                       [x, g, b]) <= 1e-4
 

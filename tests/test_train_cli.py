@@ -15,10 +15,12 @@ from lawground.cli import main
 from lawground.config import (
     TrainConfig,
     config_to_text,
+    load_config,
     parse_config_text,
     validate,
 )
 from lawground.errors import ConfigError, NumericError, ShapeError
+from lawground.model import GroundingModel
 from lawground.serial import read_arrays, write_arrays
 from lawground.synthground import generate_dataset, load_dataset
 from lawground.tensor import Tape, Tensor
@@ -83,6 +85,65 @@ def test_config_round_trips_through_text():
     assert again == cfg
 
 
+# the checkpoint's meta/config echo and config.cfg; readers of old
+# checkpoints depend on every key, value and line position
+DEFAULT_CONFIG_LINES = (
+    "data.path = ",
+    "model.image_size = 64",
+    "model.patch = 8",
+    "model.d_model = 64",
+    "model.blocks = 4",
+    "model.heads = 4",
+    "model.mlp_ratio = 4",
+    "text.width = 64",
+    "text.layers = 2",
+    "text.heads = 4",
+    "text.max_len = 40",
+    "law.groups = 4",
+    "law.rank_dw = 8",
+    "law.reduction_r = 16",
+    "head.pool_dim = 32",
+    "head.threshold = 0.35",
+    "loss.l1 = 1.0",
+    "loss.giou = 1.0",
+    "loss.focal = 4.0",
+    "loss.dice = 4.0",
+    "loss.focal_alpha = 0.25",
+    "loss.focal_gamma = 2.0",
+    "optim.lr_backbone = 4e-05",
+    "optim.lr_rest = 0.0004",
+    "optim.weight_decay = 0.0001",
+    "optim.decay_factor = 0.1",
+    "optim.decay_step = 0",
+    "train.steps = 3000",
+    "train.batch_size = 16",
+    "train.seed = 0",
+    "train.mode = multitask",
+    "train.eval_every = 250",
+    "train.log_every = 50",
+    "train.flip_prob = 0.5",
+    "ablation.lawg_enabled = true",
+    "ablation.lap_enabled = true",
+    "ablation.mth_enabled = true",
+)
+
+
+def test_config_echo_of_defaults_is_pinned():
+    text = "\n".join(DEFAULT_CONFIG_LINES) + "\n"
+    assert config_to_text(TrainConfig()) == text
+
+
+def test_shipped_config_files_parse_and_validate():
+    root = Path(__file__).resolve().parent.parent
+    desk = validate(load_config(root / "configs" / "desk64.cfg"))
+    assert (desk.steps, desk.batch_size, desk.lr_rest) == (3000, 16, 2e-3)
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Config files", 1)[1].split("```", 2)[1]
+    cfg = validate(parse_config_text(example))
+    assert (cfg.data_path, cfg.lr_backbone, cfg.threshold) == (
+        "data/shapes", 5e-4, 0.35)
+
+
 def test_validate_forces_rec_without_mask_branch():
     cfg = validate(TrainConfig(mth_enabled=False, mode="multitask"))
     assert cfg.mode == "rec"
@@ -103,8 +164,8 @@ def test_zero_steps_checkpoint_equals_initialization(dataset, tmp_path):
     model, _, step, _ = training.load_checkpoint(tmp_path / "run" / "last.ckpt",
                                                  dataset)
     assert step == 0
-    fresh = training.build_model(validate(tiny_cfg(dataset, steps=0)),
-                                 training.load_vocab(dataset))
+    fresh = GroundingModel(validate(tiny_cfg(dataset, steps=0)),
+                           training.load_vocab(dataset))
     for name, p in fresh.store.items():
         assert np.array_equal(p.data, model.store[name].data), name
 
@@ -275,7 +336,7 @@ def test_evaluate_gt_stub_is_perfect(dataset, monkeypatch):
     samples = load_dataset(dataset, "val")
     monkeypatch.setattr(training, "predict_sample",
                         lambda model, s, thr: (s.box.copy(), s.mask().copy()))
-    report = training.evaluate_model(object(), samples)
+    report = training.evaluate_model(object(), samples, 0.35)
     assert report["prec_at_05"] == 1.0
     assert report["miou"] == 1.0
     assert report["relational"]["prec_at_05"] == 1.0
@@ -288,7 +349,7 @@ def test_evaluate_constant_box_stub_matches_loop(dataset, monkeypatch):
     const = np.array([0.5, 0.5, 0.25, 0.25])
     monkeypatch.setattr(training, "predict_sample",
                         lambda model, s, thr: (const.copy(), None))
-    report = training.evaluate_model(object(), samples)
+    report = training.evaluate_model(object(), samples, 0.35)
     want = sum(1 for s in samples if box_iou(const, s.box) > 0.5) / len(samples)
     assert report["prec_at_05"] == want
     assert report["miou"] is None
