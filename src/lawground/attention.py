@@ -1,14 +1,38 @@
-"""Multi-head scaled dot-product attention shared by both transformer stacks."""
+"""The pre-norm transformer block shared by the text encoder and the ViT."""
 
-from .tensor import attention, linear
+from .tensor import attention, gelu, layer_norm, linear
 
 
-def multihead_attention(x, fused_w, fused_b, out_w, out_b, heads):
-    """Self-attention over tokens x (T, d).
+def block_params(store, prefix, width, hidden):
+    """Register one block's parameters in execution order: ln1, qkv, out,
+    ln2, mlp."""
+    return {
+        "ln1_g": store.ones(prefix + "ln1.gain", (width,)),
+        "ln1_b": store.zeros(prefix + "ln1.bias", (width,)),
+        "qkv_w": store.gaussian(prefix + "attn.qkv.weight", (3 * width, width)),
+        "qkv_b": store.zeros(prefix + "attn.qkv.bias", (3 * width,)),
+        "out_w": store.gaussian(prefix + "attn.out.weight", (width, width)),
+        "out_b": store.zeros(prefix + "attn.out.bias", (width,)),
+        "ln2_g": store.ones(prefix + "ln2.gain", (width,)),
+        "ln2_b": store.zeros(prefix + "ln2.bias", (width,)),
+        "mlp_w1": store.gaussian(prefix + "mlp.fc1.weight", (hidden, width)),
+        "mlp_b1": store.zeros(prefix + "mlp.fc1.bias", (hidden,)),
+        "mlp_w2": store.gaussian(prefix + "mlp.fc2.weight", (width, hidden)),
+        "mlp_b2": store.zeros(prefix + "mlp.fc2.bias", (width,)),
+    }
 
-    fused_w stacks the query/key/value projections as a (3d, d_in) matrix
-    applied as x @ fused_w^T. Returns the block output (T, d) and the
-    per-head attention probabilities (H, T, T).
+
+def transformer_block(x, blk, qkv_w, heads):
+    """x + MHA(LN(x)), then x + MLP(LN(x)), over tokens x (T, d).
+
+    qkv_w stacks the query/key/value projections as a (3d, d) matrix applied
+    as LN(x) @ qkv_w^T + blk["qkv_b"]; the text encoder passes its own, the
+    ViT the static or generated one. Returns the block output (T, d) and the
+    per-head attention probabilities (H, T, T) as an array.
     """
-    ctx, probs = attention(linear(x, fused_w, fused_b), heads)
-    return linear(ctx, out_w, out_b), probs
+    h = layer_norm(x, blk["ln1_g"], blk["ln1_b"])
+    ctx, probs = attention(linear(h, qkv_w, blk["qkv_b"]), heads)
+    x = x + linear(ctx, blk["out_w"], blk["out_b"])
+    h = layer_norm(x, blk["ln2_g"], blk["ln2_b"])
+    h = gelu(linear(h, blk["mlp_w1"], blk["mlp_b1"]))
+    return x + linear(h, blk["mlp_w2"], blk["mlp_b2"]), probs

@@ -103,7 +103,8 @@ class MultitaskHead:
         return stages
 
     def lap_pool(self, visual, cls_feat):
-        """Similarity-weighted spatial pooling; returns (pooled (C,), attn grid)."""
+        """Similarity-weighted spatial pooling; returns pooled (C,) and the
+        (side, side) attention grid as an array."""
         if not self.lap_enabled:
             raise ConfigError("language-adaptive pooling is disabled in this head")
         proj_v = linear(visual.tokens, self.pool_vis)              # (T, k)
@@ -111,7 +112,7 @@ class MultitaskHead:
         logits = matvec(proj_v, proj_t)                            # (T,)
         attn = softmax(logits, axis=-1)
         pooled = matvec(transpose(visual.tokens), attn)            # (C,)
-        return pooled, reshape(attn, (visual.side, visual.side))
+        return pooled, attn.data.reshape(visual.side, visual.side)
 
     def average_pool(self, visual):
         return visual.tokens.mean(axis=0)

@@ -22,18 +22,6 @@ from .tensor import Tensor, _record, _softmax_, as_tensor, gelu_cdf, gelu_slope
 
 
 @dataclass
-class GeneratedLayerWeights:
-    """Fused (3*d_model, d_in) projection and its bias for one visual layer.
-
-    Rows stack the query, key and value projections in that order;
-    regenerated per expression, never cached across expressions.
-    """
-
-    fused: Tensor
-    bias: Tensor
-
-
-@dataclass
 class DecompositionParams:
     """All weight-generation state for every visual layer."""
 
@@ -44,7 +32,6 @@ class DecompositionParams:
     out_factor: Tensor        # (d_out, d_w), shared
     in_factor: Tensor         # (d_in, d_w), shared
     static_fused: list        # per layer: (d_out, d_in), owned by the backbone
-    static_bias: list         # per layer: (d_out,), owned by the backbone
     groups: int
     rank_dw: int
 
@@ -76,7 +63,7 @@ def build_law_params(store, backbone, d_l, groups, reduction, rank_dw):
         layer_embeds=embeds, reducers=reducers,
         core_weights=core_ws, core_biases=core_bs,
         out_factor=out_factor, in_factor=in_factor,
-        static_fused=backbone.qkv_weights, static_bias=backbone.qkv_biases,
+        static_fused=backbone.static_weights(),
         groups=groups, rank_dw=rank_dw)
 
 
@@ -156,10 +143,8 @@ def fused_weight(params, cores, layer):
 
 
 def generate_all(feats, params):
-    """Weights for every visual layer plus the per-layer (G, L) token
-    attentions; records 1 + n_layers tape entries."""
+    """Every visual layer's fused (d_out, d_in) projection, regenerated per
+    expression, plus the (N, G, L) token attention as an array; records
+    1 + n_layers tape entries."""
     cores, alpha = layer_cores(feats, params)
-    weights = [GeneratedLayerWeights(fused=fused_weight(params, cores, i),
-                                     bias=params.static_bias[i])
-               for i in range(params.n_layers)]
-    return weights, [Tensor(a) for a in alpha]
+    return [fused_weight(params, cores, i) for i in range(params.n_layers)], alpha

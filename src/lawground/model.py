@@ -22,9 +22,9 @@ class Prediction:
     box: Tensor                     # (4,) normalized cx, cy, w, h
     mask: object = None             # MaskPrediction or None
     visual: object = None           # VisualFeatures
-    alphas: list = field(default_factory=list)  # per-layer (G, L) token attention
+    alphas: object = None           # (N, G, L) token attention or None
     attention: list = field(default_factory=list)  # per-layer (H, T, T) probs
-    pool_attention: object = None   # (side, side) Tensor or None
+    pool_attention: object = None   # (side, side) array or None
 
 
 class GroundingModel:
@@ -54,19 +54,18 @@ class GroundingModel:
     def tokenize(self, expression):
         return tokenize(expression, self.vocab, self.config.max_len)
 
-    def image_tensor(self, rgb_uint8, requires_grad=False):
+    def image_tensor(self, rgb_uint8):
         """(H, W, 3) uint8 -> (3, H, W) float tensor in [0, 1]."""
         arr = np.transpose(rgb_uint8.astype(np.float64) / 255.0, (2, 0, 1))
-        return Tensor(arr, requires_grad=requires_grad)
+        return Tensor(arr)
 
     def forward(self, image, tokens, collect_attention=False):
         """Full forward pass for one (image, expression) pair; without a
         weight generator the backbone runs on its own static projections."""
         feats = self.text.encode(tokens)
-        alphas = []
+        alphas = None
         if self.law is not None:
-            weights, alpha_tensors = generate_all(feats, self.law)
-            alphas = [a.data for a in alpha_tensors]
+            weights, alphas = generate_all(feats, self.law)
         else:
             weights = self.backbone.static_weights()
         visual, attn = self.backbone.forward(image, weights,

@@ -54,12 +54,6 @@ class ParamStore:
     def __getitem__(self, name):
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
-
     def num_values(self, prefix=""):
         return sum(p.size for n, p in self._params.items() if n.startswith(prefix))
 

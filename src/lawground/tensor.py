@@ -282,7 +282,7 @@ def attention(qkv, heads):
 
     Heads split each d-wide block into `heads` slices of dh = d / heads.
     Returns the head-merged context (T, d), taped with qkv as its one
-    parent, and the probabilities (H, T, T) as an untaped Tensor. The
+    parent, and the probabilities (H, T, T) as an array. The
     (H, T, T) scores are built once and softmaxed in place; backward writes
     the three gradient blocks into one (T, 3d) buffer.
     """
@@ -317,7 +317,7 @@ def attention(qkv, heads):
         gk[...] = np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2)
         return (gqkv,)
 
-    return _record(out, (qkv,), backfn), Tensor(p)
+    return _record(out, (qkv,), backfn), p
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ max_len ids and never padded, so the encoder attends over real tokens only.
 
 import numpy as np
 
-from .attention import multihead_attention
+from .attention import block_params, transformer_block
 from .errors import DataError
-from .tensor import gelu, layer_norm, linear, take_rows
+from .tensor import layer_norm, take_rows
 
 PAD_ID, CLS_ID, UNK_ID = 0, 1, 2
 RESERVED = ("[PAD]", "[CLS]", "[UNK]")
@@ -67,23 +67,8 @@ class TextEncoder:
         self.max_len = max_len
         self.embed = store.gaussian("text.embed", (vocab_size, width))
         self.pos = store.gaussian("text.pos", (max_len, width))
-        self.blocks = []
-        for i in range(layers):
-            p = f"text.block{i}."
-            self.blocks.append({
-                "ln1_g": store.ones(p + "ln1.gain", (width,)),
-                "ln1_b": store.zeros(p + "ln1.bias", (width,)),
-                "qkv_w": store.gaussian(p + "attn.qkv.weight", (3 * width, width)),
-                "qkv_b": store.zeros(p + "attn.qkv.bias", (3 * width,)),
-                "out_w": store.gaussian(p + "attn.out.weight", (width, width)),
-                "out_b": store.zeros(p + "attn.out.bias", (width,)),
-                "ln2_g": store.ones(p + "ln2.gain", (width,)),
-                "ln2_b": store.zeros(p + "ln2.bias", (width,)),
-                "mlp_w1": store.gaussian(p + "mlp.fc1.weight", (4 * width, width)),
-                "mlp_b1": store.zeros(p + "mlp.fc1.bias", (4 * width,)),
-                "mlp_w2": store.gaussian(p + "mlp.fc2.weight", (width, 4 * width)),
-                "mlp_b2": store.zeros(p + "mlp.fc2.bias", (width,)),
-            })
+        self.blocks = [block_params(store, f"text.block{i}.", width, 4 * width)
+                       for i in range(layers)]
         self.final_g = store.ones("text.final_ln.gain", (width,))
         self.final_b = store.zeros("text.final_ln.bias", (width,))
 
@@ -97,12 +82,5 @@ class TextEncoder:
                 f"token id out of range for vocabulary of {self.vocab_size}")
         x = take_rows(self.embed, ids) + self.pos[:len(ids), :]
         for blk in self.blocks:
-            h = layer_norm(x, blk["ln1_g"], blk["ln1_b"])
-            attn_out, _ = multihead_attention(
-                h, blk["qkv_w"], blk["qkv_b"], blk["out_w"], blk["out_b"],
-                self.heads)
-            x = x + attn_out
-            h = layer_norm(x, blk["ln2_g"], blk["ln2_b"])
-            h = gelu(linear(h, blk["mlp_w1"], blk["mlp_b1"]))
-            x = x + linear(h, blk["mlp_w2"], blk["mlp_b2"])
+            x, _ = transformer_block(x, blk, blk["qkv_w"], self.heads)
         return layer_norm(x, self.final_g, self.final_b)

@@ -140,6 +140,14 @@ def metric_row(step, split, prec=None, iou=None, parts=None):
                      _fmt(parts.get("dice"))])
 
 
+def report_rows(step, split, report):
+    """The `<split>` and `<split>/relational` metric rows of a report."""
+    rel = report["relational"]
+    return [metric_row(step, split, report["prec_at_05"], report["miou"]),
+            metric_row(step, f"{split}/relational", rel["prec_at_05"],
+                       rel["miou"])]
+
+
 def write_bucket_csv(path, report):
     lines = ["bucket,count,prec_at_05"]
     for b in report["buckets"]:
@@ -157,7 +165,6 @@ class TrainResult:
     best_metric: float
     best_step: int
     last_report: dict
-    history: list
 
 
 class _BatchStream:
@@ -210,7 +217,6 @@ def train(cfg, out_dir):
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     stream = _BatchStream(len(train_samples), rng)
 
-    history = []
     best_metric, best_step = -1.0, -1
 
     (out / "config.cfg").write_text(config_to_text(cfg), encoding="utf-8")
@@ -228,13 +234,8 @@ def train(cfg, out_dir):
         def run_eval(step):
             nonlocal best_metric, best_step
             report = evaluate_model(model, val_samples, cfg.threshold)
-            emit(metric_row(step, "val", report["prec_at_05"], report["miou"]))
-            rel = report["relational"]
-            emit(metric_row(step, "val/relational", rel["prec_at_05"],
-                            rel["miou"]))
-            history.append({"step": step,
-                            **{k: report[k] for k in ("prec_at_05", "miou")},
-                            "relational": rel})
+            for line in report_rows(step, "val", report):
+                emit(line)
             score = _selection_metric(report, cfg.mode)
             if score is not None and score > best_metric:
                 best_metric, best_step = score, step
@@ -295,8 +296,7 @@ def train(cfg, out_dir):
 
     save_checkpoint(out / "last.ckpt", model, cfg, cfg.steps, rng)
     return TrainResult(out_dir=out, best_metric=best_metric,
-                       best_step=best_step, last_report=report,
-                       history=history)
+                       best_step=best_step, last_report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +312,7 @@ def evaluate_checkpoint(ckpt_path, data_path, split, out_dir=None):
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        rel = report["relational"]
-        lines = [",".join(METRIC_COLUMNS),
-                 metric_row(step, split, report["prec_at_05"], report["miou"]),
-                 metric_row(step, f"{split}/relational", rel["prec_at_05"],
-                            rel["miou"])]
+        lines = [",".join(METRIC_COLUMNS), *report_rows(step, split, report)]
         (out / "eval_metrics.csv").write_text("\n".join(lines) + "\n",
                                               encoding="utf-8")
         write_bucket_csv(out / "length_buckets.csv", report)
@@ -379,7 +375,7 @@ def inspect(ckpt_path, data_path, scene_id, out_dir):
     _write_grid_csv(out / "rollout.csv", rollout)
 
     if pred.pool_attention is not None:
-        lap = pred.pool_attention.data
+        lap = pred.pool_attention
         netpbm.write_pgm(out / "lap.pgm", lap / max(lap.max(), 1e-300))
         _write_grid_csv(out / "lap.csv", lap)
 

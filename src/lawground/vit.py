@@ -6,10 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import multihead_attention
+from .attention import block_params, transformer_block
 from .errors import ShapeError
-from .law import GeneratedLayerWeights
-from .tensor import Tensor, gelu, layer_norm, linear, reshape, transpose
+from .tensor import Tensor, layer_norm, linear, reshape, transpose
 
 
 def position_code(side, width):
@@ -63,32 +62,15 @@ class VisualBackbone:
         self.patch_w = store.gaussian("vit.patch.weight", (d_model, 3 * patch * patch))
         self.patch_b = store.zeros("vit.patch.bias", (d_model,))
         self.pos = store.tensor("vit.pos", position_code(self.side, d_model))
-        self.qkv_weights, self.qkv_biases, self.blocks = [], [], []
-        hidden = mlp_ratio * d_model
-        for i in range(blocks):
-            p = f"vit.block{i}."
-            self.qkv_weights.append(store.gaussian(p + "attn.qkv.weight",
-                                                   (3 * d_model, d_model)))
-            self.qkv_biases.append(store.zeros(p + "attn.qkv.bias", (3 * d_model,)))
-            self.blocks.append({
-                "ln1_g": store.ones(p + "ln1.gain", (d_model,)),
-                "ln1_b": store.zeros(p + "ln1.bias", (d_model,)),
-                "out_w": store.gaussian(p + "attn.out.weight", (d_model, d_model)),
-                "out_b": store.zeros(p + "attn.out.bias", (d_model,)),
-                "ln2_g": store.ones(p + "ln2.gain", (d_model,)),
-                "ln2_b": store.zeros(p + "ln2.bias", (d_model,)),
-                "mlp_w1": store.gaussian(p + "mlp.fc1.weight", (hidden, d_model)),
-                "mlp_b1": store.zeros(p + "mlp.fc1.bias", (hidden,)),
-                "mlp_w2": store.gaussian(p + "mlp.fc2.weight", (d_model, hidden)),
-                "mlp_b2": store.zeros(p + "mlp.fc2.bias", (d_model,)),
-            })
+        self.blocks = [block_params(store, f"vit.block{i}.", d_model,
+                                    mlp_ratio * d_model)
+                       for i in range(blocks)]
         self.final_g = store.ones("vit.final_ln.gain", (d_model,))
         self.final_b = store.zeros("vit.final_ln.bias", (d_model,))
 
     def static_weights(self):
-        """The backbone's own QKV projections wrapped in the external format."""
-        return [GeneratedLayerWeights(fused=w, bias=b)
-                for w, b in zip(self.qkv_weights, self.qkv_biases)]
+        """The backbone's own fused (3*d_model, d_model) QKV projections."""
+        return [blk["qkv_w"] for blk in self.blocks]
 
     def patch_embed(self, image):
         """(3, H, W) image -> (T, d_model) tokens with learned positions."""
@@ -104,16 +86,9 @@ class VisualBackbone:
         flat = reshape(patches, (self.n_tokens, 3 * s * s))
         return linear(flat, self.patch_w, self.patch_b) + self.pos
 
-    def attention_block(self, x, weights, layer):
-        """Pre-norm block: x + MHA(LN(x)) with the supplied QKV, then x + MLP(LN(x))."""
-        blk = self.blocks[layer]
-        h = layer_norm(x, blk["ln1_g"], blk["ln1_b"])
-        attn_out, probs = multihead_attention(
-            h, weights.fused, weights.bias, blk["out_w"], blk["out_b"], self.heads)
-        x = x + attn_out
-        h = layer_norm(x, blk["ln2_g"], blk["ln2_b"])
-        h = gelu(linear(h, blk["mlp_w1"], blk["mlp_b1"]))
-        return x + linear(h, blk["mlp_w2"], blk["mlp_b2"]), probs
+    def attention_block(self, x, qkv_w, layer):
+        """Block `layer` of the stack with the supplied fused QKV projection."""
+        return transformer_block(x, self.blocks[layer], qkv_w, self.heads)
 
     def forward(self, image, weights, collect_attention=False):
         """Run all blocks; returns VisualFeatures and (optionally) attention maps."""
@@ -126,7 +101,7 @@ class VisualBackbone:
         for i in range(self.n_blocks):
             x, probs = self.attention_block(x, weights[i], i)
             if collect_attention:
-                attn.append(probs.data)
+                attn.append(probs)
         x = layer_norm(x, self.final_g, self.final_b)
         grid = transpose(reshape(x, (self.side, self.side, self.d_model)), (2, 0, 1))
         feats = VisualFeatures(tokens=x, grid=grid, side=self.side)

@@ -158,8 +158,8 @@ def test_criterion_2_gradient_suite():
         layer_embeds=[ot((4,)), ot((4,))], reducers=[ot((2, 4)), ot((2, 4))],
         core_weights=[ot((4, 2)), ot((4, 2))], core_biases=[ot((4,)), ot((4,))],
         out_factor=ot((6, 2)), in_factor=ot((2, 2)),
-        static_fused=[ot((6, 2)), ot((6, 2))], static_bias=[ot((6,)), ot((6,))],
-        groups=2, rank_dw=2)
+        static_fused=[ot((6, 2)), ot((6, 2))], groups=2, rank_dw=2)
+    ot((6,)), ot((6,))  # the draws of the former static biases: inputs stay put
     feats = ot((3, 4), 1.0)
     check("layer_cores", lambda *_: sq(layer_cores(feats, law)[0]),
           [feats, *law.layer_embeds, *law.reducers, *law.core_weights,
@@ -254,14 +254,15 @@ def test_criterion_4_oracle_equivalence():
 
     def one_layer(rng, groups, embed, reducer, core_w, core_b, d_w, d_out,
                   d_in):
-        return DecompositionParams(
+        params = DecompositionParams(
             layer_embeds=[Tensor(embed)], reducers=[Tensor(reducer)],
             core_weights=[Tensor(core_w)], core_biases=[Tensor(core_b)],
             out_factor=Tensor(rng.normal(size=(d_out, d_w))),
             in_factor=Tensor(rng.normal(size=(d_in, d_w))),
             static_fused=[Tensor(rng.normal(size=(d_out, d_in)))],
-            static_bias=[Tensor(rng.normal(size=d_out))],
             groups=groups, rank_dw=d_w)
+        rng.normal(size=d_out)  # the former static bias's draw: inputs stay put
+        return params
 
     # token aggregation vs per-group plain-float loops; an identity reducer
     # and core map expose gelu(pooled) in the first d_l core entries
@@ -301,7 +302,7 @@ def test_criterion_4_oracle_equivalence():
                            rng.normal(size=d_w * d_w), d_w, d_out, d_in)
         token = rng.normal(size=d_l)
         weights, _ = generate_all(Tensor(token[None]), params)
-        got = weights[0].fused.data
+        got = weights[0].data
         reduced = [erf_gelu(sum(params.reducers[0].data[h, j] * token[j]
                                 for j in range(d_l)))
                    for h in range(d_h)]
@@ -338,7 +339,7 @@ def test_criterion_4_oracle_equivalence():
         blk = bb.blocks[0]
         h = np.stack([ln_oracle(r, blk["ln1_g"].data, blk["ln1_b"].data)
                       for r in x])
-        qkv = h @ w.fused.data.T + w.bias.data
+        qkv = h @ w.data.T + blk["qkv_b"].data
         q, k, v = qkv[:, :4], qkv[:, 4:8], qkv[:, 8:]
         scores = np.array([[np.dot(q[i], k[j]) / 2.0 for j in range(3)]
                            for i in range(3)])
@@ -369,7 +370,7 @@ def test_criterion_4_oracle_equivalence():
         logits = np.array([np.dot(wv @ tokens[t], wt @ cls) for t in range(4)])
         e = np.exp(logits - logits.max())
         a = e / e.sum()
-        close("lap-attn", attn.data.reshape(-1), a, ORACLE_TOL_CLOSED)
+        close("lap-attn", attn.reshape(-1), a, ORACLE_TOL_CLOSED)
         close("lap-pooled", pooled.data,
               sum(a[t] * tokens[t] for t in range(4)), ORACLE_TOL_CLOSED)
 

@@ -30,7 +30,7 @@ def test_lap_constant_features_pool_uniformly():
     const = np.tile(RNG.normal(size=8), (4, 1))
     visual = make_visual(tokens=const)
     pooled, attn = head.lap_pool(visual, Tensor(RNG.normal(size=8)))
-    np.testing.assert_allclose(attn.data, np.full((2, 2), 0.25), atol=1e-12)
+    np.testing.assert_allclose(attn, np.full((2, 2), 0.25), atol=1e-12)
     np.testing.assert_allclose(pooled.data, const[0], atol=1e-12)
 
 
@@ -47,7 +47,7 @@ def test_lap_saturated_similarity_picks_single_position():
     boosted[winner] *= 1e3 / max(abs(logits[winner]), 1e-9)
     visual = make_visual(tokens=boosted)
     pooled, attn = head.lap_pool(visual, cls)
-    assert attn.data.reshape(-1)[winner] > 1.0 - 1e-6
+    assert attn.reshape(-1)[winner] > 1.0 - 1e-6
     np.testing.assert_allclose(pooled.data, boosted[winner], atol=1e-6)
 
 
@@ -64,7 +64,7 @@ def test_lap_matches_explicit_four_position_oracle():
     e = np.exp(logits - logits.max())
     a = e / e.sum()
     want = sum(a[t] * visual.tokens.data[t] for t in range(4))
-    np.testing.assert_allclose(attn.data.reshape(-1), a, atol=1e-12)
+    np.testing.assert_allclose(attn.reshape(-1), a, atol=1e-12)
     np.testing.assert_allclose(pooled.data, want, atol=1e-12)
 
 
@@ -73,12 +73,12 @@ def test_lap_attention_normalized_and_shift_invariant():
     visual = make_visual()
     cls = Tensor(RNG.normal(size=8))
     _, attn = head.lap_pool(visual, cls)
-    assert abs(attn.data.sum() - 1.0) < 1e-9
+    assert abs(attn.sum() - 1.0) < 1e-9
     # adding a constant vector to every token's projected feature shifts all
     # logits equally; softmax is invariant to that
     shifted = make_visual(tokens=visual.tokens.data + 0.0)
     _, attn2 = head.lap_pool(shifted, cls)
-    np.testing.assert_allclose(attn.data, attn2.data, atol=0)
+    np.testing.assert_allclose(attn, attn2, atol=0)
 
 
 def test_average_pool_is_token_mean():

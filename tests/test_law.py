@@ -4,7 +4,6 @@ import numpy as np
 
 from lawground.law import (
     DecompositionParams,
-    GeneratedLayerWeights,
     build_law_params,
     fused_weight,
     generate_all,
@@ -97,9 +96,8 @@ def composed_generate_all(feats, params):
         # out_factor @ core @ in_factor^T
         delta = linear(linear(params.out_factor, transpose(core)),
                        params.in_factor)
-        weights.append(GeneratedLayerWeights(
-            fused=params.static_fused[i] + delta, bias=params.static_bias[i]))
-        alphas.append(alpha)
+        weights.append(params.static_fused[i] + delta)
+        alphas.append(alpha.data)
     return weights, alphas
 
 
@@ -213,7 +211,6 @@ def make_decomp(n_layers=2, d_l=8, d_h=4, d_w=2, d_in=4, d_model=4, zero_core=Tr
         out_factor=t((d_out, d_w)),
         in_factor=t((d_in, d_w)),
         static_fused=[t((d_out, d_in)) for _ in range(n_layers)],
-        static_bias=[t((d_out,)) for _ in range(n_layers)],
         groups=2, rank_dw=d_w)
 
 
@@ -224,8 +221,7 @@ def test_generate_weights_zero_core_is_exactly_static():
     assert not cores.data.any()
     weights, _ = generate_all(feats, params)
     for i, out in enumerate(weights):
-        assert np.array_equal(out.fused.data, params.static_fused[i].data)
-        assert out.bias is params.static_bias[i]
+        assert np.array_equal(out.data, params.static_fused[i].data)
 
 
 def test_generate_weights_zero_factor_annihilates():
@@ -259,7 +255,7 @@ def test_generate_all_zero_core_ignores_expression():
     w1, _ = generate_all(Tensor(RNG.normal(size=(3, 8))), params)
     w2, _ = generate_all(Tensor(RNG.normal(size=(5, 8))), params)
     for a, b in zip(w1, w2):
-        assert np.array_equal(a.fused.data, b.fused.data)
+        assert np.array_equal(a.data, b.data)
 
 
 def test_generate_all_deterministic():
@@ -268,7 +264,7 @@ def test_generate_all_deterministic():
     w1, _ = generate_all(feats, params)
     w2, _ = generate_all(feats, params)
     for a, b in zip(w1, w2):
-        assert np.array_equal(a.fused.data, b.fused.data)
+        assert np.array_equal(a.data, b.data)
 
 
 def test_generate_all_sensitive_to_any_token():
@@ -280,7 +276,7 @@ def test_generate_all_sensitive_to_any_token():
     bumped[2] += 1e-3
     moved, _ = generate_all(Tensor(bumped), params)
     for a, b in zip(base, moved):
-        assert np.abs(a.fused.data - b.fused.data).max() > 0.0
+        assert np.abs(a.data - b.data).max() > 0.0
 
 
 def test_generate_all_layers_are_independent():
@@ -289,8 +285,8 @@ def test_generate_all_layers_are_independent():
     base, _ = generate_all(feats, params)
     params.layer_embeds[1].data[...] += 0.37
     moved, _ = generate_all(feats, params)
-    assert np.array_equal(base[0].fused.data, moved[0].fused.data)
-    assert not np.array_equal(base[1].fused.data, moved[1].fused.data)
+    assert np.array_equal(base[0].data, moved[0].data)
+    assert not np.array_equal(base[1].data, moved[1].data)
 
 
 def test_generated_views_stack_back_to_fused():
@@ -339,7 +335,7 @@ def test_gradients_reach_every_generator_parameter():
         weights, _ = generate_all(feats, params)
         total = None
         for w in weights:
-            term = (w.fused * w.fused).sum()
+            term = (w * w).sum()
             total = term if total is None else total + term
         return total
 
@@ -353,7 +349,7 @@ def test_shared_factor_grad_is_sum_of_per_layer_clones():
     def readout(weight_list):
         total = None
         for w in weight_list:
-            term = (w.fused * w.fused).sum()
+            term = (w * w).sum()
             total = term if total is None else total + term
         return total
 
@@ -372,7 +368,7 @@ def test_shared_factor_grad_is_sum_of_per_layer_clones():
             layer_embeds=params.layer_embeds, reducers=params.reducers,
             core_weights=params.core_weights, core_biases=params.core_biases,
             out_factor=clone, in_factor=params.in_factor,
-            static_fused=params.static_fused, static_bias=params.static_bias,
+            static_fused=params.static_fused,
             groups=params.groups, rank_dw=params.rank_dw)
         with Tape() as tape:
             cores, _ = layer_cores(feats, params)
@@ -394,11 +390,11 @@ def run_generator(fn, feats, params, upstream):
         weights, alphas = fn(feats, params)
         loss = None
         for w, u in zip(weights, upstream):
-            term = (w.fused * Tensor(u)).sum()
+            term = (w * Tensor(u)).sum()
             loss = term if loss is None else loss + term
     tape.backward(loss)
-    return ([w.fused.data for w in weights],
-            [a.data for a in alphas], [leaf.grad.copy() for leaf in leaves])
+    return ([w.data for w in weights], list(alphas),
+            [leaf.grad.copy() for leaf in leaves])
 
 
 def test_generate_all_matches_composed_oracle():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lawground.attention import multihead_attention
+from lawground.attention import block_params, transformer_block
 from lawground.errors import NumericError, ShapeError, TapeError
 from lawground import serial
+from lawground.params import ParamStore
 from lawground.tensor import (
     Tape,
     Tensor,
@@ -109,7 +110,7 @@ def composed_attention(qkv, heads, key_bias=None):
         scores = scores + Tensor(key_bias[None, None, :])
     probs = softmax(scores, axis=-1)
     ctx = matmul(probs, v)
-    return reshape(transpose(ctx, (1, 0, 2)), (n_tok, d)), probs
+    return reshape(transpose(ctx, (1, 0, 2)), (n_tok, d)), probs.data
 
 
 def run_attention(fn, qkv, heads, upstream):
@@ -119,7 +120,7 @@ def run_attention(fn, qkv, heads, upstream):
         ctx, probs = fn(x, heads)
         loss = (ctx * Tensor(upstream)).sum()
     tape.backward(loss)
-    return ctx.data, probs.data, x.grad
+    return ctx.data, probs, x.grad
 
 
 @pytest.mark.parametrize("n_tok,heads,dh", [(7, 2, 16), (9, 4, 16), (6, 3, 3)])
@@ -136,14 +137,14 @@ def test_attention_matches_composed_primitives(n_tok, heads, dh):
             np.testing.assert_allclose(g, w, rtol=1e-15, atol=0)
 
 
-def test_multihead_attention_records_three_entries():
-    x, w, b = rand_tensor((5, 4)), rand_tensor((12, 4)), rand_tensor((12,))
-    ow, ob = rand_tensor((4, 4)), rand_tensor((4,))
+def test_transformer_block_records_ten_entries():
+    blk = block_params(ParamStore(0), "b.", 4, 16)
     with Tape() as tape:
-        out, probs = multihead_attention(x, w, b, ow, ob, 2)
-    assert len(tape._entries) == 3  # linear, attention, linear
-    assert out.shape == (5, 4) and probs.shape == (2, 5, 5)
-    assert probs._tape is None
+        out, probs = transformer_block(rand_tensor((5, 4)), blk, blk["qkv_w"], 2)
+    # ln, linear, attention, linear, add, ln, linear, gelu, linear, add
+    assert len(tape._entries) == 10
+    assert out.shape == (5, 4)
+    assert isinstance(probs, np.ndarray) and probs.shape == (2, 5, 5)
 
 
 def test_attention_nan_raises_and_records_nothing():

@@ -214,6 +214,33 @@ def test_checkpoint_restores_forward_outputs_bitwise(dataset, tmp_path):
     assert np.array_equal(box1, box2) and np.array_equal(mask1, mask2)
 
 
+def test_checkpoint_entry_order_does_not_matter(dataset, tmp_path):
+    # older checkpoints list each ViT block's attn.qkv.* ahead of its ln1.*
+    cfg = tiny_cfg(dataset, steps=2)
+    training.train(cfg, tmp_path / "run")
+    ckpt = tmp_path / "run" / "last.ckpt"
+    arrays = read_arrays(ckpt)
+    order = list(arrays)
+    for i in range(cfg.blocks):
+        p = f"param/vit.block{i}."
+        for suffix in ("attn.qkv.weight", "attn.qkv.bias"):
+            order.remove(p + suffix)
+            order.insert(order.index(p + "ln1.gain"), p + suffix)
+    assert order != list(arrays)
+    old_order = tmp_path / "old_order.ckpt"
+    write_arrays(old_order, {name: arrays[name] for name in order})
+
+    model, _, _, _ = training.load_checkpoint(ckpt, dataset)
+    permuted, _, _, _ = training.load_checkpoint(old_order, dataset)
+    assert permuted.store.names() == model.store.names()
+    for name, p in model.store.items():
+        assert np.array_equal(permuted.store[name].data, p.data)
+    sample = load_dataset(dataset, "val")[0]
+    box1, mask1 = training.predict_sample(model, sample, cfg.threshold)
+    box2, mask2 = training.predict_sample(permuted, sample, cfg.threshold)
+    assert np.array_equal(box1, box2) and np.array_equal(mask1, mask2)
+
+
 def test_checkpoint_shape_mismatch_rejected(dataset, tmp_path):
     cfg = tiny_cfg(dataset, steps=1)
     training.train(cfg, tmp_path / "run")
@@ -433,7 +460,7 @@ def test_word_affinity_matches_manual_trace(dataset, tmp_path):
 
     _, alphas = generate_all(model.text.encode(tokens), model.law)
     # manual trace for the duplicated word "red" (positions 1 and 6)
-    per_layer = np.array([a.data.mean(axis=0)[[1, 6]].mean() for a in alphas])
+    per_layer = np.array([a.mean(axis=0)[[1, 6]].mean() for a in alphas])
     want = np.exp(per_layer - per_layer.max())
     want /= want.sum()
     np.testing.assert_allclose(table["red"], want, atol=1e-12)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lawground.errors import ShapeError
-from lawground.law import GeneratedLayerWeights
 from lawground.params import ParamStore
 from lawground.tensor import Tape, Tensor, grad_check
 from lawground.vit import VisualBackbone, attention_rollout
@@ -49,7 +48,7 @@ def test_block_single_token_reduces_to_residual_stack():
     bb, _ = build(image_size=8, patch=8, d_model=8, blocks=1, heads=2)
     x = Tensor(RNG.normal(size=(1, 8)))
     out, probs = bb.attention_block(x, bb.static_weights()[0], 0)
-    np.testing.assert_allclose(probs.data, np.ones((2, 1, 1)), atol=0)
+    np.testing.assert_allclose(probs, np.ones((2, 1, 1)), atol=0)
     assert out.shape == (1, 8)
 
 
@@ -68,7 +67,7 @@ def test_block_matches_brute_force_attention():
         return (v - mu) / np.sqrt(var + 1e-5) * g + b
 
     h = np.stack([ln(row, blk["ln1_g"].data, blk["ln1_b"].data) for row in x])
-    qkv = h @ w.fused.data.T + w.bias.data
+    qkv = h @ w.data.T + blk["qkv_b"].data
     q, k, v = qkv[:, :4], qkv[:, 4:8], qkv[:, 8:]
     scores = np.zeros((3, 3))
     for i in range(3):
@@ -76,7 +75,7 @@ def test_block_matches_brute_force_attention():
             scores[i, j] = np.dot(q[i], k[j]) / 2.0  # sqrt(d_head)=2
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     att = e / e.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(probs.data[0], att, atol=1e-12)
+    np.testing.assert_allclose(probs[0], att, atol=1e-12)
     ctx = att @ v
     mid = x + ctx @ blk["out_w"].data.T + blk["out_b"].data
     h2 = np.stack([ln(row, blk["ln2_g"].data, blk["ln2_b"].data) for row in mid])
@@ -90,9 +89,7 @@ def test_block_matches_brute_force_attention():
 def test_block_static_reference_identical_when_delta_zero():
     bb, _ = build(image_size=16, patch=8, d_model=8, blocks=1, heads=2)
     static = bb.static_weights()[0]
-    zero_delta = GeneratedLayerWeights(
-        fused=static.fused + Tensor(np.zeros(static.fused.shape)),
-        bias=static.bias)
+    zero_delta = static + Tensor(np.zeros(static.shape))
     x = Tensor(RNG.normal(size=(4, 8)))
     a, _ = bb.attention_block(x, static, 0)
     b, _ = bb.attention_block(x, zero_delta, 0)
