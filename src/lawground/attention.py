@@ -22,16 +22,18 @@ def block_params(store, prefix, width, hidden):
     }
 
 
-def transformer_block(x, blk, qkv_w, heads):
+def transformer_block(x, blk, qkv_w, heads, lengths=None):
     """x + MHA(LN(x)), then x + MLP(LN(x)), over tokens x (T, d).
 
     qkv_w stacks the query/key/value projections as a (3d, d) matrix applied
     as LN(x) @ qkv_w^T + blk["qkv_b"]; the text encoder passes its own, the
-    ViT the static or generated one. Returns the block output (T, d) and the
-    per-head attention probabilities (H, T, T) as an array.
+    ViT the static or generated one. `lengths` splits the rows into packed
+    sequences that attend only within themselves (default: one sequence).
+    Returns the block output (T, d) and one (H, L, L) array of attention
+    probabilities per sequence.
     """
     h = layer_norm(x, blk["ln1_g"], blk["ln1_b"])
-    ctx, probs = attention(linear(h, qkv_w, blk["qkv_b"]), heads)
+    ctx, probs = attention(linear(h, qkv_w, blk["qkv_b"]), heads, lengths)
     x = x + linear(ctx, blk["out_w"], blk["out_b"])
     h = layer_norm(x, blk["ln2_g"], blk["ln2_b"])
     h = gelu(linear(h, blk["mlp_w1"], blk["mlp_b1"]))

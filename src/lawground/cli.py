@@ -44,22 +44,24 @@ def cmd_train(args):
     return 0
 
 
+def _fmt4(value):
+    """A metric to 4 places, or n/a for an empty subset."""
+    return "n/a" if value is None else f"{value:.4f}"
+
+
 def cmd_eval(args):
     data_path = None
     if args.config:
         data_path = load_config(args.config).data_path or None
     report = training.evaluate_checkpoint(args.ckpt, data_path, args.split,
                                           out_dir=args.out)
-    miou = "n/a" if report["miou"] is None else f"{report['miou']:.4f}"
-    rel = report["relational"]
-    print(f"{args.split}: n={report['count']} prec@0.5={report['prec_at_05']:.4f} "
-          f"miou={miou}")
-    rel_miou = "n/a" if rel["miou"] is None else f"{rel['miou']:.4f}"
-    print(f"{args.split}/relational: n={rel['count']} "
-          f"prec@0.5={rel['prec_at_05']:.4f} miou={rel_miou}")
+    for name, rep in ((args.split, report),
+                      (f"{args.split}/relational", report["relational"])):
+        print(f"{name}: n={rep['count']} prec@0.5={_fmt4(rep['prec_at_05'])} "
+              f"miou={_fmt4(rep['miou'])}")
     for bucket in report["buckets"]:
-        prec = "n/a" if bucket["prec_at_05"] is None else f"{bucket['prec_at_05']:.4f}"
-        print(f"  words {bucket['bucket']}: n={bucket['count']} prec@0.5={prec}")
+        print(f"  words {bucket['bucket']}: n={bucket['count']} "
+              f"prec@0.5={_fmt4(bucket['prec_at_05'])}")
     return 0
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .tensor import Tensor, _record, _softmax_, as_tensor, gelu_cdf, gelu_slope
+from .tensor import (Tensor, _record, _softmax_, as_tensor, gelu_cdf,
+                     gelu_slope, segment_bounds)
 
 
 @dataclass
@@ -67,64 +68,80 @@ def build_law_params(store, backbone, d_l, groups, reduction, rank_dw):
         groups=groups, rank_dw=rank_dw)
 
 
-def layer_cores(feats, params):
-    """Every layer's core matrix from the (L, d_l) token features, as one op.
+def layer_cores(feats, params, lengths=None):
+    """Every layer's core matrix for a batch of packed expressions, as one op.
 
-    Per layer n: a group-wise softmax over tokens of embed_n . feats (G
-    groups of d_l/G channels), the attention-weighted sum of the tokens, the
-    bias-free reducer with GeLU, and the core affine map reshaped row-major.
-    Returns the (N, d_w, d_w) cores, taped with feats and every embedding,
-    reducer and core map as parents, and the (N, G, L) token attention as an
-    array.
+    feats holds the (sum of lengths, d_l) token features of the expressions
+    stacked in order; `lengths` gives each expression's token count
+    (default: one expression of all rows). Per expression and layer n: a
+    group-wise softmax over the expression's tokens of embed_n . feats (G
+    groups of d_l/G channels) and the attention-weighted sum of its tokens;
+    then, vectorised over expressions and layers, the bias-free reducer with
+    GeLU and the core affine map reshaped row-major. Returns the
+    (B, N, d_w, d_w) cores, taped with feats and every embedding, reducer
+    and core map as parents, and one (N, G, L) token attention array per
+    expression.
     """
     feats = as_tensor(feats)
     n_tok, d_l = feats.shape
     groups, n_layers, d_w = params.groups, params.n_layers, params.rank_dw
     if d_l % groups:
         raise ShapeError(f"groups {groups} must divide feature width {d_l}")
-    gsize = d_l // groups
+    spans = segment_bounds((n_tok,) if lengths is None else lengths, n_tok)
+    n_seq, gsize = len(spans), d_l // groups
     embeds = np.stack([e.data for e in params.layer_embeds])
     reducers = np.stack([r.data for r in params.reducers])
     core_ws = np.stack([w.data for w in params.core_weights])
     core_bs = np.stack([b.data for b in params.core_biases])
     grouped = feats.data.reshape(n_tok, groups, gsize)
     emb = embeds.reshape(n_layers, groups, gsize)
-    alpha = _softmax_(np.einsum("lgk,ngk->ngl", grouped, emb))     # (N,G,L)
-    pooled = np.einsum("ngl,lgk->ngk", alpha, grouped).reshape(n_layers, d_l)
-    pre = np.einsum("nhd,nd->nh", reducers, pooled)
+    alphas = []
+    pooled = np.empty((n_seq, n_layers, d_l))
+    for b, (lo, hi) in enumerate(spans):
+        seg = grouped[lo:hi]
+        alpha = _softmax_(np.einsum("lgk,ngk->ngl", seg, emb))     # (N,G,L)
+        pooled[b] = np.einsum("ngl,lgk->ngk", alpha, seg).reshape(n_layers,
+                                                                  d_l)
+        alphas.append(alpha)
+    pre = np.einsum("nhd,bnd->bnh", reducers, pooled)
     cdf = gelu_cdf(pre)
     reduced = pre * cdf
-    cores = np.einsum("nch,nh->nc", core_ws, reduced) + core_bs
-    out = Tensor(cores.reshape(n_layers, d_w, d_w))
+    cores = np.einsum("nch,bnh->bnc", core_ws, reduced) + core_bs
+    out = Tensor(cores.reshape(n_seq, n_layers, d_w, d_w))
 
     def backfn(g):
-        g_flat = g.reshape(n_layers, d_w * d_w)
-        g_cw = g_flat[:, :, None] * reduced[:, None, :]
-        g_pre = np.einsum("nch,nc->nh", core_ws, g_flat) * gelu_slope(pre, cdf)
-        g_red = g_pre[:, :, None] * pooled[:, None, :]
-        g_pool = np.einsum("nhd,nh->nd", reducers, g_pre).reshape(
-            n_layers, groups, gsize)
-        g_alpha = np.einsum("ngk,lgk->ngl", g_pool, grouped)
-        g_logit = alpha * (g_alpha - np.sum(g_alpha * alpha, axis=-1,
-                                            keepdims=True))
+        g_flat = g.reshape(n_seq, n_layers, d_w * d_w)
+        g_cw = np.einsum("bnc,bnh->nch", g_flat, reduced)
+        g_pre = (np.einsum("nch,bnc->bnh", core_ws, g_flat)
+                 * gelu_slope(pre, cdf))
+        g_red = np.einsum("bnh,bnd->nhd", g_pre, pooled)
+        g_pool = np.einsum("nhd,bnh->bnd", reducers, g_pre).reshape(
+            n_seq, n_layers, groups, gsize)
+        g_logit = np.empty((n_layers, groups, n_tok))
+        g_feats = np.empty((n_tok, groups, gsize))
+        for b, (lo, hi) in enumerate(spans):
+            seg, alpha = grouped[lo:hi], alphas[b]
+            g_alpha = np.einsum("ngk,lgk->ngl", g_pool[b], seg)
+            g_logit[:, :, lo:hi] = alpha * (
+                g_alpha - np.sum(g_alpha * alpha, axis=-1, keepdims=True))
+            g_feats[lo:hi] = np.einsum("ngl,ngk->lgk", alpha, g_pool[b])
         g_emb = np.einsum("ngl,lgk->ngk", g_logit, grouped)
-        g_feats = (np.einsum("ngl,ngk->lgk", alpha, g_pool)
-                   + np.einsum("ngl,ngk->lgk", g_logit, emb))
+        g_feats += np.einsum("ngl,ngk->lgk", g_logit, emb)
         return (g_feats.reshape(n_tok, d_l), *g_emb.reshape(n_layers, d_l),
-                *g_red, *g_cw, *g_flat)
+                *g_red, *g_cw, *g_flat.sum(axis=0))
 
     parents = (feats, *params.layer_embeds, *params.reducers,
                *params.core_weights, *params.core_biases)
-    return _record(out, parents, backfn), alpha
+    return _record(out, parents, backfn), alphas
 
 
-def fused_weight(params, cores, layer):
-    """One layer's fused projection static + out_factor @ core @ in_factor^T,
-    as one op with the static weights, both factors and the (N, d_w, d_w)
-    cores as parents."""
+def fused_weight(params, cores, sample, layer):
+    """One expression's fused projection for one layer, static + out_factor
+    @ core @ in_factor^T, as one op with the static weights, both factors
+    and the (B, N, d_w, d_w) cores as parents."""
     static, out_f, in_f = (params.static_fused[layer], params.out_factor,
                            params.in_factor)
-    core = cores.data[layer]
+    core = cores.data[sample, layer]
     left = out_f.data @ core
     delta = left @ in_f.data.T
     if delta.shape != static.shape:
@@ -136,15 +153,18 @@ def fused_weight(params, cores, layer):
     def backfn(g):
         g_left = g @ in_f.data
         g_cores = np.zeros(cores.shape)
-        g_cores[layer] = out_f.data.T @ g_left
+        g_cores[sample, layer] = out_f.data.T @ g_left
         return (g, g_left @ core.T, g_cores, g.T @ left)
 
     return _record(out, (static, out_f, cores, in_f), backfn)
 
 
-def generate_all(feats, params):
-    """Every visual layer's fused (d_out, d_in) projection, regenerated per
-    expression, plus the (N, G, L) token attention as an array; records
-    1 + n_layers tape entries."""
-    cores, alpha = layer_cores(feats, params)
-    return [fused_weight(params, cores, i) for i in range(params.n_layers)], alpha
+def generate_all(feats, params, lengths=None):
+    """Every visual layer's fused (d_out, d_in) projection for each packed
+    expression (see layer_cores): a list per expression of per-layer
+    weights, plus the per-expression (N, G, L) token attention arrays.
+    Records 1 + B * n_layers tape entries."""
+    cores, alphas = layer_cores(feats, params, lengths)
+    weights = [[fused_weight(params, cores, b, i)
+                for i in range(params.n_layers)] for b in range(len(alphas))]
+    return weights, alphas

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ShapeError
 from .head import MultitaskHead
 from .law import build_law_params, generate_all
 from .params import ParamStore
@@ -60,26 +61,46 @@ class GroundingModel:
         return Tensor(arr)
 
     def forward(self, image, tokens, collect_attention=False):
-        """Full forward pass for one (image, expression) pair; without a
-        weight generator the backbone runs on its own static projections."""
-        feats = self.text.encode(tokens)
-        alphas = None
+        """Full forward pass for one (image, expression) pair: the B=1 case
+        of forward_batch."""
+        return self.forward_batch([image], [tokens], collect_attention)[0]
+
+    def forward_batch(self, images, token_seqs, collect_attention=False):
+        """One Prediction per (image, expression) pair.
+
+        The expression half runs once for the batch: the text encoder over
+        the packed token sequences, then every expression's generator cores.
+        The fused weights, the backbone and the head run per pair; without a
+        weight generator the backbone runs on its own static projections.
+        """
+        if len(images) != len(token_seqs):
+            raise ShapeError(f"{len(images)} images for {len(token_seqs)} "
+                             f"token sequences")
+        lengths = [len(t) for t in token_seqs]
+        feats = self.text.encode(token_seqs)
         if self.law is not None:
-            weights, alphas = generate_all(feats, self.law)
+            weights, alphas = generate_all(feats, self.law, lengths)
         else:
-            weights = self.backbone.static_weights()
-        visual, attn = self.backbone.forward(image, weights,
-                                             collect_attention=collect_attention)
-        cls_feat = feats[0]
-        pool_map = None
-        if self.head.lap_enabled:
-            pooled, pool_map = self.head.lap_pool(visual, cls_feat)
-        else:
-            pooled = self.head.average_pool(visual)
-        box = self.head.predict_box(pooled)
-        mask = self.head.predict_mask(visual, cls_feat) if self.head.mask_enabled else None
-        return Prediction(box=box, mask=mask, visual=visual, alphas=alphas,
-                          attention=attn or [], pool_attention=pool_map)
+            weights = [self.backbone.static_weights()] * len(lengths)
+            alphas = [None] * len(lengths)
+        preds, start = [], 0
+        for image, w, alpha, n in zip(images, weights, alphas, lengths):
+            visual, attn = self.backbone.forward(
+                image, w, collect_attention=collect_attention)
+            cls_feat = feats[start]
+            start += n
+            pool_map = None
+            if self.head.lap_enabled:
+                pooled, pool_map = self.head.lap_pool(visual, cls_feat)
+            else:
+                pooled = self.head.average_pool(visual)
+            box = self.head.predict_box(pooled)
+            mask = (self.head.predict_mask(visual, cls_feat)
+                    if self.head.mask_enabled else None)
+            preds.append(Prediction(box=box, mask=mask, visual=visual,
+                                    alphas=alpha, attention=attn or [],
+                                    pool_attention=pool_map))
+        return preds
 
     def parameter_groups(self):
         """(backbone, rest) parameter lists for the two step sizes."""

@@ -277,14 +277,33 @@ def softmax(x, axis=-1):
     return _record(out, (x,), backfn)
 
 
-def attention(qkv, heads):
+def segment_bounds(lengths, n_rows):
+    """(start, stop) row bounds of consecutive segments of the given lengths,
+    which must be positive and cover exactly n_rows rows."""
+    bounds, start = [], 0
+    for n in lengths:
+        if n < 1:
+            break
+        bounds.append((start, start + n))
+        start += n
+    if len(bounds) != len(lengths) or not bounds or start != n_rows:
+        raise ShapeError(
+            f"segment lengths {list(lengths)} do not split {n_rows} rows into "
+            f"non-empty segments")
+    return bounds
+
+
+def attention(qkv, heads, lengths=None):
     """Scaled dot-product attention of fused (T, 3d) query/key/value rows.
 
     Heads split each d-wide block into `heads` slices of dh = d / heads.
-    Returns the head-merged context (T, d), taped with qkv as its one
-    parent, and the probabilities (H, T, T) as an array. The
-    (H, T, T) scores are built once and softmaxed in place; backward writes
-    the three gradient blocks into one (T, 3d) buffer.
+    `lengths` splits the rows into consecutive segments (default: one
+    segment of all T rows); a row attends only to the rows of its own
+    segment, so packed sequences never see each other. Returns the
+    head-merged context (T, d), taped with qkv as its one parent, and one
+    (H, L, L) probability array per segment. Each segment's scores are
+    built once and softmaxed in place; backward writes the three gradient
+    blocks into one (T, 3d) buffer.
     """
     qkv = as_tensor(qkv)
     if qkv.ndim != 2 or qkv.shape[1] % 3:
@@ -292,32 +311,41 @@ def attention(qkv, heads):
     n_tok, d = qkv.shape[0], qkv.shape[1] // 3
     if d % heads:
         raise ShapeError(f"head count {heads} does not divide width {d}")
+    spans = segment_bounds((n_tok,) if lengths is None else lengths, n_tok)
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
     q, k, v = qkv.data.reshape(n_tok, 3, heads, dh).transpose(1, 2, 0, 3)
-    p = q @ np.swapaxes(k, -1, -2)
-    p *= scale
-    _softmax_(p)
-    ctx = p @ v  # (H, T, dh)
+    kt = k.swapaxes(1, 2)
+    ctx = np.empty((heads, n_tok, dh))
+    probs = []
+    for lo, hi in spans:
+        p = q[:, lo:hi] @ kt[:, :, lo:hi]
+        p *= scale
+        _softmax_(p)
+        ctx[:, lo:hi] = p @ v[:, lo:hi]
+        probs.append(p)
     out = Tensor(ctx.transpose(1, 0, 2).reshape(n_tok, d))
 
-    def backfn(g, p=p, q=q, k=k, v=v):
+    def backfn(g, q=q, k=k, v=v):
         gctx = g.reshape(n_tok, heads, dh).transpose(1, 0, 2)
         gqkv = np.empty((n_tok, 3 * d))
         gq, gk, gv = gqkv.reshape(n_tok, 3, heads, dh).transpose(1, 2, 0, 3)
-        gv[...] = np.swapaxes(p, -1, -2) @ gctx
-        gs = gctx @ np.swapaxes(v, -1, -2)  # w.r.t. p, then (in place) scores
-        dot = np.sum(gs * p, axis=-1, keepdims=True)
-        gs -= dot
-        gs *= p
-        gs *= scale
-        gq[...] = gs @ k
-        # k's gradient as (q^T gs)^T, the product the unfused ops took; BLAS
-        # may round gs^T q differently
-        gk[...] = np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2)
+        qt, vt = q.swapaxes(1, 2), v.swapaxes(1, 2)
+        for (lo, hi), p in zip(spans, probs):
+            gc = gctx[:, lo:hi]
+            gv[:, lo:hi] = p.swapaxes(1, 2) @ gc
+            gs = gc @ vt[:, :, lo:hi]  # w.r.t. p, then (in place) scores
+            dot = np.sum(gs * p, axis=-1, keepdims=True)
+            gs -= dot
+            gs *= p
+            gs *= scale
+            gq[:, lo:hi] = gs @ k[:, lo:hi]
+            # k's gradient as (q^T gs)^T, the product the unfused ops took;
+            # BLAS may round gs^T q differently
+            gk[:, lo:hi] = (qt[:, :, lo:hi] @ gs).swapaxes(1, 2)
         return (gqkv,)
 
-    return _record(out, (qkv,), backfn), p
+    return _record(out, (qkv,), backfn), probs
 
 
 # ---------------------------------------------------------------------------

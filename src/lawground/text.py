@@ -3,6 +3,7 @@
 Tokenization is lowercase whitespace splitting against a fixed vocabulary.
 A token sequence is [CLS] followed by the expression's words, truncated to
 max_len ids and never padded, so the encoder attends over real tokens only.
+A batch's sequences are encoded together, packed into one row block.
 """
 
 import numpy as np
@@ -72,15 +73,24 @@ class TextEncoder:
         self.final_g = store.ones("text.final_ln.gain", (width,))
         self.final_b = store.zeros("text.final_ln.bias", (width,))
 
-    def encode(self, ids):
-        """Features (len(ids), width) of a token sequence; row 0 is [CLS],
-        the summary of the whole expression."""
-        if len(ids) > self.max_len:
-            raise DataError(f"{len(ids)} tokens exceed max_len {self.max_len}")
+    def encode(self, id_seqs):
+        """Features of a batch of token sequences, packed: one (sum of
+        lengths, width) row block with sequence b's rows right after
+        sequence b-1's, no padding and no mask. Attention stays inside each
+        sequence, so a sequence's rows depend on its own tokens only; its
+        first row is [CLS], the summary of the whole expression."""
+        lengths = [len(ids) for ids in id_seqs]
+        if not lengths or min(lengths) < 1:
+            raise DataError("encode needs one or more non-empty token sequences")
+        if max(lengths) > self.max_len:
+            raise DataError(
+                f"{max(lengths)} tokens exceed max_len {self.max_len}")
+        ids = np.concatenate(id_seqs)
         if ids.min() < 0 or ids.max() >= self.vocab_size:
             raise DataError(
                 f"token id out of range for vocabulary of {self.vocab_size}")
-        x = take_rows(self.embed, ids) + self.pos[:len(ids), :]
+        positions = np.concatenate([np.arange(n) for n in lengths])
+        x = take_rows(self.embed, ids) + take_rows(self.pos, positions)
         for blk in self.blocks:
-            x, _ = transformer_block(x, blk, blk["qkv_w"], self.heads)
+            x, _ = transformer_block(x, blk, blk["qkv_w"], self.heads, lengths)
         return layer_norm(x, self.final_g, self.final_b)

@@ -203,6 +203,9 @@ def train(cfg, out_dir):
     val_samples = load_dataset(cfg.data_path, "val")
     if not train_samples:
         raise ConfigError(f"no training samples under {cfg.data_path}")
+    if not val_samples:
+        raise ConfigError(f"no validation samples under {cfg.data_path}; "
+                          f"training evaluates on the val split")
     res = train_samples[0].image().shape[0]
     if res != cfg.image_size:
         raise ConfigError(
@@ -251,22 +254,24 @@ def train(cfg, out_dir):
             batches_fh.write(f"{step},{digest}\n")
             batches_fh.flush()
 
+            images, targets, token_seqs = [], [], []
+            for idx, flip in zip(indices, flips):
+                sample = train_samples[idx]
+                image, mask, box, expr = (sample.image(), sample.mask(),
+                                          sample.box, sample.expression)
+                if flip:
+                    image, mask, box, expr = flip_sample(image, mask, box, expr)
+                images.append(model.image_tensor(image))
+                targets.append((box, mask.astype(np.float64)))
+                token_seqs.append(model.tokenize(expr))
             agg_parts = {}
             with Tape() as tape:
+                preds = model.forward_batch(images, token_seqs)
                 batch_loss = None
-                for idx, flip in zip(indices, flips):
-                    sample = train_samples[idx]
-                    image, mask, box, expr = (sample.image(), sample.mask(),
-                                              sample.box, sample.expression)
-                    if flip:
-                        image, mask, box, expr = flip_sample(image, mask, box,
-                                                             expr)
-                    tokens = model.tokenize(expr)
-                    pred = model.forward(model.image_tensor(image), tokens)
+                for pred, (box, mask) in zip(preds, targets):
                     probs = pred.mask.probs if pred.mask is not None else None
-                    loss, parts = total_loss(box, pred.box,
-                                             mask.astype(np.float64),
-                                             probs, weights, cfg.mode)
+                    loss, parts = total_loss(box, pred.box, mask, probs,
+                                             weights, cfg.mode)
                     batch_loss = loss if batch_loss is None else batch_loss + loss
                     for key, value in parts.items():
                         agg_parts[key] = agg_parts.get(key, 0.0) + value

@@ -87,8 +87,10 @@ class VisualBackbone:
         return linear(flat, self.patch_w, self.patch_b) + self.pos
 
     def attention_block(self, x, qkv_w, layer):
-        """Block `layer` of the stack with the supplied fused QKV projection."""
-        return transformer_block(x, self.blocks[layer], qkv_w, self.heads)
+        """Block `layer` of the stack with the supplied fused QKV projection;
+        returns its output and the (H, T, T) attention probabilities."""
+        x, probs = transformer_block(x, self.blocks[layer], qkv_w, self.heads)
+        return x, probs[0]
 
     def forward(self, image, weights, collect_attention=False):
         """Run all blocks; returns VisualFeatures and (optionally) attention maps."""

@@ -13,7 +13,12 @@ from lawground.params import ParamStore
 from lawground.tensor import (
     Tape,
     Tensor,
+    _record,
+    _softmax_,
+    as_tensor,
     gelu,
+    gelu_cdf,
+    gelu_slope,
     grad_check,
     linear,
     matvec,
@@ -111,20 +116,20 @@ def test_aggregate_singleton_mask():
     # a one-token sequence: all attention on it, pooled feature is that token
     params = one_layer()
     feats = RNG.normal(size=(1, 8))
-    cores, alpha = layer_cores(Tensor(feats), params)
-    np.testing.assert_allclose(alpha, [[[1.0], [1.0]]], atol=0)
+    cores, alphas = layer_cores(Tensor(feats), params)
+    np.testing.assert_allclose(alphas[0], [[[1.0], [1.0]]], atol=0)
     want, _ = brute_cores(feats, params)
-    np.testing.assert_allclose(cores.data, want, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(cores.data[0], want, rtol=1e-13, atol=1e-15)
 
 
 def test_aggregate_zero_embedding_is_mean():
     params = one_layer(groups=4)
     params.layer_embeds[0].data[...] = 0.0
     feats = RNG.normal(size=(3, 8))
-    cores, alpha = layer_cores(Tensor(feats), params)
-    np.testing.assert_allclose(alpha, np.full((1, 4, 3), 1 / 3), atol=1e-15)
+    cores, alphas = layer_cores(Tensor(feats), params)
+    np.testing.assert_allclose(alphas[0], np.full((1, 4, 3), 1 / 3), atol=1e-15)
     want, _ = brute_cores(feats, params)
-    np.testing.assert_allclose(cores.data, want, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(cores.data[0], want, rtol=1e-13, atol=1e-15)
 
 
 def test_aggregate_matches_brute_force():
@@ -133,22 +138,22 @@ def test_aggregate_matches_brute_force():
                              seed=int(n_tok))
         params.groups = 3
         feats = RNG.normal(size=(int(n_tok), 12))
-        cores, alpha = layer_cores(Tensor(feats), params)
+        cores, alphas = layer_cores(Tensor(feats), params)
         want_cores, want_alpha = brute_cores(feats, params)
-        np.testing.assert_allclose(alpha, want_alpha, atol=1e-12)
-        np.testing.assert_allclose(cores.data, want_cores, atol=1e-12)
+        np.testing.assert_allclose(alphas[0], want_alpha, atol=1e-12)
+        np.testing.assert_allclose(cores.data[0], want_cores, atol=1e-12)
 
 
 def test_aggregate_alpha_normalization_and_exact_zeros():
     params = one_layer()
     feats = RNG.normal(size=(6, 8), scale=3.0)
     embed = params.layer_embeds[0].data
-    _, alpha = layer_cores(Tensor(feats), params)
+    _, (alpha,) = layer_cores(Tensor(feats), params)
     np.testing.assert_allclose(alpha[0].sum(axis=1), [1.0, 1.0], atol=1e-9)
     # a token whose logits trail the best by far more than exp's range
     # (-745) gets exactly zero attention in every group
     feats[4] = -1e3 * np.sign(embed)
-    _, alpha = layer_cores(Tensor(feats), params)
+    _, (alpha,) = layer_cores(Tensor(feats), params)
     assert (alpha[0][:, 4] == 0.0).all() and (alpha[0][:, :4] > 0.0).all()
     np.testing.assert_allclose(alpha[0].sum(axis=1), [1.0, 1.0], atol=1e-9)
 
@@ -219,7 +224,7 @@ def test_generate_weights_zero_core_is_exactly_static():
     feats = Tensor(RNG.normal(size=(3, 8)))
     cores, _ = layer_cores(feats, params)
     assert not cores.data.any()
-    weights, _ = generate_all(feats, params)
+    (weights,), _ = generate_all(feats, params)
     for i, out in enumerate(weights):
         assert np.array_equal(out.data, params.static_fused[i].data)
 
@@ -227,7 +232,7 @@ def test_generate_weights_zero_core_is_exactly_static():
 def test_generate_weights_zero_factor_annihilates():
     params = make_decomp(zero_core=False)
     params.out_factor.data[...] = 0.0
-    out = fused_weight(params, Tensor(RNG.normal(size=(2, 2, 2))), 1)
+    out = fused_weight(params, Tensor(RNG.normal(size=(1, 2, 2, 2))), 0, 1)
     assert np.array_equal(out.data, params.static_fused[1].data)
 
 
@@ -236,7 +241,7 @@ def test_generate_weights_matches_triple_product_oracle():
     params = make_decomp(n_layers=1, d_l=4, d_h=2, d_w=2, d_in=2, d_model=2,
                          zero_core=False, seed=11)
     core = RNG.normal(size=(2, 2))
-    got = fused_weight(params, Tensor(core[None]), 0).data
+    got = fused_weight(params, Tensor(core[None, None]), 0, 0).data
 
     want = params.static_fused[0].data.copy()
     p, q = params.out_factor.data, params.in_factor.data
@@ -252,8 +257,8 @@ def test_generate_weights_matches_triple_product_oracle():
 
 def test_generate_all_zero_core_ignores_expression():
     params = make_decomp(zero_core=True)
-    w1, _ = generate_all(Tensor(RNG.normal(size=(3, 8))), params)
-    w2, _ = generate_all(Tensor(RNG.normal(size=(5, 8))), params)
+    (w1,), _ = generate_all(Tensor(RNG.normal(size=(3, 8))), params)
+    (w2,), _ = generate_all(Tensor(RNG.normal(size=(5, 8))), params)
     for a, b in zip(w1, w2):
         assert np.array_equal(a.data, b.data)
 
@@ -261,8 +266,8 @@ def test_generate_all_zero_core_ignores_expression():
 def test_generate_all_deterministic():
     params = make_decomp(zero_core=False)
     feats = Tensor(RNG.normal(size=(2, 8)))
-    w1, _ = generate_all(feats, params)
-    w2, _ = generate_all(feats, params)
+    (w1,), _ = generate_all(feats, params)
+    (w2,), _ = generate_all(feats, params)
     for a, b in zip(w1, w2):
         assert np.array_equal(a.data, b.data)
 
@@ -271,10 +276,10 @@ def test_generate_all_sensitive_to_any_token():
     # forward differencing: nudging one token moves every layer
     params = make_decomp(zero_core=False)
     feats = RNG.normal(size=(3, 8))
-    base, _ = generate_all(Tensor(feats), params)
+    (base,), _ = generate_all(Tensor(feats), params)
     bumped = feats.copy()
     bumped[2] += 1e-3
-    moved, _ = generate_all(Tensor(bumped), params)
+    (moved,), _ = generate_all(Tensor(bumped), params)
     for a, b in zip(base, moved):
         assert np.abs(a.data - b.data).max() > 0.0
 
@@ -282,16 +287,16 @@ def test_generate_all_sensitive_to_any_token():
 def test_generate_all_layers_are_independent():
     params = make_decomp(zero_core=False)
     feats = Tensor(RNG.normal(size=(3, 8)))
-    base, _ = generate_all(feats, params)
+    (base,), _ = generate_all(feats, params)
     params.layer_embeds[1].data[...] += 0.37
-    moved, _ = generate_all(feats, params)
+    (moved,), _ = generate_all(feats, params)
     assert np.array_equal(base[0].data, moved[0].data)
     assert not np.array_equal(base[1].data, moved[1].data)
 
 
 def test_generated_views_stack_back_to_fused():
     params = make_decomp(zero_core=False)
-    fused = fused_weight(params, Tensor(RNG.normal(size=(2, 2, 2))), 0)
+    fused = fused_weight(params, Tensor(RNG.normal(size=(1, 2, 2, 2))), 0, 0)
     d = fused.shape[0] // 3
     query, key, value = (fused[i * d:(i + 1) * d, :] for i in range(3))
     stacked = np.concatenate([query.data, key.data, value.data], axis=0)
@@ -301,7 +306,7 @@ def test_generated_views_stack_back_to_fused():
 def test_dynamic_delta_rank_bound():
     params = make_decomp(n_layers=1, d_l=8, d_h=4, d_w=2, d_in=6, d_model=6,
                          zero_core=False, seed=5)
-    fused = fused_weight(params, Tensor(RNG.normal(size=(1, 2, 2))), 0)
+    fused = fused_weight(params, Tensor(RNG.normal(size=(1, 1, 2, 2))), 0, 0)
     delta = fused.data - params.static_fused[0].data
     sv = np.linalg.svd(delta, compute_uv=False)
     assert (sv[params.rank_dw:] < 1e-10).all()
@@ -332,7 +337,7 @@ def test_gradients_reach_every_generator_parameter():
               *params.static_fused]
 
     def loss_fn(*_):
-        weights, _ = generate_all(feats, params)
+        (weights,), _ = generate_all(feats, params)
         total = None
         for w in weights:
             term = (w * w).sum()
@@ -355,7 +360,7 @@ def test_shared_factor_grad_is_sum_of_per_layer_clones():
 
     params.out_factor.zero_grad()
     with Tape() as tape:
-        weights, _ = generate_all(feats, params)
+        (weights,), _ = generate_all(feats, params)
         loss = readout(weights)
     tape.backward(loss)
     shared_grad = params.out_factor.grad.copy()
@@ -372,7 +377,7 @@ def test_shared_factor_grad_is_sum_of_per_layer_clones():
             groups=params.groups, rank_dw=params.rank_dw)
         with Tape() as tape:
             cores, _ = layer_cores(feats, params)
-            w = fused_weight(cloned_params, cores, layer)
+            w = fused_weight(cloned_params, cores, 0, layer)
             loss = (w * w).sum()
         tape.backward(loss)
         clone_grads += clone.grad
@@ -397,13 +402,19 @@ def run_generator(fn, feats, params, upstream):
             [leaf.grad.copy() for leaf in leaves])
 
 
+def generate_one(feats, params):
+    """generate_all on one expression: its weights and its (N, G, L) alpha."""
+    (weights,), (alpha,) = generate_all(feats, params)
+    return weights, alpha
+
+
 def test_generate_all_matches_composed_oracle():
     for seed, n_tok in ((0, 1), (1, 4), (2, 9)):
         params = make_decomp(n_layers=3, d_l=8, d_h=4, d_w=2, zero_core=False,
                              seed=seed)
         feats = Tensor(RNG.normal(size=(n_tok, 8)), requires_grad=True)
         upstream = [RNG.normal(size=w.shape) for w in params.static_fused]
-        got = run_generator(generate_all, feats, params, upstream)
+        got = run_generator(generate_one, feats, params, upstream)
         want = run_generator(composed_generate_all, feats, params, upstream)
         for g_list, w_list in zip(got, want):
             for g, w in zip(g_list, w_list):
@@ -415,3 +426,130 @@ def test_generate_all_records_one_entry_per_layer_plus_one():
     with Tape() as tape:
         generate_all(Tensor(RNG.normal(size=(4, 8)), requires_grad=True), params)
     assert len(tape._entries) == 1 + params.n_layers
+
+
+# ---------------------------------------------------------------------------
+# packed expressions
+
+
+def unpacked_layer_cores(feats, params):
+    """law.layer_cores as it was before packing: one expression, (N, d_w,
+    d_w) cores, kept verbatim so the one-expression case can be checked bit
+    for bit."""
+    feats = as_tensor(feats)
+    n_tok, d_l = feats.shape
+    groups, n_layers, d_w = params.groups, params.n_layers, params.rank_dw
+    gsize = d_l // groups
+    embeds = np.stack([e.data for e in params.layer_embeds])
+    reducers = np.stack([r.data for r in params.reducers])
+    core_ws = np.stack([w.data for w in params.core_weights])
+    core_bs = np.stack([b.data for b in params.core_biases])
+    grouped = feats.data.reshape(n_tok, groups, gsize)
+    emb = embeds.reshape(n_layers, groups, gsize)
+    alpha = _softmax_(np.einsum("lgk,ngk->ngl", grouped, emb))
+    pooled = np.einsum("ngl,lgk->ngk", alpha, grouped).reshape(n_layers, d_l)
+    pre = np.einsum("nhd,nd->nh", reducers, pooled)
+    cdf = gelu_cdf(pre)
+    reduced = pre * cdf
+    cores = np.einsum("nch,nh->nc", core_ws, reduced) + core_bs
+    out = Tensor(cores.reshape(n_layers, d_w, d_w))
+
+    def backfn(g):
+        g_flat = g.reshape(n_layers, d_w * d_w)
+        g_cw = g_flat[:, :, None] * reduced[:, None, :]
+        g_pre = np.einsum("nch,nc->nh", core_ws, g_flat) * gelu_slope(pre, cdf)
+        g_red = g_pre[:, :, None] * pooled[:, None, :]
+        g_pool = np.einsum("nhd,nh->nd", reducers, g_pre).reshape(
+            n_layers, groups, gsize)
+        g_alpha = np.einsum("ngk,lgk->ngl", g_pool, grouped)
+        g_logit = alpha * (g_alpha - np.sum(g_alpha * alpha, axis=-1,
+                                            keepdims=True))
+        g_emb = np.einsum("ngl,lgk->ngk", g_logit, grouped)
+        g_feats = (np.einsum("ngl,ngk->lgk", alpha, g_pool)
+                   + np.einsum("ngl,ngk->lgk", g_logit, emb))
+        return (g_feats.reshape(n_tok, d_l), *g_emb.reshape(n_layers, d_l),
+                *g_red, *g_cw, *g_flat)
+
+    parents = (feats, *params.layer_embeds, *params.reducers,
+               *params.core_weights, *params.core_biases)
+    return _record(out, parents, backfn), alpha
+
+
+def core_leaves(feats, params):
+    return [feats, *params.layer_embeds, *params.reducers,
+            *params.core_weights, *params.core_biases]
+
+
+def run_cores(fn, feats, params, upstream):
+    """Cores, alphas and d<cores, upstream>/d every leaf of layer_cores."""
+    leaves = core_leaves(feats, params)
+    for leaf in leaves:
+        leaf.zero_grad()
+    with Tape() as tape:
+        cores, alphas = fn()
+        loss = (cores * Tensor(upstream)).sum()
+    tape.backward(loss)
+    return cores.data, alphas, [leaf.grad.copy() for leaf in leaves]
+
+
+def test_layer_cores_one_expression_is_bit_identical_to_unpacked_code():
+    for seed, n_tok in ((0, 1), (1, 4), (2, 7), (3, 40)):
+        params = make_decomp(n_layers=4, d_l=16, d_h=4, d_w=3,
+                             zero_core=False, seed=seed)
+        params.groups = 4
+        rng = np.random.default_rng(100 + seed)
+        feats = Tensor(rng.normal(size=(n_tok, 16)), requires_grad=True)
+        upstream = rng.normal(size=(4, 3, 3))
+        got = run_cores(lambda: layer_cores(feats, params), feats, params,
+                        upstream[None])
+        want = run_cores(lambda: unpacked_layer_cores(feats, params), feats,
+                         params, upstream)
+        assert np.array_equal(got[0][0], want[0])
+        assert len(got[1]) == 1 and np.array_equal(got[1][0], want[1])
+        for g, w in zip(got[2], want[2]):
+            assert np.array_equal(g, w)
+
+
+def test_packed_layer_cores_match_one_expression_at_a_time():
+    lengths = (3, 1, 6, 2)
+    params = make_decomp(n_layers=3, d_l=12, d_h=3, d_w=2, zero_core=False,
+                         seed=8)
+    params.groups = 3
+    rng = np.random.default_rng(18)
+    feats_np = rng.normal(size=(sum(lengths), 12))
+    upstream = rng.normal(size=(len(lengths), 3, 2, 2))
+    feats = Tensor(feats_np, requires_grad=True)
+    packed = run_cores(lambda: layer_cores(feats, params, lengths), feats,
+                       params, upstream)
+    assert packed[0].shape == (len(lengths), 3, 2, 2)
+    grad_sum = [np.zeros_like(g) for g in packed[2]]
+    lo = 0
+    for b, n in enumerate(lengths):
+        one = Tensor(feats_np[lo:lo + n], requires_grad=True)
+        cores, alphas, grads = run_cores(lambda: layer_cores(one, params),
+                                         one, params, upstream[b:b + 1])
+        np.testing.assert_allclose(packed[0][b], cores[0], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(packed[1][b], alphas[0], rtol=0,
+                                   atol=1e-13)
+        np.testing.assert_allclose(packed[2][0][lo:lo + n], grads[0], rtol=0,
+                                   atol=1e-13)
+        for total, g in zip(grad_sum[1:], grads[1:]):
+            total += g
+        lo += n
+    # each parameter gradient is one product over all the batch's tokens,
+    # which equals the sum of the per-expression gradients up to rounding
+    for g, want in zip(packed[2][1:], grad_sum[1:]):
+        np.testing.assert_allclose(g, want, rtol=0,
+                                   atol=1e-13 * max(1.0, np.abs(want).max()))
+
+
+def test_generate_all_packed_records_one_core_op_plus_b_times_n():
+    params = make_decomp(n_layers=3, zero_core=False)
+    lengths = (2, 5, 1)
+    with Tape() as tape:
+        weights, alphas = generate_all(
+            Tensor(RNG.normal(size=(8, 8)), requires_grad=True), params,
+            lengths)
+    assert len(tape._entries) == 1 + len(lengths) * params.n_layers
+    assert [len(w) for w in weights] == [params.n_layers] * len(lengths)
+    assert [a.shape[-1] for a in alphas] == list(lengths)

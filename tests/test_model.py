@@ -7,9 +7,10 @@ import pytest
 from lawground import losses
 from lawground.config import TrainConfig
 from lawground.model import GroundingModel
-from lawground.synthground import LEXICON
+from lawground.synthground import LEXICON, generate_dataset
 from lawground.tensor import Tape
 from lawground.text import Vocabulary
+from lawground.train import train
 
 RNG = np.random.default_rng(3)
 
@@ -164,3 +165,59 @@ def test_tape_entries_per_sample_match_readme(vocab):
         encoding="utf-8")
     stated = re.search(r"records (\d+)\s+tape\s+entries\s+per\s+sample", readme)
     assert stated and len(tape._entries) == int(stated.group(1))
+
+
+def test_tape_entries_per_step_match_readme(tmp_path, monkeypatch):
+    # one real training step at the default (desk64) shapes and B=16
+    generate_dataset(tmp_path / "ds", seed=2, n_train=16, n_val=1, n_test=0)
+    cfg = TrainConfig(data_path=str(tmp_path / "ds"), steps=1)
+    recorded = []
+    original = Tape.record
+
+    def counting(tape, out, parents, backfn):
+        recorded.append(out)
+        return original(tape, out, parents, backfn)
+
+    monkeypatch.setattr(Tape, "record", counting)
+    train(cfg, tmp_path / "run")
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    stated = re.search(r"B=(\d+)\s+training\s+step\s+records\s+([\d,]+)\s+tape"
+                       r"\s+entries", readme)
+    assert stated and int(stated.group(1)) == cfg.batch_size
+    assert len(recorded) == int(stated.group(2).replace(",", ""))
+
+
+def test_packed_step_gradients_match_per_sample_forwards(vocab):
+    rng = np.random.default_rng(11)
+    model = GroundingModel(tiny_config(seed=7), vocab)
+    for i in range(model.config.blocks):  # the dynamic path carries gradient
+        core = model.store[f"law.layer{i}.core.weight"]
+        core.data[...] = rng.normal(0, 0.3, core.shape)
+    exprs = ("red circle", "leftmost triangle above the blue square", "small",
+             "green square left of the red circle")
+    images = [model.image_tensor(rng.integers(0, 255, (16, 16, 3),
+                                              dtype=np.uint8)) for _ in exprs]
+    tokens = [model.tokenize(e) for e in exprs]
+    boxes = rng.uniform(0.2, 0.6, (len(exprs), 4))
+    masks = (rng.uniform(size=(len(exprs), 16, 16)) > 0.5).astype(np.float64)
+
+    def gradients(predict):
+        for _, p in model.store.items():
+            p.zero_grad()
+        with Tape() as tape:
+            total = None
+            for pred, box, mask in zip(predict(), boxes, masks):
+                loss, _ = losses.total_loss(box, pred.box, mask,
+                                            pred.mask.probs)
+                total = loss if total is None else total + loss
+        tape.backward(total)
+        return {name: p.grad.copy() for name, p in model.store.items()}
+
+    packed = gradients(lambda: model.forward_batch(images, tokens))
+    single = gradients(lambda: [model.forward(x, t)
+                                for x, t in zip(images, tokens)])
+    for name, want in single.items():
+        scale = np.abs(want).max()
+        assert scale > 0.0, name
+        assert np.abs(packed[name] - want).max() <= 1e-12 * scale, name

@@ -10,6 +10,7 @@ from lawground.tensor import (
     Tape,
     Tensor,
     _record,
+    _softmax_,
     attention,
     backward,
     bilinear_upsample,
@@ -113,6 +114,12 @@ def composed_attention(qkv, heads, key_bias=None):
     return reshape(transpose(ctx, (1, 0, 2)), (n_tok, d)), probs.data
 
 
+def one_segment(qkv, heads):
+    """attention over one sequence: its context and (H, T, T) probabilities."""
+    ctx, (probs,) = attention(qkv, heads)
+    return ctx, probs
+
+
 def run_attention(fn, qkv, heads, upstream):
     """Forward context and probabilities, plus d<ctx, upstream>/d qkv."""
     x = Tensor(qkv.copy(), requires_grad=True)
@@ -128,7 +135,7 @@ def test_attention_matches_composed_primitives(n_tok, heads, dh):
     d = heads * dh
     qkv = RNG.normal(size=(n_tok, 3 * d))
     upstream = RNG.normal(size=(n_tok, d))
-    got = run_attention(attention, qkv, heads, upstream)
+    got = run_attention(one_segment, qkv, heads, upstream)
     want = run_attention(composed_attention, qkv, heads, upstream)
     for g, w in zip(got, want):
         if dh == 16:  # scale 1/4 is exact: same arithmetic, same bits
@@ -140,7 +147,8 @@ def test_attention_matches_composed_primitives(n_tok, heads, dh):
 def test_transformer_block_records_ten_entries():
     blk = block_params(ParamStore(0), "b.", 4, 16)
     with Tape() as tape:
-        out, probs = transformer_block(rand_tensor((5, 4)), blk, blk["qkv_w"], 2)
+        out, (probs,) = transformer_block(rand_tensor((5, 4)), blk,
+                                          blk["qkv_w"], 2)
     # ln, linear, attention, linear, add, ln, linear, gelu, linear, add
     assert len(tape._entries) == 10
     assert out.shape == (5, 4)
@@ -161,6 +169,81 @@ def test_attention_shape_errors():
         attention(Tensor(np.zeros((4, 8))), 1)   # width not a multiple of 3
     with pytest.raises(ShapeError, match="head count"):
         attention(Tensor(np.zeros((4, 12))), 3)  # 3 heads do not divide 4
+
+
+def unpacked_attention(qkv, heads):
+    """tensor.attention as it was before packed sequences: one sequence,
+    kept verbatim so the one-segment case can be checked bit for bit."""
+    n_tok, d = qkv.shape[0], qkv.shape[1] // 3
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+    q, k, v = qkv.data.reshape(n_tok, 3, heads, dh).transpose(1, 2, 0, 3)
+    p = q @ np.swapaxes(k, -1, -2)
+    p *= scale
+    _softmax_(p)
+    ctx = p @ v  # (H, T, dh)
+    out = Tensor(ctx.transpose(1, 0, 2).reshape(n_tok, d))
+
+    def backfn(g, p=p, q=q, k=k, v=v):
+        gctx = g.reshape(n_tok, heads, dh).transpose(1, 0, 2)
+        gqkv = np.empty((n_tok, 3 * d))
+        gq, gk, gv = gqkv.reshape(n_tok, 3, heads, dh).transpose(1, 2, 0, 3)
+        gv[...] = np.swapaxes(p, -1, -2) @ gctx
+        gs = gctx @ np.swapaxes(v, -1, -2)
+        dot = np.sum(gs * p, axis=-1, keepdims=True)
+        gs -= dot
+        gs *= p
+        gs *= scale
+        gq[...] = gs @ k
+        gk[...] = np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2)
+        return (gqkv,)
+
+    return _record(out, (qkv,), backfn), p
+
+
+@pytest.mark.parametrize("n_tok,heads,dh", [(7, 4, 16), (64, 4, 16),
+                                            (1, 2, 8), (6, 3, 3)])
+def test_one_segment_attention_is_bit_identical_to_unpacked_op(n_tok, heads, dh):
+    rng = np.random.default_rng(n_tok)
+    qkv = rng.normal(size=(n_tok, 3 * heads * dh))
+    upstream = rng.normal(size=(n_tok, heads * dh))
+    got = run_attention(one_segment, qkv, heads, upstream)
+    want = run_attention(unpacked_attention, qkv, heads, upstream)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_segmented_attention_matches_each_segment_alone():
+    # unequal segments, one of them a single token; a row never sees
+    # another segment, so each segment equals attention over it alone
+    rng = np.random.default_rng(21)
+    lengths, heads, d = (3, 1, 5, 2), 2, 8
+    qkv = rng.normal(size=(sum(lengths), 3 * d))
+    upstream = rng.normal(size=(sum(lengths), d))
+    x = Tensor(qkv.copy(), requires_grad=True)
+    with Tape() as tape:
+        ctx, probs = attention(x, heads, lengths)
+        loss = (ctx * Tensor(upstream)).sum()
+    tape.backward(loss)
+    assert [p.shape for p in probs] == [(heads, n, n) for n in lengths]
+    lo = 0
+    for n, p in zip(lengths, probs):
+        rows = slice(lo, lo + n)
+        want_ctx, want_p, want_g = run_attention(one_segment, qkv[rows], heads,
+                                                 upstream[rows])
+        np.testing.assert_allclose(ctx.data[rows], want_ctx, rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(p, want_p, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(x.grad[rows], want_g, rtol=0, atol=1e-15)
+        lo += n
+    assert np.array_equal(probs[1], np.ones((heads, 1, 1)))
+
+
+def test_attention_rejects_bad_segments():
+    qkv = Tensor(np.zeros((5, 6)))
+    for lengths in ((2, 2), (2, 4), (5, 0), ()):
+        with pytest.raises(ShapeError, match="segment lengths"):
+            attention(qkv, 1, lengths)
 
 
 # ---------------------------------------------------------------------------

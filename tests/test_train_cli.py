@@ -2,6 +2,7 @@ import contextlib
 import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -458,7 +459,7 @@ def test_word_affinity_matches_manual_trace(dataset, tmp_path):
 
     from lawground.law import generate_all
 
-    _, alphas = generate_all(model.text.encode(tokens), model.law)
+    _, (alphas,) = generate_all(model.text.encode([tokens]), model.law)
     # manual trace for the duplicated word "red" (positions 1 and 6)
     per_layer = np.array([a.mean(axis=0)[[1, 6]].mean() for a in alphas])
     want = np.exp(per_layer - per_layer.max())
@@ -533,3 +534,38 @@ def test_cli_missing_dataset_exit_code(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"data.path = {tmp_path / 'nowhere'}\n")
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+
+
+def test_cli_train_empty_val_split_fails_before_step_one(tmp_path, capsys):
+    data = tmp_path / "ds"
+    assert main(["gen", "--out", str(data), "--seed", "3", "--n-train", "8",
+                 "--n-val", "0", "--n-test", "0", "--res", "32"]) == 0
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config_to_text(tiny_cfg(data, steps=2)))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 2
+    assert "no validation samples" in capsys.readouterr().err
+    assert not (run / "batches.log").exists()
+
+
+def test_cli_eval_split_without_relational_samples(dataset, tmp_path, capsys):
+    # a test split of one attribute sample: the relational subset is empty
+    training.train(tiny_cfg(dataset, steps=1), tmp_path / "run")
+    data = tmp_path / "ds"
+    shutil.copytree(dataset, data)
+    records = [json.loads(line) for line in
+               (data / "index.jsonl").read_text().splitlines()]
+    pick = next(r for r in records if r["template"] == "attribute")
+    kept = [r for r in records if r["split"] != "test" and r is not pick]
+    kept.append(dict(pick, split="test"))
+    (data / "index.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in kept))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"data.path = {data}\n")
+    assert main(["eval", "--ckpt", str(tmp_path / "run" / "last.ckpt"),
+                 "--split", "test", "--config", str(cfg),
+                 "--out", str(tmp_path / "ev")]) == 0
+    out = capsys.readouterr().out
+    assert "test: n=1 prec@0.5=" in out
+    assert "test/relational: n=0 prec@0.5=n/a miou=n/a" in out
+    assert (tmp_path / "ev" / "eval_metrics.csv").exists()
