@@ -27,8 +27,10 @@ def transformer_block(x, blk, qkv_w, heads, lengths=None):
 
     qkv_w stacks the query/key/value projections as a (3d, d) matrix applied
     as LN(x) @ qkv_w^T + blk["qkv_b"]; the text encoder passes its own, the
-    ViT the static or generated one. `lengths` splits the rows into packed
-    sequences that attend only within themselves (default: one sequence).
+    ViT its static one or a (B, 3d, d) stack of generated ones, weight b for
+    the b-th of B equal row blocks (see tensor.linear). `lengths` splits the
+    rows into packed sequences that attend only within themselves (default:
+    one sequence).
     Returns the block output (T, d) and one (H, L, L) array of attention
     probabilities per sequence.
     """

@@ -80,7 +80,8 @@ def cmd_ablate(args):
     print("lawg lap mth  prec@0.5  prec@0.5(relational)")
     for r in rows:
         print(f"{r['lawg']:4d} {r['lap']:3d} {r['mth']:3d}  "
-              f"{r['prec_at_05']:.4f}     {r['prec_at_05_relational']:.4f}")
+              f"{_fmt4(r['prec_at_05'])}     "
+              f"{_fmt4(r['prec_at_05_relational'])}")
     print(f"table in {args.out}/ablation.csv")
     return 0
 

@@ -130,6 +130,8 @@ def validate(cfg):
         cfg.mode = "rec"  # no mask branch, nothing to segment
     if cfg.image_size % cfg.patch:
         raise ConfigError("model.image_size must be divisible by model.patch")
+    if cfg.d_model % cfg.heads:
+        raise ConfigError("model.heads must divide model.d_model")
     if cfg.text_width % cfg.groups:
         raise ConfigError("law.groups must divide text.width")
     if cfg.text_width % cfg.reduction_r:
@@ -138,6 +140,8 @@ def validate(cfg):
         raise ConfigError("head.threshold must lie in (0, 1)")
     if cfg.batch_size < 1 or cfg.steps < 0:
         raise ConfigError("train.batch_size must be >= 1 and train.steps >= 0")
+    if cfg.eval_every < 1 or cfg.log_every < 1:
+        raise ConfigError("train.eval_every and train.log_every must be >= 1")
     if cfg.decay_step == 0:
         cfg.decay_step = (2 * cfg.steps) // 3
     return cfg

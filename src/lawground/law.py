@@ -135,36 +135,42 @@ def layer_cores(feats, params, lengths=None):
     return _record(out, parents, backfn), alphas
 
 
-def fused_weight(params, cores, sample, layer):
-    """One expression's fused projection for one layer, static + out_factor
-    @ core @ in_factor^T, as one op with the static weights, both factors
-    and the (B, N, d_w, d_w) cores as parents."""
+def fused_weights(params, cores, layer):
+    """Every expression's fused projection for one layer, static +
+    out_factor @ core_b @ in_factor^T, as one (B, d_out, d_in) op with the
+    static weights, both factors and the (B, N, d_w, d_w) cores as parents.
+    Forward and backward each stack the batch into a few GEMMs."""
     static, out_f, in_f = (params.static_fused[layer], params.out_factor,
                            params.in_factor)
-    core = cores.data[sample, layer]
-    left = out_f.data @ core
-    delta = left @ in_f.data.T
-    if delta.shape != static.shape:
+    core = cores.data[:, layer]                              # (B, d_w, d_w)
+    n, d_w = core.shape[0], core.shape[1]
+    d_out, d_in = out_f.shape[0], in_f.shape[0]
+    if (d_out, d_in) != static.shape:
         raise ShapeError(
-            f"decomposition produced {delta.shape}, static weights are "
+            f"decomposition produces {(d_out, d_in)}, static weights are "
             f"{static.shape}")
-    out = Tensor(static.data + delta)
+    left = (out_f.data @ core).reshape(n * d_out, d_w)       # out_f @ core_b
+    out = Tensor(static.data + (left @ in_f.data.T).reshape(n, d_out, d_in))
 
     def backfn(g):
-        g_left = g @ in_f.data
+        g_rows = g.reshape(n * d_out, d_in)
+        # column block b of g_cols is g_b @ in_factor, the adjoint of left_b
+        g_cols = (g_rows @ in_f.data).reshape(n, d_out, d_w).transpose(
+            1, 0, 2).reshape(d_out, n * d_w)
         g_cores = np.zeros(cores.shape)
-        g_cores[sample, layer] = out_f.data.T @ g_left
-        return (g, g_left @ core.T, g_cores, g.T @ left)
+        g_cores[:, layer] = (out_f.data.T @ g_cols).reshape(
+            d_w, n, d_w).transpose(1, 0, 2)
+        g_out = g_cols @ core.transpose(0, 2, 1).reshape(n * d_w, d_w)
+        return (g.sum(axis=0), g_out, g_cores, g_rows.T @ left)
 
     return _record(out, (static, out_f, cores, in_f), backfn)
 
 
 def generate_all(feats, params, lengths=None):
-    """Every visual layer's fused (d_out, d_in) projection for each packed
-    expression (see layer_cores): a list per expression of per-layer
-    weights, plus the per-expression (N, G, L) token attention arrays.
-    Records 1 + B * n_layers tape entries."""
+    """Every visual layer's fused projections for the packed expressions
+    (see layer_cores): one (B, d_out, d_in) stack per layer, row b for
+    expression b, plus the per-expression (N, G, L) token attention arrays.
+    Records 1 + n_layers tape entries."""
     cores, alphas = layer_cores(feats, params, lengths)
-    weights = [[fused_weight(params, cores, b, i)
-                for i in range(params.n_layers)] for b in range(len(alphas))]
-    return weights, alphas
+    return ([fused_weights(params, cores, i) for i in range(params.n_layers)],
+            alphas)

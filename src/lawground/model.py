@@ -69,9 +69,12 @@ class GroundingModel:
         """One Prediction per (image, expression) pair.
 
         The expression half runs once for the batch: the text encoder over
-        the packed token sequences, then every expression's generator cores.
-        The fused weights, the backbone and the head run per pair; without a
-        weight generator the backbone runs on its own static projections.
+        the packed token sequences, then every expression's generator cores
+        and one (B, 3d, d) stack of fused weights per layer. The image half
+        runs the backbone once over the B images stacked into one row block,
+        each image projected by its own expression's QKV weights (or all by
+        the static ones without a weight generator). The head runs per pair
+        on its image's rows of the final features.
         """
         if len(images) != len(token_seqs):
             raise ShapeError(f"{len(images)} images for {len(token_seqs)} "
@@ -81,12 +84,13 @@ class GroundingModel:
         if self.law is not None:
             weights, alphas = generate_all(feats, self.law, lengths)
         else:
-            weights = [self.backbone.static_weights()] * len(lengths)
+            weights = self.backbone.static_weights()
             alphas = [None] * len(lengths)
+        visuals, attn = self.backbone.forward(
+            images, weights, collect_attention=collect_attention)
+        attn = attn or [[] for _ in images]
         preds, start = [], 0
-        for image, w, alpha, n in zip(images, weights, alphas, lengths):
-            visual, attn = self.backbone.forward(
-                image, w, collect_attention=collect_attention)
+        for visual, maps, alpha, n in zip(visuals, attn, alphas, lengths):
             cls_feat = feats[start]
             start += n
             pool_map = None
@@ -98,7 +102,7 @@ class GroundingModel:
             mask = (self.head.predict_mask(visual, cls_feat)
                     if self.head.mask_enabled else None)
             preds.append(Prediction(box=box, mask=mask, visual=visual,
-                                    alphas=alpha, attention=attn or [],
+                                    alphas=alpha, attention=maps,
                                     pool_attention=pool_map))
         return preds
 

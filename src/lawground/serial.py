@@ -58,8 +58,11 @@ def write_arrays(path, arrays):
 
 def read_arrays(path):
     """Read a container back into an insertion-ordered dict of ndarrays."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     if not blob.startswith(MAGIC):
         raise DataError(f"{path}: not a named-array container")
     off = len(MAGIC)

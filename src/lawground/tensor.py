@@ -229,13 +229,27 @@ def sigmoid(x):
 
 
 def gelu_cdf(x):
-    """Standard normal CDF of the array x, exact-erf form."""
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    """Standard normal CDF of the array x, exact-erf form.
+
+    Computed in one buffer: 0.5 * (1 + erf(x / sqrt 2)) with the same
+    roundings, without three array-sized temporaries."""
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty(np.shape(x)))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
 
 
 def gelu_slope(x, cdf):
-    """Derivative of gelu at the array x, given gelu_cdf(x)."""
-    return cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT2PI)
+    """Derivative of gelu at the array x, given gelu_cdf(x): cdf + x *
+    exp(-x^2 / 2) / sqrt(2 pi), computed in one buffer like gelu_cdf."""
+    slope = np.multiply(x, -0.5, out=np.empty(np.shape(x)))
+    slope *= x
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT2PI
+    slope *= x
+    slope += cdf
+    return slope
 
 
 def gelu(x):
@@ -243,7 +257,13 @@ def gelu(x):
     x = as_tensor(x)
     cdf = gelu_cdf(x.data)
     out = Tensor(x.data * cdf)
-    return _record(out, (x,), lambda g: (g * gelu_slope(x.data, cdf),))
+
+    def backfn(g):
+        slope = gelu_slope(x.data, cdf)
+        slope *= g
+        return (slope,)
+
+    return _record(out, (x,), backfn)
 
 
 def _softmax_(p, axis=-1):
@@ -353,19 +373,34 @@ def attention(qkv, heads, lengths=None):
 
 
 def linear(x, w, b=None):
-    """x (n, k) @ w (m, k)^T -> (n, m), plus an optional (m,) bias."""
+    """x (n, k) @ w (m, k)^T -> (n, m), plus an optional (m,) bias.
+
+    A (B, m, k) stack of weights splits the n rows into B equal blocks and
+    applies weight b to block b, as one batched matmul.
+    """
     x, w = as_tensor(x), as_tensor(w)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
+    blocks = w.shape[0] if w.ndim == 3 else 1
+    if (x.ndim != 2 or w.ndim not in (2, 3) or x.shape[1] != w.shape[-1]
+            or x.shape[0] % blocks):
         raise ShapeError(f"linear: incompatible shapes {x.shape} and {w.shape}")
-    y = x.data @ w.data.T
+    if w.ndim == 2:
+        y = x.data @ w.data.T
+
+        def grads(g):
+            return g @ w.data, g.T @ x.data
+    else:
+        xb = x.data.reshape(blocks, -1, x.shape[1])
+        y = (xb @ w.data.transpose(0, 2, 1)).reshape(x.shape[0], -1)
+
+        def grads(g):
+            gb = g.reshape(blocks, -1, g.shape[1])
+            return ((gb @ w.data).reshape(x.shape),
+                    gb.transpose(0, 2, 1) @ xb)
     if b is None:
-        out = Tensor(y)
-        return _record(out, (x, w),
-                       lambda g: (g @ w.data, g.T @ x.data))
+        return _record(Tensor(y), (x, w), grads)
     b = as_tensor(b)
-    out = Tensor(y + b.data)
-    return _record(out, (x, w, b),
-                   lambda g: (g @ w.data, g.T @ x.data, g.sum(axis=0)))
+    y += b.data
+    return _record(Tensor(y), (x, w, b), lambda g: (*grads(g), g.sum(axis=0)))
 
 
 def matvec(w, v):
@@ -459,15 +494,22 @@ def layer_norm(x, gain, bias, eps=1e-5):
     var = np.mean(xc * xc, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y)
 
     def backfn(g, x=x, gain=gain, xhat=xhat, inv=inv):
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), with
+        # dxhat = g * gain, built in place in dxhat's buffer
         dgain = _unbroadcast(g * xhat, gain.shape)
         dbias = _unbroadcast(g, gain.shape)
-        dxhat = g * gain.data
-        m1 = np.mean(dxhat, axis=-1, keepdims=True)
-        m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
+        dx = g * gain.data
+        m1 = np.mean(dx, axis=-1, keepdims=True)
+        scratch = dx * xhat
+        m2 = np.mean(scratch, axis=-1, keepdims=True)
+        dx -= m1
+        dx -= np.multiply(xhat, m2, out=scratch)
+        dx *= inv
         return (dx, dgain, dbias)
 
     return _record(out, (x, gain, bias), backfn)

@@ -1,5 +1,9 @@
 """Patch-based visual transformer whose per-block QKV projections are
 supplied externally (generated per expression, or the backbone's own statics).
+
+A batch of images runs as one row block: image b's tokens are rows b*T to
+(b+1)*T of every layer's input, the shared layers see all rows at once, and
+attention stays inside each image.
 """
 
 from dataclasses import dataclass
@@ -8,7 +12,8 @@ import numpy as np
 
 from .attention import block_params, transformer_block
 from .errors import ShapeError
-from .tensor import Tensor, layer_norm, linear, reshape, transpose
+from .tensor import (Tensor, _record, as_tensor, layer_norm, linear, reshape,
+                     transpose)
 
 
 def position_code(side, width):
@@ -72,42 +77,83 @@ class VisualBackbone:
         """The backbone's own fused (3*d_model, d_model) QKV projections."""
         return [blk["qkv_w"] for blk in self.blocks]
 
-    def patch_embed(self, image):
-        """(3, H, W) image -> (T, d_model) tokens with learned positions."""
-        c, h, w = image.shape
-        s = self.patch
-        if c != 3 or h != self.image_size or w != self.image_size:
-            raise ShapeError(
-                f"expected (3, {self.image_size}, {self.image_size}) image, got "
-                f"{image.shape}")
-        hp = h // s
-        patches = reshape(image, (3, hp, s, hp, s))
-        patches = transpose(patches, (1, 3, 0, 2, 4))        # (hp, wp, 3, s, s)
-        flat = reshape(patches, (self.n_tokens, 3 * s * s))
-        return linear(flat, self.patch_w, self.patch_b) + self.pos
+    def patch_embed(self, images):
+        """A batch of (3, H, W) images -> one (B*T, d_model) row block of
+        patch tokens with learned positions, image b in rows b*T to (b+1)*T."""
+        for image in images:
+            if image.shape != (3, self.image_size, self.image_size):
+                raise ShapeError(
+                    f"expected (3, {self.image_size}, {self.image_size}) "
+                    f"image, got {image.shape}")
+        n, t = len(images), self.n_tokens
+        x = linear(patch_rows(images, self.patch), self.patch_w, self.patch_b)
+        x = reshape(x, (n, t, self.d_model)) + self.pos
+        return reshape(x, (n * t, self.d_model))
 
-    def attention_block(self, x, qkv_w, layer):
-        """Block `layer` of the stack with the supplied fused QKV projection;
-        returns its output and the (H, T, T) attention probabilities."""
-        x, probs = transformer_block(x, self.blocks[layer], qkv_w, self.heads)
-        return x, probs[0]
+    def attention_block(self, x, qkv_w, layer, lengths=None):
+        """Block `layer` of the stack over the row block x with the supplied
+        fused QKV projection: one (3d, d) matrix for all rows, or a (B, 3d,
+        d) stack whose weight b projects the b-th of B equal row blocks.
+        `lengths` splits the rows into images that attend only within
+        themselves (default: one image). Returns the block output and one
+        (H, T, T) array of attention probabilities per image."""
+        return transformer_block(x, self.blocks[layer], qkv_w, self.heads,
+                                 lengths)
 
-    def forward(self, image, weights, collect_attention=False):
-        """Run all blocks; returns VisualFeatures and (optionally) attention maps."""
+    def forward(self, images, weights, collect_attention=False):
+        """Run all blocks once over a batch of images stacked into one row
+        block. weights holds per layer one (3d, d) projection shared by
+        every image or a (B, 3d, d) stack, one per image. Returns one
+        VisualFeatures per image and, when collected, per image its list of
+        per-layer (H, T, T) attention maps (else None)."""
         if len(weights) != self.n_blocks:
             raise ShapeError(
                 f"got weights for {len(weights)} layers, backbone has "
                 f"{self.n_blocks} blocks")
-        x = self.patch_embed(image)
+        n, t = len(images), self.n_tokens
+        for w in weights:
+            if w.ndim == 3 and w.shape[0] != n:
+                raise ShapeError(f"{w.shape[0]} weights for {n} images")
+        lengths = [t] * n
+        x = self.patch_embed(images)
         attn = []
         for i in range(self.n_blocks):
-            x, probs = self.attention_block(x, weights[i], i)
+            x, probs = self.attention_block(x, weights[i], i, lengths)
             if collect_attention:
                 attn.append(probs)
         x = layer_norm(x, self.final_g, self.final_b)
-        grid = transpose(reshape(x, (self.side, self.side, self.d_model)), (2, 0, 1))
-        feats = VisualFeatures(tokens=x, grid=grid, side=self.side)
-        return (feats, attn) if collect_attention else (feats, None)
+        feats = []
+        for b in range(n):
+            tokens = x[b * t:(b + 1) * t]
+            grid = transpose(reshape(tokens, (self.side, self.side,
+                                              self.d_model)), (2, 0, 1))
+            feats.append(VisualFeatures(tokens=tokens, grid=grid,
+                                        side=self.side))
+        return feats, ([list(maps) for maps in zip(*attn)]
+                       if collect_attention else None)
+
+
+def patch_rows(images, s):
+    """The (B*T, 3*s*s) rows of every non-overlapping s x s patch of B
+    (3, H, W) images, image by image and row-major over patches, each row
+    channel-major. One op with the images as parents; images that need no
+    gradient leave it unrecorded."""
+    images = [as_tensor(image) for image in images]
+    n, (c, h, w) = len(images), images[0].shape
+    hp, wp = h // s, w // s
+    stacked = np.stack([image.data for image in images])
+    rows = stacked.reshape(n, c, hp, s, wp, s).transpose(
+        0, 2, 4, 1, 3, 5).reshape(n * hp * wp, c * s * s)
+    out = Tensor(rows)
+    if not any(image.requires_grad or image._tape is not None
+               for image in images):
+        return out
+
+    def backfn(g):
+        return tuple(g.reshape(n, hp, wp, c, s, s).transpose(
+            0, 3, 1, 4, 2, 5).reshape(n, c, h, w))
+
+    return _record(out, tuple(images), backfn)
 
 
 def attention_rollout(attn_maps, side, anchor=None):

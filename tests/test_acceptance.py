@@ -19,7 +19,7 @@ from lawground.config import TrainConfig, load_config, validate
 from lawground.head import MultitaskHead, binarize
 from lawground.law import (
     DecompositionParams,
-    fused_weight,
+    fused_weights,
     generate_all,
     layer_cores,
 )
@@ -165,7 +165,7 @@ def test_criterion_2_gradient_suite():
           [feats, *law.layer_embeds, *law.reducers, *law.core_weights,
            *law.core_biases])
     cores = ot((1, 2, 2, 2))
-    check("fused_weight", lambda *_: sq(fused_weight(law, cores, 0, 1)),
+    check("fused_weights", lambda *_: sq(fused_weights(law, cores, 1)),
           [law.static_fused[1], law.out_factor, cores, law.in_factor])
     box_true = op_rng.uniform([0.3, 0.3, 0.1, 0.1], [0.7, 0.7, 0.4, 0.4])
     check("box_loss",
@@ -198,6 +198,20 @@ def test_criterion_2_gradient_suite():
           lambda *_: sq(layer_cores(packed_feats, packed, (2, 1, 3))[0]),
           [packed_feats, *packed.layer_embeds, *packed.reducers,
            *packed.core_weights, *packed.core_biases])
+
+    # stacked image rows, own streams: three expressions' fused weights as
+    # one op, and per-image projections of equal row blocks
+    batch_rng = np.random.default_rng(15)
+    batch_cores = Tensor(batch_rng.normal(0, 0.5, (3, 2, 2, 2)),
+                         requires_grad=True)
+    check("batched_fused_weights",
+          lambda *_: sq(fused_weights(law, batch_cores, 1)),
+          [law.static_fused[1], law.out_factor, batch_cores, law.in_factor])
+    rows_rng = np.random.default_rng(16)
+    check("per_image_linear", lambda x, w, b: sq(linear(x, w, b)),
+          [Tensor(rows_rng.normal(size=(6, 4)), requires_grad=True),
+           Tensor(rows_rng.normal(size=(3, 5, 4)), requires_grad=True),
+           Tensor(rows_rng.normal(size=(5,)), requires_grad=True)])
 
     # full multitask loss through a 2-block toy model, grads w.r.t. all params
     model = toy_model(seed=5)

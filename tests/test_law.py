@@ -5,7 +5,7 @@ import numpy as np
 from lawground.law import (
     DecompositionParams,
     build_law_params,
-    fused_weight,
+    fused_weights,
     generate_all,
     layer_cores,
 )
@@ -224,16 +224,16 @@ def test_generate_weights_zero_core_is_exactly_static():
     feats = Tensor(RNG.normal(size=(3, 8)))
     cores, _ = layer_cores(feats, params)
     assert not cores.data.any()
-    (weights,), _ = generate_all(feats, params)
+    weights, _ = generate_all(feats, params)
     for i, out in enumerate(weights):
-        assert np.array_equal(out.data, params.static_fused[i].data)
+        assert np.array_equal(out.data[0], params.static_fused[i].data)
 
 
 def test_generate_weights_zero_factor_annihilates():
     params = make_decomp(zero_core=False)
     params.out_factor.data[...] = 0.0
-    out = fused_weight(params, Tensor(RNG.normal(size=(1, 2, 2, 2))), 0, 1)
-    assert np.array_equal(out.data, params.static_fused[1].data)
+    out = fused_weights(params, Tensor(RNG.normal(size=(1, 2, 2, 2))), 1)
+    assert np.array_equal(out.data[0], params.static_fused[1].data)
 
 
 def test_generate_weights_matches_triple_product_oracle():
@@ -241,7 +241,7 @@ def test_generate_weights_matches_triple_product_oracle():
     params = make_decomp(n_layers=1, d_l=4, d_h=2, d_w=2, d_in=2, d_model=2,
                          zero_core=False, seed=11)
     core = RNG.normal(size=(2, 2))
-    got = fused_weight(params, Tensor(core[None, None]), 0, 0).data
+    got = fused_weights(params, Tensor(core[None, None]), 0).data[0]
 
     want = params.static_fused[0].data.copy()
     p, q = params.out_factor.data, params.in_factor.data
@@ -257,8 +257,8 @@ def test_generate_weights_matches_triple_product_oracle():
 
 def test_generate_all_zero_core_ignores_expression():
     params = make_decomp(zero_core=True)
-    (w1,), _ = generate_all(Tensor(RNG.normal(size=(3, 8))), params)
-    (w2,), _ = generate_all(Tensor(RNG.normal(size=(5, 8))), params)
+    w1, _ = generate_all(Tensor(RNG.normal(size=(3, 8))), params)
+    w2, _ = generate_all(Tensor(RNG.normal(size=(5, 8))), params)
     for a, b in zip(w1, w2):
         assert np.array_equal(a.data, b.data)
 
@@ -266,8 +266,8 @@ def test_generate_all_zero_core_ignores_expression():
 def test_generate_all_deterministic():
     params = make_decomp(zero_core=False)
     feats = Tensor(RNG.normal(size=(2, 8)))
-    (w1,), _ = generate_all(feats, params)
-    (w2,), _ = generate_all(feats, params)
+    w1, _ = generate_all(feats, params)
+    w2, _ = generate_all(feats, params)
     for a, b in zip(w1, w2):
         assert np.array_equal(a.data, b.data)
 
@@ -276,10 +276,10 @@ def test_generate_all_sensitive_to_any_token():
     # forward differencing: nudging one token moves every layer
     params = make_decomp(zero_core=False)
     feats = RNG.normal(size=(3, 8))
-    (base,), _ = generate_all(Tensor(feats), params)
+    base, _ = generate_all(Tensor(feats), params)
     bumped = feats.copy()
     bumped[2] += 1e-3
-    (moved,), _ = generate_all(Tensor(bumped), params)
+    moved, _ = generate_all(Tensor(bumped), params)
     for a, b in zip(base, moved):
         assert np.abs(a.data - b.data).max() > 0.0
 
@@ -287,16 +287,16 @@ def test_generate_all_sensitive_to_any_token():
 def test_generate_all_layers_are_independent():
     params = make_decomp(zero_core=False)
     feats = Tensor(RNG.normal(size=(3, 8)))
-    (base,), _ = generate_all(feats, params)
+    base, _ = generate_all(feats, params)
     params.layer_embeds[1].data[...] += 0.37
-    (moved,), _ = generate_all(feats, params)
+    moved, _ = generate_all(feats, params)
     assert np.array_equal(base[0].data, moved[0].data)
     assert not np.array_equal(base[1].data, moved[1].data)
 
 
 def test_generated_views_stack_back_to_fused():
     params = make_decomp(zero_core=False)
-    fused = fused_weight(params, Tensor(RNG.normal(size=(1, 2, 2, 2))), 0, 0)
+    fused = fused_weights(params, Tensor(RNG.normal(size=(1, 2, 2, 2))), 0)[0]
     d = fused.shape[0] // 3
     query, key, value = (fused[i * d:(i + 1) * d, :] for i in range(3))
     stacked = np.concatenate([query.data, key.data, value.data], axis=0)
@@ -306,8 +306,8 @@ def test_generated_views_stack_back_to_fused():
 def test_dynamic_delta_rank_bound():
     params = make_decomp(n_layers=1, d_l=8, d_h=4, d_w=2, d_in=6, d_model=6,
                          zero_core=False, seed=5)
-    fused = fused_weight(params, Tensor(RNG.normal(size=(1, 1, 2, 2))), 0, 0)
-    delta = fused.data - params.static_fused[0].data
+    fused = fused_weights(params, Tensor(RNG.normal(size=(1, 1, 2, 2))), 0)
+    delta = fused.data[0] - params.static_fused[0].data
     sv = np.linalg.svd(delta, compute_uv=False)
     assert (sv[params.rank_dw:] < 1e-10).all()
 
@@ -337,7 +337,7 @@ def test_gradients_reach_every_generator_parameter():
               *params.static_fused]
 
     def loss_fn(*_):
-        (weights,), _ = generate_all(feats, params)
+        weights, _ = generate_all(feats, params)
         total = None
         for w in weights:
             term = (w * w).sum()
@@ -360,7 +360,7 @@ def test_shared_factor_grad_is_sum_of_per_layer_clones():
 
     params.out_factor.zero_grad()
     with Tape() as tape:
-        (weights,), _ = generate_all(feats, params)
+        weights, _ = generate_all(feats, params)
         loss = readout(weights)
     tape.backward(loss)
     shared_grad = params.out_factor.grad.copy()
@@ -377,7 +377,7 @@ def test_shared_factor_grad_is_sum_of_per_layer_clones():
             groups=params.groups, rank_dw=params.rank_dw)
         with Tape() as tape:
             cores, _ = layer_cores(feats, params)
-            w = fused_weight(cloned_params, cores, 0, layer)
+            w = fused_weights(cloned_params, cores, layer)
             loss = (w * w).sum()
         tape.backward(loss)
         clone_grads += clone.grad
@@ -404,8 +404,8 @@ def run_generator(fn, feats, params, upstream):
 
 def generate_one(feats, params):
     """generate_all on one expression: its weights and its (N, G, L) alpha."""
-    (weights,), (alpha,) = generate_all(feats, params)
-    return weights, alpha
+    weights, (alpha,) = generate_all(feats, params)
+    return [w[0] for w in weights], alpha
 
 
 def test_generate_all_matches_composed_oracle():
@@ -543,13 +543,86 @@ def test_packed_layer_cores_match_one_expression_at_a_time():
                                    atol=1e-13 * max(1.0, np.abs(want).max()))
 
 
-def test_generate_all_packed_records_one_core_op_plus_b_times_n():
+def test_generate_all_packed_records_one_core_op_plus_one_per_layer():
     params = make_decomp(n_layers=3, zero_core=False)
     lengths = (2, 5, 1)
     with Tape() as tape:
         weights, alphas = generate_all(
             Tensor(RNG.normal(size=(8, 8)), requires_grad=True), params,
             lengths)
-    assert len(tape._entries) == 1 + len(lengths) * params.n_layers
-    assert [len(w) for w in weights] == [params.n_layers] * len(lengths)
+    assert len(tape._entries) == 1 + params.n_layers
+    assert [w.shape for w in weights] == [
+        (len(lengths), *s.shape) for s in params.static_fused]
     assert [a.shape[-1] for a in alphas] == list(lengths)
+
+
+# ---------------------------------------------------------------------------
+# fused weights for a batch of expressions
+
+
+def per_sample_fused_weight(params, cores, sample, layer):
+    """law.fused_weight as it was before the batched op: one expression's
+    (d_out, d_in) weight, kept verbatim so B=1 can be checked bit for bit."""
+    static, out_f, in_f = (params.static_fused[layer], params.out_factor,
+                           params.in_factor)
+    core = cores.data[sample, layer]
+    left = out_f.data @ core
+    out = Tensor(static.data + left @ in_f.data.T)
+
+    def backfn(g):
+        g_left = g @ in_f.data
+        g_cores = np.zeros(cores.shape)
+        g_cores[sample, layer] = out_f.data.T @ g_left
+        return (g, g_left @ core.T, g_cores, g.T @ left)
+
+    return _record(out, (static, out_f, cores, in_f), backfn)
+
+
+def run_fused(fn, params, cores, upstream):
+    """Weights and d<weights, upstream>/d (static, out, cores, in)."""
+    leaves = [params.static_fused[1], params.out_factor, cores,
+              params.in_factor]
+    for leaf in leaves:
+        leaf.zero_grad()
+    with Tape() as tape:
+        w = fn()
+        loss = (w * Tensor(upstream)).sum()
+    tape.backward(loss)
+    return w.data, [leaf.grad.copy() for leaf in leaves]
+
+
+def test_fused_weights_one_expression_is_bit_identical_to_per_sample_code():
+    # desk shapes: d_model 64, rank 8
+    params = make_decomp(n_layers=2, d_l=16, d_h=4, d_w=8, d_in=64,
+                         d_model=64, zero_core=False, seed=4)
+    rng = np.random.default_rng(40)
+    cores = Tensor(rng.normal(size=(1, 2, 8, 8)), requires_grad=True)
+    upstream = rng.normal(size=(192, 64))
+    got = run_fused(lambda: fused_weights(params, cores, 1), params, cores,
+                    upstream[None])
+    want = run_fused(lambda: per_sample_fused_weight(params, cores, 0, 1),
+                     params, cores, upstream)
+    assert np.array_equal(got[0][0], want[0])
+    for g, w in zip(got[1], want[1]):
+        assert np.array_equal(g, w)
+
+
+def test_batched_fused_weights_match_one_expression_at_a_time():
+    params = make_decomp(n_layers=2, d_l=8, d_h=4, d_w=3, d_in=5, d_model=5,
+                         zero_core=False, seed=6)
+    rng = np.random.default_rng(41)
+    cores = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
+    upstream = rng.normal(size=(4, 15, 5))
+    weights, grads = run_fused(lambda: fused_weights(params, cores, 1),
+                               params, cores, upstream)
+    assert weights.shape == (4, 15, 5)
+    summed = [np.zeros_like(g) for g in grads]
+    for b in range(4):
+        w, gs = run_fused(lambda: per_sample_fused_weight(params, cores, b, 1),
+                          params, cores, upstream[b])
+        np.testing.assert_allclose(weights[b], w, rtol=0, atol=1e-13)
+        for total, g in zip(summed, gs):
+            total += g
+    for g, want in zip(grads, summed):
+        np.testing.assert_allclose(g, want, rtol=0,
+                                   atol=1e-13 * max(1.0, np.abs(want).max()))

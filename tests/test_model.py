@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 from lawground import losses
+from lawground.attention import transformer_block
 from lawground.config import TrainConfig
+from lawground.law import layer_cores
 from lawground.model import GroundingModel
 from lawground.synthground import LEXICON, generate_dataset
-from lawground.tensor import Tape
+from lawground.tensor import (Tape, Tensor, layer_norm, linear, reshape,
+                              transpose)
 from lawground.text import Vocabulary
 from lawground.train import train
+from lawground.vit import VisualFeatures
 
 RNG = np.random.default_rng(3)
 
@@ -221,3 +225,76 @@ def test_packed_step_gradients_match_per_sample_forwards(vocab):
         scale = np.abs(want).max()
         assert scale > 0.0, name
         assert np.abs(packed[name] - want).max() <= 1e-12 * scale, name
+
+
+# ---------------------------------------------------------------------------
+# stacked image rows
+
+
+def per_sample_forward(model, image, tokens):
+    """GroundingModel.forward as it was before the image half ran on
+    stacked rows: one fused-weight op per layer and one ViT pass for the
+    single image, kept verbatim so the B=1 case can be checked bit for
+    bit. Returns the visual tokens, the box and the mask probabilities."""
+    law, bb, head = model.law, model.backbone, model.head
+    feats = model.text.encode([tokens])
+    cores, _ = layer_cores(feats, law, [len(tokens)])
+    weights = []
+    for layer in range(law.n_layers):
+        core = cores.data[0, layer]
+        left = law.out_factor.data @ core
+        weights.append(Tensor(law.static_fused[layer].data
+                              + left @ law.in_factor.data.T))
+    s, hp = bb.patch, bb.side
+    patches = transpose(reshape(image, (3, hp, s, hp, s)), (1, 3, 0, 2, 4))
+    flat = reshape(patches, (bb.n_tokens, 3 * s * s))
+    x = linear(flat, bb.patch_w, bb.patch_b) + bb.pos
+    for layer in range(bb.n_blocks):
+        x, _ = transformer_block(x, bb.blocks[layer], weights[layer], bb.heads)
+    x = layer_norm(x, bb.final_g, bb.final_b)
+    grid = transpose(reshape(x, (hp, hp, bb.d_model)), (2, 0, 1))
+    visual = VisualFeatures(tokens=x, grid=grid, side=hp)
+    pooled, _ = head.lap_pool(visual, feats[0])
+    box = head.predict_box(pooled)
+    mask = head.predict_mask(visual, feats[0])
+    return x.data, box.data, mask.probs.data
+
+
+@pytest.mark.parametrize("size", [64, 128])
+def test_b1_forward_bit_identical_to_per_sample_backbone(vocab, size):
+    rng = np.random.default_rng(size)
+    model = GroundingModel(TrainConfig(image_size=size, seed=3), vocab)
+    for i in range(model.config.blocks):
+        core = model.store[f"law.layer{i}.core.weight"]
+        core.data[...] = rng.normal(0, 0.3, core.shape)
+    image = model.image_tensor(rng.integers(0, 255, (size, size, 3),
+                                            dtype=np.uint8))
+    tokens = model.tokenize("red circle left of the blue square")
+    pred = model.forward(image, tokens)
+    tok, box, probs = per_sample_forward(model, image, tokens)
+    assert np.array_equal(pred.visual.tokens.data, tok)
+    assert np.array_equal(pred.box.data, box)
+    assert np.array_equal(pred.mask.probs.data, probs)
+
+
+def test_static_batch_forward_keeps_images_apart(vocab):
+    # without the generator one static weight projects all rows at once;
+    # attention must still stay inside each image
+    rng = np.random.default_rng(5)
+    model = GroundingModel(tiny_config(lawg_enabled=False, seed=2), vocab)
+    images = [model.image_tensor(rng.integers(0, 255, (16, 16, 3),
+                                              dtype=np.uint8))
+              for _ in range(2)]
+    tokens = [model.tokenize("red circle"), model.tokenize("small square")]
+    batch = model.forward_batch(images, tokens, collect_attention=True)
+    for pred, image, toks in zip(batch, images, tokens):
+        one = model.forward(image, toks, collect_attention=True)
+        for got, want in ((pred.visual.tokens, one.visual.tokens),
+                          (pred.box, one.box), (pred.mask.probs,
+                                                one.mask.probs)):
+            np.testing.assert_allclose(got.data, want.data, rtol=0,
+                                       atol=1e-13)
+        assert len(pred.attention) == model.config.blocks
+        for got, want in zip(pred.attention, one.attention):
+            assert got.shape == want.shape == (2, 4, 4)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)

@@ -20,7 +20,7 @@ from lawground.config import (
     parse_config_text,
     validate,
 )
-from lawground.errors import ConfigError, NumericError, ShapeError
+from lawground.errors import ConfigError, DataError, NumericError, ShapeError
 from lawground.model import GroundingModel
 from lawground.serial import read_arrays, write_arrays
 from lawground.synthground import generate_dataset, load_dataset
@@ -569,3 +569,47 @@ def test_cli_eval_split_without_relational_samples(dataset, tmp_path, capsys):
     assert "test: n=1 prec@0.5=" in out
     assert "test/relational: n=0 prec@0.5=n/a miou=n/a" in out
     assert (tmp_path / "ev" / "eval_metrics.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["train.eval_every", "train.log_every"])
+def test_cli_zero_interval_is_config_error(dataset, tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config_to_text(tiny_cfg(dataset, steps=2)) + f"{key} = 0\n")
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (run / "batches.log").exists()
+
+
+def test_cli_heads_not_dividing_width_is_config_error(dataset, tmp_path,
+                                                      capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config_to_text(tiny_cfg(dataset, steps=2))
+                   + "model.heads = 3\n")
+    assert main(["train", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "model.heads" in capsys.readouterr().err
+
+
+def test_cli_ablate_val_split_without_relational_samples(tmp_path, capsys):
+    data = tmp_path / "ds"
+    assert main(["gen", "--out", str(data), "--seed", "3", "--n-train", "8",
+                 "--n-val", "1", "--n-test", "0", "--res", "32"]) == 0
+    (val,) = load_dataset(data, "val")
+    assert val.template not in ("relation", "superlative")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config_to_text(tiny_cfg(data, steps=1)))
+    capsys.readouterr()
+    assert main(["ablate", "--config", str(cfg),
+                 "--out", str(tmp_path / "abl")]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:5]
+    assert len(rows) == 4 and all(r.endswith("n/a") for r in rows)
+    assert (tmp_path / "abl" / "ablation.csv").exists()
+
+
+def test_cli_eval_missing_checkpoint_exit_code(tmp_path, capsys):
+    missing = tmp_path / "nope.ckpt"
+    with pytest.raises(DataError):
+        read_arrays(missing)
+    assert main(["eval", "--ckpt", str(missing)]) == 2
+    assert "cannot read" in capsys.readouterr().err

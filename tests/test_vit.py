@@ -18,24 +18,27 @@ def build(image_size=64, patch=8, d_model=16, blocks=2, heads=2, seed=0):
 def test_patch_embed_token_count():
     bb, _ = build()
     img = Tensor(RNG.uniform(0, 1, (3, 64, 64)))
-    assert bb.patch_embed(img).shape == (64, 16)
+    assert bb.patch_embed([img]).shape == (64, 16)
+    assert bb.patch_embed([img, img, img]).shape == (3 * 64, 16)
 
 
 def test_patch_embed_zero_image_gives_positions():
     bb, _ = build()
-    tokens = bb.patch_embed(Tensor(np.zeros((3, 64, 64))))
+    tokens = bb.patch_embed([Tensor(np.zeros((3, 64, 64)))])
     assert np.array_equal(tokens.data, bb.pos.data)  # patch bias is zero-init
 
 
 def test_patch_embed_matches_gather_loop():
+    # two images: image b's tokens are rows 4b to 4b + 3
     bb, _ = build(image_size=16, patch=8)
-    img = RNG.uniform(0, 1, (3, 16, 16))
-    got = bb.patch_embed(Tensor(img)).data
+    imgs = RNG.uniform(0, 1, (2, 3, 16, 16))
+    got = bb.patch_embed([Tensor(img) for img in imgs]).data
     s = 8
-    for t, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-        vec = img[:, i * s:(i + 1) * s, j * s:(j + 1) * s].reshape(-1)
-        want = bb.patch_w.data @ vec + bb.patch_b.data + bb.pos.data[t]
-        np.testing.assert_allclose(got[t], want, atol=1e-12)
+    for b, img in enumerate(imgs):
+        for t, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+            vec = img[:, i * s:(i + 1) * s, j * s:(j + 1) * s].reshape(-1)
+            want = bb.patch_w.data @ vec + bb.patch_b.data + bb.pos.data[t]
+            np.testing.assert_allclose(got[4 * b + t], want, atol=1e-12)
 
 
 def test_patch_embed_rejects_indivisible():
@@ -47,7 +50,7 @@ def test_patch_embed_rejects_indivisible():
 def test_block_single_token_reduces_to_residual_stack():
     bb, _ = build(image_size=8, patch=8, d_model=8, blocks=1, heads=2)
     x = Tensor(RNG.normal(size=(1, 8)))
-    out, probs = bb.attention_block(x, bb.static_weights()[0], 0)
+    out, (probs,) = bb.attention_block(x, bb.static_weights()[0], 0)
     np.testing.assert_allclose(probs, np.ones((2, 1, 1)), atol=0)
     assert out.shape == (1, 8)
 
@@ -57,7 +60,7 @@ def test_block_matches_brute_force_attention():
     bb, _ = build(image_size=24, patch=8, d_model=4, blocks=1, heads=1)
     x = RNG.normal(size=(3, 4))
     w = bb.static_weights()[0]
-    got, probs = bb.attention_block(Tensor(x), w, 0)
+    got, (probs,) = bb.attention_block(Tensor(x), w, 0)
 
     blk = bb.blocks[0]
 
@@ -100,18 +103,22 @@ def test_forward_deterministic_and_length_checked():
     bb, _ = build(image_size=16, patch=8, d_model=8, blocks=2, heads=2)
     img = Tensor(RNG.uniform(0, 1, (3, 16, 16)))
     w = bb.static_weights()
-    f1, _ = bb.forward(img, w)
-    f2, _ = bb.forward(img, w)
+    (f1,), _ = bb.forward([img], w)
+    (f2,), _ = bb.forward([img], w)
     assert np.array_equal(f1.tokens.data, f2.tokens.data)
     assert f1.grid.shape == (8, 2, 2)
     with pytest.raises(ShapeError):
-        bb.forward(img, w[:1])
+        bb.forward([img], w[:1])
+    stacked = [Tensor(np.stack([x.data] * 2)) for x in w]
+    with pytest.raises(ShapeError):  # two images' weights for three images
+        bb.forward([img] * 3, stacked)
 
 
 def test_forward_attention_rows_sum_to_one():
     bb, _ = build(image_size=32, patch=8, d_model=8, blocks=2, heads=2)
     img = Tensor(RNG.uniform(0, 1, (3, 32, 32)))
-    _, attn = bb.forward(img, bb.static_weights(), collect_attention=True)
+    _, (attn,) = bb.forward([img], bb.static_weights(),
+                            collect_attention=True)
     for layer in attn:
         np.testing.assert_allclose(layer.sum(axis=-1),
                                    np.ones(layer.shape[:2]), atol=1e-9)
@@ -122,10 +129,31 @@ def test_forward_grad_check_through_two_blocks():
     img = Tensor(RNG.uniform(0, 1, (3, 8, 8)), requires_grad=True)
 
     def readout(t):
-        feats, _ = bb.forward(t, bb.static_weights())
+        (feats,), _ = bb.forward([t], bb.static_weights())
         return (feats.tokens * feats.tokens).mean()
 
     assert grad_check(readout, img) <= 1e-4
+
+
+def test_forward_grad_check_two_images_with_per_image_weights():
+    # stacked rows: each image projected by its own QKV weights, gradients
+    # reach both images and both weight stacks
+    bb, _ = build(image_size=8, patch=4, d_model=4, blocks=2, heads=2)
+    imgs = [Tensor(RNG.uniform(0, 1, (3, 8, 8)), requires_grad=True)
+            for _ in range(2)]
+    weights = [Tensor(np.stack([w.data + RNG.normal(0, 0.3, w.shape)
+                                for _ in imgs]), requires_grad=True)
+               for w in bb.static_weights()]
+
+    def readout(*_):
+        feats, _ = bb.forward(imgs, weights)
+        total = None
+        for b, f in enumerate(feats):
+            term = (f.grid * f.grid).mean() * float(b + 1)
+            total = term if total is None else total + term
+        return total
+
+    assert grad_check(readout, imgs + weights) <= 1e-4
 
 
 def test_block_permutation_equivariance():
