@@ -124,6 +124,10 @@ def config_to_text(cfg):
 
 
 def validate(cfg):
+    for key, f in _FIELDS.items():  # every other integer key counts something
+        value = getattr(cfg, f.name)
+        if f.type is int and f.name not in ("seed", "steps", "decay_step") and value < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}")
     if cfg.mode not in MODES:
         raise ConfigError(f"train.mode must be one of {MODES}, got {cfg.mode!r}")
     if not cfg.mth_enabled and cfg.mode != "rec":
@@ -132,16 +136,18 @@ def validate(cfg):
         raise ConfigError("model.image_size must be divisible by model.patch")
     if cfg.d_model % cfg.heads:
         raise ConfigError("model.heads must divide model.d_model")
+    if cfg.text_width % cfg.text_heads:
+        raise ConfigError("text.heads must divide text.width")
     if cfg.text_width % cfg.groups:
         raise ConfigError("law.groups must divide text.width")
     if cfg.text_width % cfg.reduction_r:
         raise ConfigError("law.reduction_r must divide text.width")
     if not 0.0 < cfg.threshold < 1.0:
         raise ConfigError("head.threshold must lie in (0, 1)")
-    if cfg.batch_size < 1 or cfg.steps < 0:
-        raise ConfigError("train.batch_size must be >= 1 and train.steps >= 0")
-    if cfg.eval_every < 1 or cfg.log_every < 1:
-        raise ConfigError("train.eval_every and train.log_every must be >= 1")
+    if not 0.0 <= cfg.flip_prob <= 1.0:
+        raise ConfigError("train.flip_prob must lie in [0, 1]")
+    if cfg.steps < 0:
+        raise ConfigError("train.steps must be >= 0")
     if cfg.decay_step == 0:
         cfg.decay_step = (2 * cfg.steps) // 3
     return cfg

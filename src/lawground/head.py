@@ -1,5 +1,5 @@
 """Box and mask branches reading the visual features and the expression
-summary feature.
+summary feature, once per batch of B images and their B summary rows.
 
 Box branch: spatial attention pooling conditioned on the summary feature
 (or plain averaging when disabled), then a 3-layer MLP with a sigmoid to
@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .tensor import (
     Tensor,
     bilinear_upsample,
     gelu,
     linear,
-    matvec,
     reshape,
     sigmoid,
     softmax,
@@ -31,8 +30,8 @@ from .tensor import (
 
 @dataclass
 class MaskPrediction:
-    quarter_logits: Tensor   # (H/4, W/4)
-    probs: Tensor            # (H, W), strictly inside (0, 1)
+    quarter_logits: Tensor   # (B, H/4, W/4)
+    probs: Tensor            # (B, H, W), strictly inside (0, 1)
 
 
 class MultitaskHead:
@@ -102,37 +101,40 @@ class MultitaskHead:
             ))
         return stages
 
-    def lap_pool(self, visual, cls_feat):
-        """Similarity-weighted spatial pooling; returns pooled (C,) and the
-        (side, side) attention grid as an array."""
-        if not self.lap_enabled:
-            raise ConfigError("language-adaptive pooling is disabled in this head")
-        proj_v = linear(visual.tokens, self.pool_vis)              # (T, k)
-        proj_t = matvec(self.pool_txt, cls_feat)                   # (k,)
-        logits = matvec(proj_v, proj_t)                            # (T,)
-        attn = softmax(logits, axis=-1)
-        pooled = matvec(transpose(visual.tokens), attn)            # (C,)
-        return pooled, attn.data.reshape(visual.side, visual.side)
+    def lap_pool(self, visual, cls_rows):
+        """Similarity-weighted spatial pooling of each image's tokens against
+        its (B, d_text) summary row; returns pooled (B, C) and the
+        (B, side, side) attention grids as an array."""
+        n, t, c = visual.tokens.shape
+        proj_v = linear(reshape(visual.tokens, (n * t, c)), self.pool_vis)
+        proj_t = linear(cls_rows, self.pool_txt)                  # (B, k)
+        logits = linear(proj_v, reshape(proj_t, (n, 1, -1)))      # (B*T, 1)
+        attn = softmax(reshape(logits, (n, t)), axis=-1)
+        pooled = linear(attn, transpose(visual.tokens, (0, 2, 1)))
+        return pooled, attn.data.reshape(n, visual.side, visual.side)
 
     def average_pool(self, visual):
-        return visual.tokens.mean(axis=0)
+        return visual.tokens.mean(axis=1)
 
     def predict_box(self, pooled):
-        """3 affine layers with GeLU between, sigmoid to [0,1]^4."""
-        h = gelu(matvec(self.box_w1, pooled) + self.box_b1)
-        h = gelu(matvec(self.box_w2, h) + self.box_b2)
-        return sigmoid(matvec(self.box_w3, h) + self.box_b3)
+        """3 affine layers with GeLU between, sigmoid to [0,1]^4: (B, C) ->
+        (B, 4)."""
+        h = gelu(linear(pooled, self.box_w1, self.box_b1))
+        h = gelu(linear(h, self.box_w2, self.box_b2))
+        return sigmoid(linear(h, self.box_w3, self.box_b3))
 
-    def predict_mask(self, visual, cls_feat):
-        if not self.mask_enabled:
-            raise ConfigError("the mask branch is disabled in this head")
-        feat = visual.grid
+    def predict_mask(self, visual, cls_rows):
+        n = cls_rows.shape[0]
+        feat = visual.grid                  # images stacked along the height
         for j, (kernel, bias) in enumerate(self.up_stages):
             feat = transposed_conv2x(feat, kernel, bias)
             if j < len(self.up_stages) - 1:
                 feat = gelu(feat)
-        # weight-free dynamic projection: the summary feature is the kernel
-        logits = tsum(reshape(cls_feat, (self.d_text, 1, 1)) * feat, axis=0)
+        c, h, w = feat.shape
+        # weight-free dynamic projection: each summary row is its image's
+        # kernel
+        kernels = reshape(transpose(cls_rows), (c, n, 1, 1))
+        logits = tsum(kernels * reshape(feat, (c, n, h // n, w)), axis=0)
         probs = sigmoid(bilinear_upsample(logits, 4))
         return MaskPrediction(quarter_logits=logits, probs=probs)
 

@@ -43,8 +43,6 @@ class DecompositionParams:
 
 def build_law_params(store, backbone, d_l, groups, reduction, rank_dw):
     """Register generator parameters and wire them to the backbone's statics."""
-    if d_l % groups:
-        raise DataError(f"groups {groups} must divide text width {d_l}")
     if d_l % reduction:
         raise DataError(f"reduction ratio {reduction} must divide text width {d_l}")
     d_h = d_l // reduction

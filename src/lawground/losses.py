@@ -33,7 +33,8 @@ class LossWeights:
 
 
 def box_loss(box_true, box_pred, weights):
-    """weights.l1 * L1 + weights.giou * (1 - GIoU) of two (4,) boxes, as one op.
+    """weights.l1 * L1 + weights.giou * (1 - GIoU) of two (4,) boxes, or its
+    mean over two (B, 4) batches of boxes, as one op.
 
     L1 is the mean absolute component difference. GIoU = IoU - |C minus
     union| / |C| over the smallest enclosing box C, so 1 - GIoU lies in
@@ -42,17 +43,18 @@ def box_loss(box_true, box_pred, weights):
     its first argument: the extent over 0, the true box's edge over the
     predicted one, the overlap over 0, union and C over _TINY. Only box_pred
     is a parent. Returns the scalar Tensor and the unweighted L1 and
-    1 - GIoU as floats.
+    1 - GIoU (batch means) as floats.
     """
     pred = as_tensor(box_pred)
     true = as_tensor(box_true).data
     diff = true - pred.data
-    l1 = float(np.mean(np.abs(diff)))
-    # per axis (x, y): the extent, both edges and the area of each box
-    sized = pred.data[2:] >= 0.0
-    size_t, size_p = np.maximum(true[2:], 0.0), np.where(sized, pred.data[2:], 0.0)
-    lo_t, hi_t = true[:2] - size_t * 0.5, true[:2] + size_t * 0.5
-    lo_p, hi_p = pred.data[:2] - size_p * 0.5, pred.data[:2] + size_p * 0.5
+    # per box as (..., 1): L1; per axis (x, y): extents, edges and areas
+    l1 = np.mean(np.abs(diff), axis=-1, keepdims=True)
+    sized = pred.data[..., 2:] >= 0.0
+    size_t = np.maximum(true[..., 2:], 0.0)
+    size_p = np.where(sized, pred.data[..., 2:], 0.0)
+    lo_t, hi_t = true[..., :2] - size_t * 0.5, true[..., :2] + size_t * 0.5
+    lo_p, hi_p = pred.data[..., :2] - size_p * 0.5, pred.data[..., :2] + size_p * 0.5
     # intersection: the true edge wins ties of both its min and its max
     in_hi_t, in_lo_t = hi_t <= hi_p, lo_t >= lo_p
     span = np.where(in_hi_t, hi_t, hi_p) - np.where(in_lo_t, lo_t, lo_p)
@@ -61,45 +63,47 @@ def box_loss(box_true, box_pred, weights):
     # enclosing box, same tie rule
     out_hi_t, out_lo_t = hi_t >= hi_p, lo_t <= lo_p
     encl_wh = np.where(out_hi_t, hi_t, hi_p) - np.where(out_lo_t, lo_t, lo_p)
-    inter = inter_wh[0] * inter_wh[1]
-    union = size_t[0] * size_t[1] + size_p[0] * size_p[1] - inter
-    enclosing = encl_wh[0] * encl_wh[1]
-    union_c, encl_c = max(union, _TINY), max(enclosing, _TINY)
+    inter = inter_wh[..., :1] * inter_wh[..., 1:]
+    union = size_t[..., :1] * size_t[..., 1:] + size_p[..., :1] * size_p[..., 1:] - inter
+    enclosing = encl_wh[..., :1] * encl_wh[..., 1:]
+    union_c, encl_c = np.maximum(union, _TINY), np.maximum(enclosing, _TINY)
     iou = inter / union_c
-    giou_loss = float(1.0 - (iou - (enclosing - union) / encl_c))
-    out = Tensor(weights.l1 * l1 + weights.giou * giou_loss)
+    giou_loss = 1.0 - (iou - (enclosing - union) / encl_c)
+    out = Tensor(np.mean(weights.l1 * l1 + weights.giou * giou_loss))
 
     def backfn(g):
+        g = g / l1.size                         # each box's share of the mean
         # 1 - GIoU = 1 - inter / union_c + (enclosing - union) / encl_c
         gg = g * weights.giou
         g_gap = gg / encl_c                     # adjoint of enclosing - union
-        g_union = (gg * iou / union_c if union >= _TINY else 0.0) - g_gap
-        g_encl = g_gap - (g_gap * (enclosing - union) / encl_c
-                          if enclosing >= _TINY else 0.0)
+        g_union = np.where(union >= _TINY, gg * iou / union_c, 0.0) - g_gap
+        g_encl = g_gap - np.where(enclosing >= _TINY,
+                                  g_gap * (enclosing - union) / encl_c, 0.0)
         g_inter = -gg / union_c - g_union
         # product rule per axis, then to the predicted edges where they won
-        g_span = g_inter * inter_wh[::-1] * overlaps
-        g_encl_wh = g_encl * encl_wh[::-1]
+        g_span = g_inter * inter_wh[..., ::-1] * overlaps
+        g_encl_wh = g_encl * encl_wh[..., ::-1]
         g_hi = g_span * ~in_hi_t + g_encl_wh * ~out_hi_t
         g_lo = -g_span * ~in_lo_t - g_encl_wh * ~out_lo_t
         # edges are center -/+ extent / 2, and the extent spans the area
-        g_size = (g_union * size_p[::-1] + 0.5 * (g_hi - g_lo)) * sized
-        grad = np.concatenate([g_lo + g_hi, g_size])
+        g_size = (g_union * size_p[..., ::-1] + 0.5 * (g_hi - g_lo)) * sized
+        grad = np.concatenate([g_lo + g_hi, g_size], axis=-1)
         grad -= np.sign(diff) * (g * weights.l1 / 4.0)
         return (grad,)
 
-    return _record(out, (pred,), backfn), l1, giou_loss
+    return (_record(out, (pred,), backfn), float(np.mean(l1)),
+            float(np.mean(giou_loss)))
 
 
 def mask_loss(mask_true, mask_pred, weights):
-    """weights.focal * focal + weights.dice * dice of a probability map, as
-    one op.
+    """weights.focal * focal + weights.dice * dice of an (H, W) probability
+    map, or its mean over a (B, H, W) batch of maps, as one op.
 
     Focal is the pixel mean of -alpha * (1 - p_t)^gamma * log(p_t), p_t the
     predicted probability of the true class (gamma=0, alpha=1 is mean binary
-    cross-entropy); dice is 1 - (2*overlap + 1) / (sum_true + sum_pred + 1).
-    Only mask_pred is a parent. Returns the scalar Tensor and the unweighted
-    focal and dice terms as floats.
+    cross-entropy); dice is 1 - (2*overlap + 1) / (sum_true + sum_pred + 1),
+    both per map. Only mask_pred is a parent. Returns the scalar Tensor and
+    the unweighted focal and dice terms (batch means) as floats.
     """
     pred = as_tensor(mask_pred)
     true = as_tensor(mask_true).data
@@ -113,25 +117,32 @@ def mask_loss(mask_true, mask_pred, weights):
     miss = 1.0 - p_t
     log_pt = np.log(p_t)
     focus = miss ** gamma
-    focal = float(np.mean(focus * log_pt)) * -alpha
-    overlap_eps = 2.0 * float(np.sum(true * p)) + _DICE_EPS
-    total_eps = float(np.sum(true)) + float(np.sum(p)) + _DICE_EPS
+    # per map, kept as (..., 1, 1)
+    pixels = dict(axis=(-2, -1), keepdims=True)
+    focal = np.mean(focus * log_pt, **pixels) * -alpha
+    overlap_eps = 2.0 * np.sum(true * p, **pixels) + _DICE_EPS
+    total_eps = np.sum(true, **pixels) + np.sum(p, **pixels) + _DICE_EPS
     dice = 1.0 - overlap_eps / total_eps
-    out = Tensor(weights.focal * focal + weights.dice * dice)
+    out = Tensor(np.mean(weights.focal * focal + weights.dice * dice))
 
     def backfn(g):
+        g = g / dice.size                       # each map's share of the mean
         d_pt = focus / p_t - gamma * miss ** (gamma - 1.0) * log_pt
-        g_focal = d_pt * (2.0 * true - 1.0) * (-alpha * weights.focal * g / p.size)
+        g_focal = d_pt * (2.0 * true - 1.0) * (
+            -alpha * weights.focal * g / (p.size / dice.size))
         g_dice = (overlap_eps / total_eps - 2.0 * true) * (
             weights.dice * g / total_eps)
         return (g_focal + g_dice,)
 
-    return _record(out, (pred,), backfn), focal, dice
+    return (_record(out, (pred,), backfn), float(np.mean(focal)),
+            float(np.mean(dice)))
 
 
 def total_loss(box_true, box_pred, mask_true, mask_pred, weights=None,
                mode="multitask"):
-    """Joint objective; returns (scalar Tensor, per-component float breakdown)."""
+    """Joint objective of one sample, or its mean over a batch when every
+    input has a leading batch axis; returns (scalar Tensor, per-component
+    float breakdown of batch means)."""
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     w = weights or LossWeights()

@@ -3,15 +3,15 @@ backbone -> box/mask head, with the three component toggles used by the
 ablation arms. Its shapes, toggles and seed come from one `TrainConfig`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ShapeError
-from .head import MultitaskHead
+from .head import MaskPrediction, MultitaskHead
 from .law import build_law_params, generate_all
 from .params import ParamStore
-from .tensor import Tensor
+from .tensor import Tensor, reshape, take_rows
 from .text import TextEncoder, tokenize
 from .vit import VisualBackbone
 
@@ -20,12 +20,12 @@ BACKBONE_PREFIXES = ("text.", "vit.")
 
 @dataclass
 class Prediction:
-    box: Tensor                     # (4,) normalized cx, cy, w, h
+    box: Tensor                     # (B, 4) normalized cx, cy, w, h
     mask: object = None             # MaskPrediction or None
-    visual: object = None           # VisualFeatures
-    alphas: object = None           # (N, G, L) token attention or None
-    attention: list = field(default_factory=list)  # per-layer (H, T, T) probs
-    pool_attention: object = None   # (side, side) array or None
+    visual: object = None           # the batch's VisualFeatures
+    alphas: object = None           # per expression (N, G, L) array or None
+    attention: list = field(default_factory=list)  # per image, per layer (H, T, T)
+    pool_attention: object = None   # (B, side, side) array or None
 
 
 class GroundingModel:
@@ -62,19 +62,32 @@ class GroundingModel:
 
     def forward(self, image, tokens, collect_attention=False):
         """Full forward pass for one (image, expression) pair: the B=1 case
-        of forward_batch."""
-        return self.forward_batch([image], [tokens], collect_attention)[0]
+        of forward_batch with the batch axis dropped from the box (4,), the
+        mask maps, the pooling map, the token attention and the attention
+        maps. `visual` keeps the (1, T, d) batch features."""
+        pred = self.forward_batch([image], [tokens], collect_attention)
+
+        def single(t):
+            return reshape(t, t.shape[1:])
+
+        mask = pred.mask and MaskPrediction(
+            quarter_logits=single(pred.mask.quarter_logits),
+            probs=single(pred.mask.probs))
+        pool = pred.pool_attention
+        return replace(pred, box=single(pred.box), mask=mask,
+                       alphas=pred.alphas[0], attention=pred.attention[0],
+                       pool_attention=None if pool is None else pool[0])
 
     def forward_batch(self, images, token_seqs, collect_attention=False):
-        """One Prediction per (image, expression) pair.
+        """One Prediction for a batch of (image, expression) pairs.
 
         The expression half runs once for the batch: the text encoder over
         the packed token sequences, then every expression's generator cores
         and one (B, 3d, d) stack of fused weights per layer. The image half
         runs the backbone once over the B images stacked into one row block,
         each image projected by its own expression's QKV weights (or all by
-        the static ones without a weight generator). The head runs per pair
-        on its image's rows of the final features.
+        the static ones without a weight generator). The head runs once on
+        the batch's final features against the B expressions' [CLS] rows.
         """
         if len(images) != len(token_seqs):
             raise ShapeError(f"{len(images)} images for {len(token_seqs)} "
@@ -86,25 +99,21 @@ class GroundingModel:
         else:
             weights = self.backbone.static_weights()
             alphas = [None] * len(lengths)
-        visuals, attn = self.backbone.forward(
+        visual, attn = self.backbone.forward(
             images, weights, collect_attention=collect_attention)
-        attn = attn or [[] for _ in images]
-        preds, start = [], 0
-        for visual, maps, alpha, n in zip(visuals, attn, alphas, lengths):
-            cls_feat = feats[start]
-            start += n
-            pool_map = None
-            if self.head.lap_enabled:
-                pooled, pool_map = self.head.lap_pool(visual, cls_feat)
-            else:
-                pooled = self.head.average_pool(visual)
-            box = self.head.predict_box(pooled)
-            mask = (self.head.predict_mask(visual, cls_feat)
-                    if self.head.mask_enabled else None)
-            preds.append(Prediction(box=box, mask=mask, visual=visual,
-                                    alphas=alpha, attention=maps,
-                                    pool_attention=pool_map))
-        return preds
+        # [CLS] opens each expression's packed rows
+        cls_rows = take_rows(feats, np.cumsum([0] + lengths[:-1]))
+        pool_map = None
+        if self.head.lap_enabled:
+            pooled, pool_map = self.head.lap_pool(visual, cls_rows)
+        else:
+            pooled = self.head.average_pool(visual)
+        box = self.head.predict_box(pooled)
+        mask = (self.head.predict_mask(visual, cls_rows)
+                if self.head.mask_enabled else None)
+        return Prediction(box=box, mask=mask, visual=visual, alphas=alphas,
+                          attention=attn or [[] for _ in images],
+                          pool_attention=pool_map)
 
     def parameter_groups(self):
         """(backbone, rest) parameter lists for the two step sizes."""

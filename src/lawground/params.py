@@ -54,9 +54,6 @@ class ParamStore:
     def __getitem__(self, name):
         return self._params[name]
 
-    def num_values(self, prefix=""):
-        return sum(p.size for n, p in self._params.items() if n.startswith(prefix))
-
     def load_state_arrays(self, arrays):
         missing = [n for n in self._params if n not in arrays]
         extra = [n for n in arrays if n not in self._params]

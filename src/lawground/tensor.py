@@ -403,16 +403,6 @@ def linear(x, w, b=None):
     return _record(Tensor(y), (x, w, b), lambda g: (*grads(g), g.sum(axis=0)))
 
 
-def matvec(w, v):
-    """(m x k) @ (k,) -> (m,)."""
-    w, v = as_tensor(w), as_tensor(v)
-    if v.ndim != 1 or w.ndim != 2 or w.shape[1] != v.shape[0]:
-        raise ShapeError(f"matvec: incompatible shapes {w.shape} and {v.shape}")
-    out = Tensor(w.data @ v.data)
-    return _record(out, (w, v),
-                   lambda g: (np.multiply.outer(g, v.data), w.data.T @ g))
-
-
 def tsum(x, axis=None, keepdims=False):
     x = as_tensor(x)
     out = Tensor(np.sum(x.data, axis=axis, keepdims=keepdims))
@@ -579,15 +569,16 @@ def _bilinear_matrix(n, factor):
 
 
 def bilinear_upsample(x, factor):
-    """Scale a 2-D map by an integer factor with bilinear interpolation
-    (align-corners-false, edge-replicated)."""
+    """Scale a 2-D map, or each map of a (B, h, w) stack, by an integer
+    factor with bilinear interpolation (align-corners-false,
+    edge-replicated)."""
     x = as_tensor(x)
     factor = int(factor)
     if factor < 1:
         raise ShapeError(f"upsample factor must be >= 1, got {factor}")
-    if x.ndim != 2:
-        raise ShapeError(f"bilinear_upsample expects a 2-D map, got {x.shape}")
-    h, w = x.shape
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"bilinear_upsample expects (h, w) or (B, h, w), got {x.shape}")
+    h, w = x.shape[-2:]
     wr = _bilinear_matrix(h, factor)
     wc = _bilinear_matrix(w, factor)
     out = Tensor((wr @ x.data) @ wc.T)

@@ -60,8 +60,6 @@ class TextEncoder:
     """Pre-norm transformer encoder producing per-token features."""
 
     def __init__(self, store, vocab_size, width=64, layers=2, heads=4, max_len=40):
-        if width % heads:
-            raise DataError(f"text width {width} not divisible by {heads} heads")
         self.vocab_size = vocab_size
         self.width = width
         self.heads = heads

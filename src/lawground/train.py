@@ -254,34 +254,27 @@ def train(cfg, out_dir):
             batches_fh.write(f"{step},{digest}\n")
             batches_fh.flush()
 
-            images, targets, token_seqs = [], [], []
+            batch = []
             for idx, flip in zip(indices, flips):
                 sample = train_samples[idx]
-                image, mask, box, expr = (sample.image(), sample.mask(),
-                                          sample.box, sample.expression)
-                if flip:
-                    image, mask, box, expr = flip_sample(image, mask, box, expr)
-                images.append(model.image_tensor(image))
-                targets.append((box, mask.astype(np.float64)))
-                token_seqs.append(model.tokenize(expr))
-            agg_parts = {}
+                item = (sample.image(), sample.mask(), sample.box,
+                        sample.expression)
+                batch.append(flip_sample(*item) if flip else item)
+            images, masks, boxes, exprs = zip(*batch)
             with Tape() as tape:
-                preds = model.forward_batch(images, token_seqs)
-                batch_loss = None
-                for pred, (box, mask) in zip(preds, targets):
-                    probs = pred.mask.probs if pred.mask is not None else None
-                    loss, parts = total_loss(box, pred.box, mask, probs,
-                                             weights, cfg.mode)
-                    batch_loss = loss if batch_loss is None else batch_loss + loss
-                    for key, value in parts.items():
-                        agg_parts[key] = agg_parts.get(key, 0.0) + value
-                batch_loss = batch_loss * (1.0 / cfg.batch_size)
-            agg_parts = {k: v / cfg.batch_size for k, v in agg_parts.items()}
+                pred = model.forward_batch(
+                    [model.image_tensor(image) for image in images],
+                    [model.tokenize(expr) for expr in exprs])
+                probs = pred.mask.probs if pred.mask is not None else None
+                batch_loss, parts = total_loss(
+                    np.stack(boxes), pred.box,
+                    np.stack(masks).astype(np.float64), probs, weights,
+                    cfg.mode)
 
             try:
                 tape.backward(batch_loss)
             except NumericError as exc:
-                dump = {"step": step, "loss_parts": agg_parts,
+                dump = {"step": step, "loss_parts": parts,
                         "scene_ids": [train_samples[i].scene_id
                                       for i in indices],
                         "flips": [bool(f) for f in flips]}
@@ -295,7 +288,7 @@ def train(cfg, out_dir):
             opt.zero_grad()
 
             if step % cfg.log_every == 0 or step == cfg.steps:
-                emit(metric_row(step, "train", parts=agg_parts))
+                emit(metric_row(step, "train", parts=parts))
             if step % cfg.eval_every == 0 or step == cfg.steps:
                 report = run_eval(step)
 

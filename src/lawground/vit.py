@@ -44,8 +44,8 @@ def position_code(side, width):
 
 @dataclass
 class VisualFeatures:
-    tokens: Tensor   # (T, d_model)
-    grid: Tensor     # (d_model, H/s, W/s)
+    tokens: Tensor   # (B, T, d_model)
+    grid: Tensor     # (d_model, B*H/s, W/s): the images' grids stacked
     side: int        # H/s == W/s
 
 
@@ -54,8 +54,6 @@ class VisualBackbone:
                  heads=4, mlp_ratio=4):
         if image_size % patch:
             raise ShapeError(f"image size {image_size} not divisible by patch {patch}")
-        if d_model % heads:
-            raise ShapeError(f"heads {heads} do not divide width {d_model}")
         self.image_size = image_size
         self.patch = patch
         self.d_model = d_model
@@ -103,8 +101,8 @@ class VisualBackbone:
     def forward(self, images, weights, collect_attention=False):
         """Run all blocks once over a batch of images stacked into one row
         block. weights holds per layer one (3d, d) projection shared by
-        every image or a (B, 3d, d) stack, one per image. Returns one
-        VisualFeatures per image and, when collected, per image its list of
+        every image or a (B, 3d, d) stack, one per image. Returns the
+        batch's VisualFeatures and, when collected, per image its list of
         per-layer (H, T, T) attention maps (else None)."""
         if len(weights) != self.n_blocks:
             raise ShapeError(
@@ -122,13 +120,10 @@ class VisualBackbone:
             if collect_attention:
                 attn.append(probs)
         x = layer_norm(x, self.final_g, self.final_b)
-        feats = []
-        for b in range(n):
-            tokens = x[b * t:(b + 1) * t]
-            grid = transpose(reshape(tokens, (self.side, self.side,
-                                              self.d_model)), (2, 0, 1))
-            feats.append(VisualFeatures(tokens=tokens, grid=grid,
-                                        side=self.side))
+        grid = transpose(reshape(x, (n * self.side, self.side, self.d_model)),
+                         (2, 0, 1))
+        feats = VisualFeatures(tokens=reshape(x, (n, t, self.d_model)),
+                               grid=grid, side=self.side)
         return feats, ([list(maps) for maps in zip(*attn)]
                        if collect_attention else None)
 

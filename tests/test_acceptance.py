@@ -35,7 +35,6 @@ from lawground.tensor import (
     grad_check,
     layer_norm,
     linear,
-    matvec,
     sigmoid,
     softmax,
     take_rows,
@@ -125,7 +124,7 @@ def test_criterion_2_gradient_suite():
     # every differentiable op, randomized small shapes
     check("linear", lambda x, w, b: sq(linear(x, w, b)),
           [rt((3, 4)), rt((5, 4)), rt((5,))])
-    check("matvec", lambda w, v: sq(matvec(w, v)), [rt((4, 6)), rt((6,))])
+    rt((4, 6)), rt((6,))  # the draws of the former matvec arm: inputs stay put
     check("add_mul_neg",
           lambda a, b: ((a + b) * (a + -b) * (b * b + 1.0)).sum(),
           [rt((3, 4)), rt((3, 4))])
@@ -212,6 +211,20 @@ def test_criterion_2_gradient_suite():
           [Tensor(rows_rng.normal(size=(6, 4)), requires_grad=True),
            Tensor(rows_rng.normal(size=(3, 5, 4)), requires_grad=True),
            Tensor(rows_rng.normal(size=(5,)), requires_grad=True)])
+    # batch means of the joint loss's two ops, own stream
+    loss_rng = np.random.default_rng(17)
+    boxes_true = loss_rng.uniform([0.3, 0.3, 0.1, 0.1], [0.7, 0.7, 0.4, 0.4],
+                                  (3, 4))
+    check("batched_box_loss",
+          lambda b: losses.box_loss(boxes_true, b, losses.LossWeights())[0],
+          [Tensor(loss_rng.uniform([0.3, 0.3, 0.1, 0.1],
+                                   [0.7, 0.7, 0.4, 0.4], (3, 4)),
+                  requires_grad=True)])
+    masks_true = (loss_rng.uniform(size=(3, 3, 3)) > 0.5).astype(float)
+    check("batched_mask_loss",
+          lambda z: losses.mask_loss(masks_true, sigmoid(z),
+                                     losses.LossWeights())[0],
+          [Tensor(loss_rng.normal(size=(3, 3, 3)), requires_grad=True)])
 
     # full multitask loss through a 2-block toy model, grads w.r.t. all params
     model = toy_model(seed=5)
@@ -396,17 +409,17 @@ def test_criterion_4_oracle_equivalence():
         tokens = rng.normal(size=(4, 6))
         cls = rng.normal(size=6)
         visual = VisualFeatures(
-            tokens=Tensor(tokens),
+            tokens=Tensor(tokens[None]),
             grid=Tensor(np.transpose(tokens.reshape(2, 2, 6), (2, 0, 1))),
             side=2)
-        pooled, attn = head.lap_pool(visual, Tensor(cls))
+        pooled, attn = head.lap_pool(visual, Tensor(cls[None]))
         wv = store["head.pool.visual.weight"].data
         wt = store["head.pool.text.weight"].data
         logits = np.array([np.dot(wv @ tokens[t], wt @ cls) for t in range(4)])
         e = np.exp(logits - logits.max())
         a = e / e.sum()
         close("lap-attn", attn.reshape(-1), a, ORACLE_TOL_CLOSED)
-        close("lap-pooled", pooled.data,
+        close("lap-pooled", pooled.data[0],
               sum(a[t] * tokens[t] for t in range(4)), ORACLE_TOL_CLOSED)
 
     # dynamic mask projection vs per-pixel dot loop

@@ -254,20 +254,35 @@ def perfectish_inputs():
     return box, mask, soft
 
 
+def batch_inputs(n=5, seed=21):
+    """(B, 4) true and predicted boxes, (B, 4, 4) true masks and predicted
+    probabilities; one predicted box has a negative extent (empty)."""
+    rng = np.random.default_rng(seed)
+    boxes_t = np.stack([random_box(rng) for _ in range(n)])
+    boxes_p = np.stack([random_box(rng) for _ in range(n)])
+    boxes_p[0, 2] = -0.1
+    masks_t = (rng.uniform(size=(n, 4, 4)) > 0.5).astype(float)
+    return boxes_t, boxes_p, masks_t, rng.uniform(0.1, 0.9, (n, 4, 4))
+
+
 def test_total_perfect_predictions_near_zero():
     box, mask, soft = perfectish_inputs()
     loss, _ = total_loss(box, box, mask, soft)
     assert loss.item() < 1e-6  # dice epsilon and focal saturation leftovers
+    boxes, _, masks, _ = batch_inputs()
+    loss, _ = total_loss(boxes, boxes, masks, np.clip(masks, 1e-12, 1 - 1e-12))
+    assert loss.item() < 1e-6
 
 
 def test_total_multitask_is_exact_sum_of_modes():
     box_t, mask_t, _ = perfectish_inputs()
     box_p = random_box()
     soft_p = RNG.uniform(0.1, 0.9, (4, 4))
-    rec, _ = total_loss(box_t, box_p, mask_t, soft_p, mode="rec")
-    res, _ = total_loss(box_t, box_p, mask_t, soft_p, mode="res")
-    multi, _ = total_loss(box_t, box_p, mask_t, soft_p, mode="multitask")
-    assert multi.item() == rec.item() + res.item()
+    for args in ((box_t, box_p, mask_t, soft_p), batch_inputs()):
+        rec, _ = total_loss(*args, mode="rec")
+        res, _ = total_loss(*args, mode="res")
+        multi, _ = total_loss(*args, mode="multitask")
+        assert multi.item() == rec.item() + res.item()
 
 
 def test_total_matches_recomposition():
@@ -275,13 +290,46 @@ def test_total_matches_recomposition():
     box_p = random_box()
     soft_p = RNG.uniform(0.1, 0.9, (4, 4))
     w = LossWeights()
+
+    def recomposed(box_t, box_p, mask_t, soft_p):
+        return (w.l1 * l1_loss(box_t, box_p)
+                + w.giou * giou_loss(box_t, box_p)
+                + w.focal * focal_loss(mask_t, soft_p)
+                + w.dice * dice_loss(mask_t, soft_p))
+
     got, parts = total_loss(box_t, box_p, mask_t, soft_p, w)
-    want = (w.l1 * l1_loss(box_t, box_p)
-            + w.giou * giou_loss(box_t, box_p)
-            + w.focal * focal_loss(mask_t, soft_p)
-            + w.dice * dice_loss(mask_t, soft_p))
-    assert abs(got.item() - want) < 1e-12
+    assert abs(got.item() - recomposed(box_t, box_p, mask_t, soft_p)) < 1e-12
     assert set(parts) == {"l1", "giou", "focal", "dice", "total"}
+    batch = batch_inputs()
+    got, _ = total_loss(*batch, w)
+    want = np.mean([recomposed(*one) for one in zip(*batch)])
+    assert abs(got.item() - want) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["rec", "res", "multitask"])
+def test_total_batch_is_mean_of_per_sample_calls(mode):
+    def run(box_t, box_p, mask_t, soft_p):
+        box, soft = (Tensor(box_p, requires_grad=True),
+                     Tensor(soft_p, requires_grad=True))
+        with Tape() as tape:
+            loss, parts = total_loss(box_t, box, mask_t, soft, mode=mode)
+        tape.backward(loss)
+        return loss.item(), parts, box.grad, soft.grad
+
+    batch = batch_inputs()
+    value, parts, box_grad, soft_grad = run(*batch)
+    single = [run(*one) for one in zip(*batch)]
+    n = len(single)
+    assert value == pytest.approx(np.mean([v for v, *_ in single]),
+                                  rel=1e-15)
+    for key in parts:
+        assert parts[key] == pytest.approx(
+            np.mean([p[key] for _, p, *_ in single]), rel=1e-15)
+    for got, want in ((box_grad, np.stack([b for *_, b, _ in single]) / n),
+                      (soft_grad, np.stack([m for *_, m in single]) / n)):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-17)
+    assert (np.abs(box_grad).max() > 0) == (mode != "res")
+    assert (np.abs(soft_grad).max() > 0) == (mode != "rec")
 
 
 def test_total_rejects_unknown_mode():

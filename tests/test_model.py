@@ -1,3 +1,4 @@
+import itertools
 import re
 from pathlib import Path
 
@@ -10,11 +11,11 @@ from lawground.config import TrainConfig
 from lawground.law import layer_cores
 from lawground.model import GroundingModel
 from lawground.synthground import LEXICON, generate_dataset
-from lawground.tensor import (Tape, Tensor, layer_norm, linear, reshape,
-                              transpose)
+from lawground.tensor import (Tape, Tensor, bilinear_upsample, gelu,
+                              layer_norm, linear, reshape, sigmoid, softmax,
+                              transpose, transposed_conv2x, tsum)
 from lawground.text import Vocabulary
 from lawground.train import train
-from lawground.vit import VisualFeatures
 
 RNG = np.random.default_rng(3)
 
@@ -103,7 +104,6 @@ def test_ablation_toggles_isolate_parameters(vocab):
     no_lap = GroundingModel(tiny_config(lap_enabled=False, seed=1), vocab)
     no_mth = GroundingModel(tiny_config(mth_enabled=False, seed=1), vocab)
 
-    assert no_lawg.store.num_values("law.") == 0
     assert not any(n.startswith("law.") for n in no_lawg.store.names())
     assert not any(n.startswith("head.pool.") for n in no_lap.store.names())
     assert not any(n.startswith("head.up") for n in no_mth.store.names())
@@ -192,9 +192,19 @@ def test_tape_entries_per_step_match_readme(tmp_path, monkeypatch):
     assert len(recorded) == int(stated.group(2).replace(",", ""))
 
 
-def test_packed_step_gradients_match_per_sample_forwards(vocab):
+# the three arms `lawground ablate` trains, as config overrides and loss mode
+TRAINED_ARMS = {
+    "all": (dict(), "multitask"),
+    "average-pool": (dict(lap_enabled=False), "multitask"),
+    "rec": (dict(mth_enabled=False), "rec"),
+}
+
+
+@pytest.mark.parametrize("arm", sorted(TRAINED_ARMS))
+def test_packed_step_gradients_match_per_sample_forwards(vocab, arm):
+    overrides, mode = TRAINED_ARMS[arm]
     rng = np.random.default_rng(11)
-    model = GroundingModel(tiny_config(seed=7), vocab)
+    model = GroundingModel(tiny_config(seed=7, **overrides), vocab)
     for i in range(model.config.blocks):  # the dynamic path carries gradient
         core = model.store[f"law.layer{i}.core.weight"]
         core.data[...] = rng.normal(0, 0.3, core.shape)
@@ -206,22 +216,22 @@ def test_packed_step_gradients_match_per_sample_forwards(vocab):
     boxes = rng.uniform(0.2, 0.6, (len(exprs), 4))
     masks = (rng.uniform(size=(len(exprs), 16, 16)) > 0.5).astype(np.float64)
 
-    def gradients(predict):
+    def gradients(predict, box, mask):
         for _, p in model.store.items():
             p.zero_grad()
         with Tape() as tape:
-            total = None
-            for pred, box, mask in zip(predict(), boxes, masks):
-                loss, _ = losses.total_loss(box, pred.box, mask,
-                                            pred.mask.probs)
-                total = loss if total is None else total + loss
-        tape.backward(total)
+            pred = predict()
+            probs = pred.mask.probs if pred.mask is not None else None
+            loss, _ = losses.total_loss(box, pred.box, mask, probs, mode=mode)
+        tape.backward(loss)
         return {name: p.grad.copy() for name, p in model.store.items()}
 
-    packed = gradients(lambda: model.forward_batch(images, tokens))
-    single = gradients(lambda: [model.forward(x, t)
-                                for x, t in zip(images, tokens)])
-    for name, want in single.items():
+    packed = gradients(lambda: model.forward_batch(images, tokens), boxes,
+                       masks)
+    single = [gradients(lambda: model.forward(x, t), box, mask)
+              for x, t, box, mask in zip(images, tokens, boxes, masks)]
+    for name in packed:
+        want = np.mean([grads[name] for grads in single], axis=0)
         scale = np.abs(want).max()
         assert scale > 0.0, name
         assert np.abs(packed[name] - want).max() <= 1e-12 * scale, name
@@ -231,12 +241,42 @@ def test_packed_step_gradients_match_per_sample_forwards(vocab):
 # stacked image rows
 
 
+def per_sample_head(head, tokens, cls, side):
+    """MultitaskHead as it ran per sample before it ran once per batch, its
+    matrix-vector products written out in numpy, so the B=1 case can be
+    checked bit for bit. tokens (T, d) and cls (d_text,) are arrays; returns
+    the box, the mask probabilities (or None) and the pooling map (or
+    None)."""
+    x, pool_map, probs = Tensor(tokens), None, None
+    if head.lap_enabled:
+        proj_v = linear(x, head.pool_vis).data
+        attn = softmax(Tensor(proj_v @ (head.pool_txt.data @ cls)), axis=-1)
+        pooled = tokens.T @ attn.data
+        pool_map = attn.data.reshape(side, side)
+    else:
+        pooled = x.mean(axis=0).data
+    h = gelu(Tensor(head.box_w1.data @ pooled) + head.box_b1)
+    h = gelu(Tensor(head.box_w2.data @ h.data) + head.box_b2)
+    box = sigmoid(Tensor(head.box_w3.data @ h.data) + head.box_b3)
+    if head.mask_enabled:
+        feat = transpose(reshape(x, (side, side, head.d_model)), (2, 0, 1))
+        for j, (kernel, bias) in enumerate(head.up_stages):
+            feat = transposed_conv2x(feat, kernel, bias)
+            if j < len(head.up_stages) - 1:
+                feat = gelu(feat)
+        logits = tsum(Tensor(cls.reshape(head.d_text, 1, 1)) * feat, axis=0)
+        probs = sigmoid(bilinear_upsample(logits, 4)).data
+    return box.data, probs, pool_map
+
+
 def per_sample_forward(model, image, tokens):
     """GroundingModel.forward as it was before the image half ran on
-    stacked rows: one fused-weight op per layer and one ViT pass for the
-    single image, kept verbatim so the B=1 case can be checked bit for
-    bit. Returns the visual tokens, the box and the mask probabilities."""
-    law, bb, head = model.law, model.backbone, model.head
+    stacked rows and the head per batch: one fused-weight op per layer, one
+    ViT pass and the per-sample head for the single image, kept verbatim so
+    the B=1 case can be checked bit for bit. Returns the visual tokens, the
+    per-layer attention maps, the box, the mask probabilities and the
+    pooling map."""
+    law, bb = model.law, model.backbone
     feats = model.text.encode([tokens])
     cores, _ = layer_cores(feats, law, [len(tokens)])
     weights = []
@@ -249,32 +289,43 @@ def per_sample_forward(model, image, tokens):
     patches = transpose(reshape(image, (3, hp, s, hp, s)), (1, 3, 0, 2, 4))
     flat = reshape(patches, (bb.n_tokens, 3 * s * s))
     x = linear(flat, bb.patch_w, bb.patch_b) + bb.pos
+    maps = []
     for layer in range(bb.n_blocks):
-        x, _ = transformer_block(x, bb.blocks[layer], weights[layer], bb.heads)
+        x, probs = transformer_block(x, bb.blocks[layer], weights[layer],
+                                     bb.heads)
+        maps.append(probs[0])
     x = layer_norm(x, bb.final_g, bb.final_b)
-    grid = transpose(reshape(x, (hp, hp, bb.d_model)), (2, 0, 1))
-    visual = VisualFeatures(tokens=x, grid=grid, side=hp)
-    pooled, _ = head.lap_pool(visual, feats[0])
-    box = head.predict_box(pooled)
-    mask = head.predict_mask(visual, feats[0])
-    return x.data, box.data, mask.probs.data
+    return (x.data, maps,
+            *per_sample_head(model.head, x.data, feats.data[0], hp))
 
 
 @pytest.mark.parametrize("size", [64, 128])
 def test_b1_forward_bit_identical_to_per_sample_backbone(vocab, size):
-    rng = np.random.default_rng(size)
-    model = GroundingModel(TrainConfig(image_size=size, seed=3), vocab)
-    for i in range(model.config.blocks):
-        core = model.store[f"law.layer{i}.core.weight"]
-        core.data[...] = rng.normal(0, 0.3, core.shape)
-    image = model.image_tensor(rng.integers(0, 255, (size, size, 3),
-                                            dtype=np.uint8))
-    tokens = model.tokenize("red circle left of the blue square")
-    pred = model.forward(image, tokens)
-    tok, box, probs = per_sample_forward(model, image, tokens)
-    assert np.array_equal(pred.visual.tokens.data, tok)
-    assert np.array_equal(pred.box.data, box)
-    assert np.array_equal(pred.mask.probs.data, probs)
+    for lap, mth in itertools.product((True, False), repeat=2):
+        rng = np.random.default_rng(size)
+        model = GroundingModel(TrainConfig(image_size=size, seed=3,
+                                           lap_enabled=lap, mth_enabled=mth),
+                               vocab)
+        for i in range(model.config.blocks):
+            core = model.store[f"law.layer{i}.core.weight"]
+            core.data[...] = rng.normal(0, 0.3, core.shape)
+        image = model.image_tensor(rng.integers(0, 255, (size, size, 3),
+                                                dtype=np.uint8))
+        tokens = model.tokenize("red circle left of the blue square")
+        pred = model.forward(image, tokens, collect_attention=True)
+        tok, maps, box, probs, pool_map = per_sample_forward(model, image,
+                                                             tokens)
+        assert np.array_equal(pred.visual.tokens.data[0], tok)
+        assert all(np.array_equal(a, b) for a, b in zip(pred.attention, maps))
+        assert np.array_equal(pred.box.data, box)
+        if mth:
+            assert np.array_equal(pred.mask.probs.data, probs)
+        else:
+            assert pred.mask is None
+        if lap:
+            assert np.array_equal(pred.pool_attention, pool_map)
+        else:
+            assert pred.pool_attention is None
 
 
 def test_static_batch_forward_keeps_images_apart(vocab):
@@ -287,14 +338,15 @@ def test_static_batch_forward_keeps_images_apart(vocab):
               for _ in range(2)]
     tokens = [model.tokenize("red circle"), model.tokenize("small square")]
     batch = model.forward_batch(images, tokens, collect_attention=True)
-    for pred, image, toks in zip(batch, images, tokens):
+    for b, (image, toks) in enumerate(zip(images, tokens)):
         one = model.forward(image, toks, collect_attention=True)
-        for got, want in ((pred.visual.tokens, one.visual.tokens),
-                          (pred.box, one.box), (pred.mask.probs,
-                                                one.mask.probs)):
-            np.testing.assert_allclose(got.data, want.data, rtol=0,
-                                       atol=1e-13)
-        assert len(pred.attention) == model.config.blocks
-        for got, want in zip(pred.attention, one.attention):
+        for got, want in ((batch.visual.tokens.data[b],
+                           one.visual.tokens.data[0]),
+                          (batch.box.data[b], one.box.data),
+                          (batch.mask.probs.data[b], one.mask.probs.data),
+                          (batch.pool_attention[b], one.pool_attention)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        assert len(batch.attention[b]) == model.config.blocks
+        for got, want in zip(batch.attention[b], one.attention):
             assert got.shape == want.shape == (2, 4, 4)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)

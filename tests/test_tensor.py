@@ -17,7 +17,6 @@ from lawground.tensor import (
     gelu,
     grad_check,
     layer_norm,
-    matvec,
     reshape,
     sigmoid,
     softmax,
@@ -335,6 +334,16 @@ def test_bilinear_hand_evaluated_2x2():
     np.testing.assert_allclose(got, want, atol=1e-15)
 
 
+def test_bilinear_stack_upsamples_each_map():
+    stack = Tensor(np.random.default_rng(6).normal(size=(3, 4, 5)))
+    got = bilinear_upsample(stack, 4).data
+    assert got.shape == (3, 16, 20)
+    for one, want in zip(stack.data, got):
+        assert np.array_equal(bilinear_upsample(Tensor(one), 4).data, want)
+    with pytest.raises(ShapeError):
+        bilinear_upsample(Tensor(np.zeros((1, 2, 2, 2))), 2)
+
+
 def test_bilinear_rejects_factor_below_one():
     with pytest.raises(ShapeError):
         bilinear_upsample(Tensor(np.zeros((2, 2))), 0)
@@ -474,15 +483,11 @@ def test_grad_check_elementwise_ops(name, fn, shape):
     assert grad_check(fn, x) <= 1e-4, name
 
 
-def test_grad_check_matvec_and_layernorm():
-    w = rand_tensor((4, 6), requires_grad=True)
-    v = rand_tensor((6,), requires_grad=True)
+def test_grad_check_layernorm():
+    rand_tensor((4, 6)), rand_tensor((6,))  # former inputs: later draws stay put
     g = Tensor(np.ones(6), requires_grad=True)
     b = Tensor(np.zeros(6), requires_grad=True)
     x = rand_tensor((5, 6), requires_grad=True)
-    assert grad_check(lambda w, v: square_sum(matvec(w, v)), [w, v]) <= 1e-4
-    with pytest.raises(ShapeError):  # w must be 2-D
-        matvec(Tensor(np.zeros((2, 4, 6))), v)
     assert grad_check(lambda x, g, b: square_sum(layer_norm(x, g, b)),
                       [x, g, b]) <= 1e-4
 
@@ -495,6 +500,10 @@ def test_grad_check_spatial_ops():
         lambda x, k, b: square_sum(transposed_conv2x(x, k, b)), [x, k, b]) <= 1e-4
     m = rand_tensor((3, 4), requires_grad=True)
     assert grad_check(lambda m: square_sum(bilinear_upsample(m, 2)), m) <= 1e-4
+    stack = Tensor(np.random.default_rng(5).normal(size=(2, 3, 4)),
+                   requires_grad=True)
+    assert grad_check(lambda s: square_sum(bilinear_upsample(s, 2)),
+                      stack) <= 1e-4
 
 
 def test_grad_check_take_rows():

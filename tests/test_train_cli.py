@@ -591,6 +591,21 @@ def test_cli_heads_not_dividing_width_is_config_error(dataset, tmp_path,
     assert "model.heads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "model.heads = 0", "law.groups = 0", "law.reduction_r = 0",
+    "model.patch = 0", "text.heads = 0", "model.blocks = 0",
+    "model.d_model = 0", "text.heads = 3", "train.flip_prob = 1.5",
+    "train.flip_prob = -0.5"])
+def test_cli_bad_shape_or_flip_prob_is_config_error(dataset, tmp_path, capsys,
+                                                    line):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config_to_text(tiny_cfg(dataset, steps=2)) + line + "\n")
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 2
+    assert line.split(" = ")[0] in capsys.readouterr().err
+    assert not (run / "batches.log").exists()
+
+
 def test_cli_ablate_val_split_without_relational_samples(tmp_path, capsys):
     data = tmp_path / "ds"
     assert main(["gen", "--out", str(data), "--seed", "3", "--n-train", "8",
