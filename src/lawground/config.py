@@ -124,10 +124,13 @@ def config_to_text(cfg):
 
 
 def validate(cfg):
-    for key, f in _FIELDS.items():  # every other integer key counts something
+    for key, f in _FIELDS.items():
+        # seed, steps and decay_step may be 0; every other integer key
+        # counts something
+        low = 0 if f.name in ("seed", "steps", "decay_step") else 1
         value = getattr(cfg, f.name)
-        if f.type is int and f.name not in ("seed", "steps", "decay_step") and value < 1:
-            raise ConfigError(f"{key} must be >= 1, got {value}")
+        if f.type is int and value < low:
+            raise ConfigError(f"{key} must be >= {low}, got {value}")
     if cfg.mode not in MODES:
         raise ConfigError(f"train.mode must be one of {MODES}, got {cfg.mode!r}")
     if not cfg.mth_enabled and cfg.mode != "rec":
@@ -146,8 +149,6 @@ def validate(cfg):
         raise ConfigError("head.threshold must lie in (0, 1)")
     if not 0.0 <= cfg.flip_prob <= 1.0:
         raise ConfigError("train.flip_prob must lie in [0, 1]")
-    if cfg.steps < 0:
-        raise ConfigError("train.steps must be >= 0")
     if cfg.decay_step == 0:
         cfg.decay_step = (2 * cfg.steps) // 3
     return cfg

@@ -1,4 +1,4 @@
-"""Box and mask branches reading the visual features and the expression
+"""Box and mask branches reading the final visual tokens and the expression
 summary feature, once per batch of B images and their B summary rows.
 
 Box branch: spatial attention pooling conditioned on the summary feature
@@ -10,6 +10,7 @@ a sigmoid.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -37,8 +38,6 @@ class MaskPrediction:
 class MultitaskHead:
     def __init__(self, store, d_model, d_text, pool_dim=32, stride=8,
                  lap_enabled=True, mask_enabled=True):
-        if pool_dim < 1:
-            raise ConfigError(f"pooling space dimension must be >= 1, got {pool_dim}")
         self.d_model = d_model
         self.d_text = d_text
         self.lap_enabled = lap_enabled
@@ -73,10 +72,7 @@ class MultitaskHead:
         # factor-2 stages from feature stride down to 4; channels step to the
         # text width on the final stage
         n_stages, s = 0, stride
-        while s > 4:
-            if s % 2:
-                raise ConfigError(f"stride {stride} is not reducible to 4 by "
-                                  f"factor-2 stages")
+        while s > 4 and s % 2 == 0:
             s //= 2
             n_stages += 1
         if s != 4:
@@ -101,20 +97,32 @@ class MultitaskHead:
             ))
         return stages
 
-    def lap_pool(self, visual, cls_rows):
+    def forward(self, tokens, cls_rows):
+        """The batch's (B, 4) boxes, its MaskPrediction (None without the
+        mask branch) and its (B, side, side) pooling maps (None without LAP)
+        from the final (B, T, d_model) tokens and the (B, d_text) summary
+        rows."""
+        # mask first: recording order fixes the order the tokens' adjoints
+        # sum in, and with it the trained weights' last bits
+        mask = self.predict_mask(tokens, cls_rows) if self.mask_enabled else None
+        pool_map = None
+        if self.lap_enabled:
+            pooled, pool_map = self.lap_pool(tokens, cls_rows)
+        else:
+            pooled = tokens.mean(axis=1)
+        return self.predict_box(pooled), mask, pool_map
+
+    def lap_pool(self, tokens, cls_rows):
         """Similarity-weighted spatial pooling of each image's tokens against
         its (B, d_text) summary row; returns pooled (B, C) and the
         (B, side, side) attention grids as an array."""
-        n, t, c = visual.tokens.shape
-        proj_v = linear(reshape(visual.tokens, (n * t, c)), self.pool_vis)
+        n, t, c = tokens.shape
+        proj_v = linear(reshape(tokens, (n * t, c)), self.pool_vis)
         proj_t = linear(cls_rows, self.pool_txt)                  # (B, k)
         logits = linear(proj_v, reshape(proj_t, (n, 1, -1)))      # (B*T, 1)
         attn = softmax(reshape(logits, (n, t)), axis=-1)
-        pooled = linear(attn, transpose(visual.tokens, (0, 2, 1)))
-        return pooled, attn.data.reshape(n, visual.side, visual.side)
-
-    def average_pool(self, visual):
-        return visual.tokens.mean(axis=1)
+        pooled = linear(attn, transpose(tokens, (0, 2, 1)))
+        return pooled, attn.data.reshape(n, isqrt(t), -1)
 
     def predict_box(self, pooled):
         """3 affine layers with GeLU between, sigmoid to [0,1]^4: (B, C) ->
@@ -123,9 +131,12 @@ class MultitaskHead:
         h = gelu(linear(h, self.box_w2, self.box_b2))
         return sigmoid(linear(h, self.box_w3, self.box_b3))
 
-    def predict_mask(self, visual, cls_rows):
-        n = cls_rows.shape[0]
-        feat = visual.grid                  # images stacked along the height
+    def predict_mask(self, tokens, cls_rows):
+        n, t, c = tokens.shape
+        side = isqrt(t)
+        # one channel-first (d_model, B*side, side) map: the images' grids
+        # stacked along the height
+        feat = transpose(reshape(tokens, (n * side, side, c)), (2, 0, 1))
         for j, (kernel, bias) in enumerate(self.up_stages):
             feat = transposed_conv2x(feat, kernel, bias)
             if j < len(self.up_stages) - 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import ShapeError
 from .tensor import (Tensor, _record, _softmax_, as_tensor, gelu_cdf,
                      gelu_slope, segment_bounds)
 
@@ -43,8 +43,6 @@ class DecompositionParams:
 
 def build_law_params(store, backbone, d_l, groups, reduction, rank_dw):
     """Register generator parameters and wire them to the backbone's statics."""
-    if d_l % reduction:
-        raise DataError(f"reduction ratio {reduction} must divide text width {d_l}")
     d_h = d_l // reduction
     embeds, reducers, core_ws, core_bs = [], [], [], []
     for i in range(backbone.n_blocks):

@@ -22,7 +22,7 @@ BACKBONE_PREFIXES = ("text.", "vit.")
 class Prediction:
     box: Tensor                     # (B, 4) normalized cx, cy, w, h
     mask: object = None             # MaskPrediction or None
-    visual: object = None           # the batch's VisualFeatures
+    visual: object = None           # the batch's final (B, T, d) tokens
     alphas: object = None           # per expression (N, G, L) array or None
     attention: list = field(default_factory=list)  # per image, per layer (H, T, T)
     pool_attention: object = None   # (B, side, side) array or None
@@ -64,7 +64,7 @@ class GroundingModel:
         """Full forward pass for one (image, expression) pair: the B=1 case
         of forward_batch with the batch axis dropped from the box (4,), the
         mask maps, the pooling map, the token attention and the attention
-        maps. `visual` keeps the (1, T, d) batch features."""
+        maps. `visual` keeps the (1, T, d) batch tokens."""
         pred = self.forward_batch([image], [tokens], collect_attention)
 
         def single(t):
@@ -87,7 +87,7 @@ class GroundingModel:
         runs the backbone once over the B images stacked into one row block,
         each image projected by its own expression's QKV weights (or all by
         the static ones without a weight generator). The head runs once on
-        the batch's final features against the B expressions' [CLS] rows.
+        the batch's final tokens against the B expressions' [CLS] rows.
         """
         if len(images) != len(token_seqs):
             raise ShapeError(f"{len(images)} images for {len(token_seqs)} "
@@ -103,14 +103,7 @@ class GroundingModel:
             images, weights, collect_attention=collect_attention)
         # [CLS] opens each expression's packed rows
         cls_rows = take_rows(feats, np.cumsum([0] + lengths[:-1]))
-        pool_map = None
-        if self.head.lap_enabled:
-            pooled, pool_map = self.head.lap_pool(visual, cls_rows)
-        else:
-            pooled = self.head.average_pool(visual)
-        box = self.head.predict_box(pooled)
-        mask = (self.head.predict_mask(visual, cls_rows)
-                if self.head.mask_enabled else None)
+        box, mask, pool_map = self.head.forward(visual, cls_rows)
         return Prediction(box=box, mask=mask, visual=visual, alphas=alphas,
                           attention=attn or [[] for _ in images],
                           pool_attention=pool_map)

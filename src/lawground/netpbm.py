@@ -6,21 +6,35 @@ import numpy as np
 from .errors import DataError
 
 
-def _read_header(blob, magic, fields):
+def _read(path, magic, fields):
+    """The header fields and the payload bytes of the netpbm file at path."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
     if not blob.startswith(magic):
-        raise DataError(f"expected {magic!r} header")
+        raise DataError(f"{path}: expected {magic!r} header")
     vals, pos = [], 2
     while len(vals) < fields:
         while pos < len(blob) and blob[pos:pos + 1].isspace():
             pos += 1
         if blob[pos:pos + 1] == b"#":  # comment line
-            pos = blob.index(b"\n", pos) + 1
+            pos = blob.find(b"\n", pos) + 1
+            if not pos:
+                raise DataError(f"{path}: header comment has no line end")
             continue
         start = pos
         while pos < len(blob) and not blob[pos:pos + 1].isspace():
             pos += 1
+        if not blob[start:pos].isdigit():
+            raise DataError(f"{path}: bad header field {blob[start:pos]!r}")
         vals.append(int(blob[start:pos]))
-    return vals, pos + 1  # single whitespace after last field
+    return vals, memoryview(blob)[pos + 1:]  # single whitespace after last field
+
+
+def _take(path, payload, count):
+    if len(payload) < count:
+        raise DataError(f"{path}: truncated, {len(payload)} of {count} "
+                        f"payload bytes")
+    return np.frombuffer(payload, dtype=np.uint8, count=count)
 
 
 def write_ppm(path, rgb):
@@ -33,13 +47,10 @@ def write_ppm(path, rgb):
 
 
 def read_ppm(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    (w, h, maxval), pos = _read_header(blob, b"P6", 3)
+    (w, h, maxval), payload = _read(path, b"P6", 3)
     if maxval != 255:
         raise DataError(f"{path}: unsupported maxval {maxval}")
-    data = np.frombuffer(blob, dtype=np.uint8, count=h * w * 3, offset=pos)
-    return data.reshape(h, w, 3).copy()
+    return _take(path, payload, h * w * 3).reshape(h, w, 3).copy()
 
 
 def write_pbm(path, mask):
@@ -53,11 +64,9 @@ def write_pbm(path, mask):
 
 
 def read_pbm(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    (w, h), pos = _read_header(blob, b"P4", 2)
+    (w, h), payload = _read(path, b"P4", 2)
     row_bytes = (w + 7) // 8
-    data = np.frombuffer(blob, dtype=np.uint8, count=h * row_bytes, offset=pos)
+    data = _take(path, payload, h * row_bytes)
     bits = np.unpackbits(data.reshape(h, row_bytes), axis=1)[:, :w]
     return bits.astype(bool)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import netpbm
 from .config import config_to_text, parse_config_text, validate
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .head import binarize
 from .losses import (LossWeights, box_iou, mask_iou, miou, prec_at_05,
                      total_loss)
@@ -64,6 +64,10 @@ def load_checkpoint(path, data_path=None):
     Returns (model, cfg, step, rng). The vocabulary comes from the dataset
     directory (data_path overrides the config echo)."""
     arrays = read_arrays(path)
+    missing = [key for key in ("meta/config", "meta/step", "meta/rng")
+               if key not in arrays]
+    if missing:
+        raise DataError(f"{path}: not a checkpoint, no {', '.join(missing)}")
     cfg = validate(parse_config_text(array_to_str(arrays["meta/config"])))
     if data_path:
         cfg.data_path = str(data_path)

@@ -6,14 +6,11 @@ A batch of images runs as one row block: image b's tokens are rows b*T to
 attention stays inside each image.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .attention import block_params, transformer_block
 from .errors import ShapeError
-from .tensor import (Tensor, _record, as_tensor, layer_norm, linear, reshape,
-                     transpose)
+from .tensor import Tensor, _record, as_tensor, layer_norm, linear, reshape
 
 
 def position_code(side, width):
@@ -40,13 +37,6 @@ def position_code(side, width):
                     code[:, ch] = 0.25 * phase(2.0 * np.pi * k * vals)
                     ch += 1
     return code
-
-
-@dataclass
-class VisualFeatures:
-    tokens: Tensor   # (B, T, d_model)
-    grid: Tensor     # (d_model, B*H/s, W/s): the images' grids stacked
-    side: int        # H/s == W/s
 
 
 class VisualBackbone:
@@ -102,8 +92,8 @@ class VisualBackbone:
         """Run all blocks once over a batch of images stacked into one row
         block. weights holds per layer one (3d, d) projection shared by
         every image or a (B, 3d, d) stack, one per image. Returns the
-        batch's VisualFeatures and, when collected, per image its list of
-        per-layer (H, T, T) attention maps (else None)."""
+        batch's final (B, T, d_model) tokens and, when collected, per image
+        its list of per-layer (H, T, T) attention maps (else None)."""
         if len(weights) != self.n_blocks:
             raise ShapeError(
                 f"got weights for {len(weights)} layers, backbone has "
@@ -120,12 +110,8 @@ class VisualBackbone:
             if collect_attention:
                 attn.append(probs)
         x = layer_norm(x, self.final_g, self.final_b)
-        grid = transpose(reshape(x, (n * self.side, self.side, self.d_model)),
-                         (2, 0, 1))
-        feats = VisualFeatures(tokens=reshape(x, (n, t, self.d_model)),
-                               grid=grid, side=self.side)
-        return feats, ([list(maps) for maps in zip(*attn)]
-                       if collect_attention else None)
+        return reshape(x, (n, t, self.d_model)), (
+            [list(maps) for maps in zip(*attn)] if collect_attention else None)
 
 
 def patch_rows(images, s):

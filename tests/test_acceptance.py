@@ -44,7 +44,7 @@ from lawground.tensor import (
 )
 from lawground.text import Vocabulary
 from lawground.train import evaluate_checkpoint, train
-from lawground.vit import VisualBackbone, VisualFeatures
+from lawground.vit import VisualBackbone
 
 RNG = np.random.default_rng(2024)
 
@@ -268,13 +268,12 @@ def test_criterion_3_zero_core_equivalence():
 
     pred_a = model.forward(image, tok_a)
     pred_b = model.forward(image, tok_b)
-    feats_equal = np.array_equal(pred_a.visual.tokens.data,
-                                 pred_b.visual.tokens.data)
+    feats_equal = np.array_equal(pred_a.visual.data, pred_b.visual.data)
 
     model.law = None  # the backbone's own static projections
     static = model.forward(image, tok_a)
     static_equal = (
-        np.array_equal(pred_a.visual.tokens.data, static.visual.tokens.data)
+        np.array_equal(pred_a.visual.data, static.visual.data)
         and np.array_equal(pred_a.box.data, static.box.data)
         and np.array_equal(pred_a.mask.probs.data, static.mask.probs.data))
 
@@ -408,11 +407,7 @@ def test_criterion_4_oracle_equivalence():
         rng = np.random.default_rng(case)
         tokens = rng.normal(size=(4, 6))
         cls = rng.normal(size=6)
-        visual = VisualFeatures(
-            tokens=Tensor(tokens[None]),
-            grid=Tensor(np.transpose(tokens.reshape(2, 2, 6), (2, 0, 1))),
-            side=2)
-        pooled, attn = head.lap_pool(visual, Tensor(cls[None]))
+        pooled, attn = head.lap_pool(Tensor(tokens[None]), Tensor(cls[None]))
         wv = store["head.pool.visual.weight"].data
         wt = store["head.pool.text.weight"].data
         logits = np.array([np.dot(wv @ tokens[t], wt @ cls) for t in range(4)])

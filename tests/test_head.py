@@ -1,23 +1,23 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from lawground.errors import ConfigError
 from lawground.head import MultitaskHead, binarize
 from lawground.params import ParamStore
-from lawground.tensor import Tensor, grad_check, reshape, sigmoid, transpose
-from lawground.vit import VisualFeatures
+from lawground.tensor import Tensor, grad_check
 
 
 RNG = np.random.default_rng(33)
 
 
-def make_visual(d_model=8, side=2, tokens=None):
-    """Batch features of (T, d) tokens (one image) or (B, T, d) tokens."""
+def make_tokens(d_model=8, side=2, tokens=None):
+    """(B, T, d) batch tokens from (T, d) tokens (one image) or (B, T, d)
+    tokens."""
     if tokens is None:
         tokens = RNG.normal(size=(side * side, d_model))
-    tokens = tokens.reshape(-1, side * side, d_model)
-    grid = np.transpose(tokens.reshape(-1, side, d_model), (2, 0, 1))
-    return VisualFeatures(tokens=Tensor(tokens), grid=Tensor(grid), side=side)
+    return Tensor(tokens.reshape(-1, side * side, d_model))
 
 
 def row(v):
@@ -34,7 +34,7 @@ def make_head(d_model=8, d_text=8, pool_dim=4, stride=8, seed=0, **kw):
 def test_lap_constant_features_pool_uniformly():
     head, _ = make_head()
     const = np.tile(RNG.normal(size=8), (4, 1))
-    visual = make_visual(tokens=const)
+    visual = make_tokens(tokens=const)
     pooled, attn = head.lap_pool(visual, row(RNG.normal(size=8)))
     np.testing.assert_allclose(attn, np.full((1, 2, 2), 0.25), atol=1e-12)
     np.testing.assert_allclose(pooled.data, const[:1], atol=1e-12)
@@ -42,16 +42,16 @@ def test_lap_constant_features_pool_uniformly():
 
 def test_lap_saturated_similarity_picks_single_position():
     head, store = make_head()
-    visual = make_visual()
+    visual = make_tokens()
     cls = RNG.normal(size=8)
     # force one spatial position to dominate by a huge logit margin
-    pv = visual.tokens.data[0] @ store["head.pool.visual.weight"].data.T
+    pv = visual.data[0] @ store["head.pool.visual.weight"].data.T
     pt = store["head.pool.text.weight"].data @ cls
     logits = pv @ pt
     winner = int(np.argmax(logits))
-    boosted = visual.tokens.data[0].copy()
+    boosted = visual.data[0].copy()
     boosted[winner] *= 1e3 / max(abs(logits[winner]), 1e-9)
-    visual = make_visual(tokens=boosted)
+    visual = make_tokens(tokens=boosted)
     pooled, attn = head.lap_pool(visual, row(cls))
     assert attn.reshape(-1)[winner] > 1.0 - 1e-6
     np.testing.assert_allclose(pooled.data[0], boosted[winner], atol=1e-6)
@@ -59,13 +59,13 @@ def test_lap_saturated_similarity_picks_single_position():
 
 def test_lap_matches_explicit_four_position_oracle():
     head, store = make_head()
-    visual = make_visual()
+    visual = make_tokens()
     cls = RNG.normal(size=8)
     pooled, attn = head.lap_pool(visual, row(cls))
 
     wv = store["head.pool.visual.weight"].data
     wt = store["head.pool.text.weight"].data
-    tokens = visual.tokens.data[0]
+    tokens = visual.data[0]
     logits = np.array([np.dot(wv @ tokens[t], wt @ cls) for t in range(4)])
     e = np.exp(logits - logits.max())
     a = e / e.sum()
@@ -76,22 +76,24 @@ def test_lap_matches_explicit_four_position_oracle():
 
 def test_lap_attention_normalized_and_shift_invariant():
     head, _ = make_head()
-    visual = make_visual()
+    visual = make_tokens()
     cls = row(RNG.normal(size=8))
     _, attn = head.lap_pool(visual, cls)
     assert abs(attn.sum() - 1.0) < 1e-9
     # adding a constant vector to every token's projected feature shifts all
     # logits equally; softmax is invariant to that
-    shifted = make_visual(tokens=visual.tokens.data + 0.0)
+    shifted = make_tokens(tokens=visual.data + 0.0)
     _, attn2 = head.lap_pool(shifted, cls)
     np.testing.assert_allclose(attn, attn2, atol=0)
 
 
 def test_average_pool_is_token_mean():
-    head, _ = make_head(lap_enabled=False)
-    visual = make_visual()
-    np.testing.assert_allclose(head.average_pool(visual).data,
-                               visual.tokens.data.mean(axis=1), atol=1e-15)
+    head, _ = make_head(lap_enabled=False, mask_enabled=False)
+    visual = make_tokens()
+    box, mask, pool_map = head.forward(visual, row(RNG.normal(size=8)))
+    want = head.predict_box(Tensor(visual.data.mean(axis=1)))
+    np.testing.assert_allclose(box.data, want.data, rtol=0, atol=1e-15)
+    assert mask is None and pool_map is None
 
 
 def test_predict_box_zero_weights_centers():
@@ -128,7 +130,7 @@ def test_predict_box_matches_three_matmul_oracle():
 
 def test_predict_mask_zero_cls_is_half_everywhere():
     head, _ = make_head()
-    visual = make_visual()
+    visual = make_tokens()
     pred = head.predict_mask(visual, row(np.zeros(8)))
     np.testing.assert_allclose(pred.quarter_logits.data, np.zeros((1, 4, 4)),
                                atol=0)
@@ -145,7 +147,7 @@ def test_predict_mask_one_hot_channel_projection():
     store["head.up0.bias"].data[...] = 0.0
     tokens = np.zeros((4, 8))
     tokens[:, 2] = 1.0
-    visual = make_visual(tokens=tokens)
+    visual = make_tokens(tokens=tokens)
     cls = np.zeros(8)
     cls[2] = 1.0
     pred = head.predict_mask(visual, row(cls))
@@ -155,7 +157,7 @@ def test_predict_mask_one_hot_channel_projection():
 
 def test_predict_mask_matches_per_pixel_dot_oracle():
     head, store = make_head()
-    visual = make_visual()
+    visual = make_tokens()
     cls = RNG.normal(size=8)
     pred = head.predict_mask(visual, row(cls))
 
@@ -168,7 +170,7 @@ def test_predict_mask_matches_per_pixel_dot_oracle():
                 for j in range(2):
                     for a in range(2):
                         for bb in range(2):
-                            up[o, 2 * i + a, 2 * j + bb] += visual.grid.data[c, i, j] * k[c, o, a, bb]
+                            up[o, 2 * i + a, 2 * j + bb] += visual.data[0, 2 * i + j, c] * k[c, o, a, bb]
     up += b[:, None, None]
     want = np.zeros((4, 4))
     for i in range(4):
@@ -182,19 +184,44 @@ def test_batch_head_matches_single_image_calls():
     head, _ = make_head(seed=3)
     rng = np.random.default_rng(4)
     tokens, cls = rng.normal(size=(3, 4, 8)), rng.normal(size=(3, 8))
-    visual = make_visual(tokens=tokens)
+    visual = make_tokens(tokens=tokens)
     pooled, attn = head.lap_pool(visual, Tensor(cls))
     box = head.predict_box(pooled).data
     probs = head.predict_mask(visual, Tensor(cls)).probs.data
     assert attn.shape == (3, 2, 2) and probs.shape == (3, 16, 16)
     for b in range(3):
-        one = make_visual(tokens=tokens[b])
+        one = make_tokens(tokens=tokens[b])
         pooled_b, attn_b = head.lap_pool(one, row(cls[b]))
         for got, want in (
                 (pooled.data[b], pooled_b.data[0]), (attn[b], attn_b[0]),
                 (box[b], head.predict_box(pooled_b).data[0]),
                 (probs[b], head.predict_mask(one, row(cls[b])).probs.data[0])):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("lap,mth", itertools.product((True, False),
+                                                     repeat=2))
+def test_forward_equals_direct_branch_calls(lap, mth):
+    head, _ = make_head(seed=6, lap_enabled=lap, mask_enabled=mth)
+    rng = np.random.default_rng(9)
+    visual = make_tokens(tokens=rng.normal(size=(3, 4, 8)))
+    cls = Tensor(rng.normal(size=(3, 8)))
+    box, mask, pool_map = head.forward(visual, cls)
+    if lap:
+        pooled, want_map = head.lap_pool(visual, cls)
+        assert np.array_equal(pool_map, want_map)
+        assert pool_map.shape == (3, 2, 2)
+    else:
+        pooled = visual.mean(axis=1)
+        assert pool_map is None
+    assert np.array_equal(box.data, head.predict_box(pooled).data)
+    if mth:
+        want = head.predict_mask(visual, cls)
+        assert np.array_equal(mask.quarter_logits.data,
+                              want.quarter_logits.data)
+        assert np.array_equal(mask.probs.data, want.probs.data)
+    else:
+        assert mask is None
 
 
 def test_mask_branch_stride_validation():
@@ -220,7 +247,7 @@ def test_mask_disabled_removes_only_upsampler_params():
 def test_rec_path_bitwise_unchanged_without_mask_branch():
     full, _ = make_head(seed=5)
     rec, _ = make_head(seed=5, mask_enabled=False)
-    visual = make_visual()
+    visual = make_tokens()
     cls = row(RNG.normal(size=8))
     pooled_a, _ = full.lap_pool(visual, cls)
     pooled_b, _ = rec.lap_pool(visual, cls)
@@ -234,24 +261,19 @@ def test_head_grad_checks():
     cls = Tensor(RNG.normal(size=(1, 4)), requires_grad=True)
 
     def box_loss(tokens_t, cls_t):
-        visual = make_visual(d_model=4, tokens=tokens_t.data)
-        visual = VisualFeatures(tokens=tokens_t,
-                                grid=visual.grid, side=2)
-        pooled, _ = head.lap_pool(visual, cls_t)
+        pooled, _ = head.lap_pool(tokens_t, cls_t)
         box = head.predict_box(pooled)
         return (box * box).sum()
 
     assert grad_check(box_loss, [tokens, cls]) <= 1e-4
 
-    grid = Tensor(RNG.normal(size=(4, 2, 2)), requires_grad=True)
+    mask_tokens = Tensor(RNG.normal(size=(1, 4, 4)), requires_grad=True)
 
-    def mask_loss(grid_t, cls_t):
-        visual = VisualFeatures(tokens=Tensor(np.zeros((1, 4, 4))),
-                                grid=grid_t, side=2)
-        probs = head.predict_mask(visual, cls_t).probs
+    def mask_loss(tokens_t, cls_t):
+        probs = head.predict_mask(tokens_t, cls_t).probs
         return (probs * probs).mean()
 
-    assert grad_check(mask_loss, [grid, cls]) <= 1e-4
+    assert grad_check(mask_loss, [mask_tokens, cls]) <= 1e-4
 
     # two images: every batch op's gradient, own stream
     rng = np.random.default_rng(8)
@@ -259,11 +281,8 @@ def test_head_grad_checks():
     cls2 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
 
     def batch_loss(tokens_t, cls_t):
-        grid_t = transpose(reshape(tokens_t, (4, 2, 4)), (2, 0, 1))
-        visual = VisualFeatures(tokens=tokens_t, grid=grid_t, side=2)
-        box = head.predict_box(head.lap_pool(visual, cls_t)[0])
-        probs = head.predict_mask(visual, cls_t).probs
-        return (box * box).sum() + (probs * probs).mean()
+        box, mask, _ = head.forward(tokens_t, cls_t)
+        return (box * box).sum() + (mask.probs * mask.probs).mean()
 
     assert grad_check(batch_loss, [tokens2, cls2]) <= 1e-4
 

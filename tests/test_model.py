@@ -28,6 +28,11 @@ def tiny_config(**kw):
     return TrainConfig(**base)
 
 
+def readme_text():
+    return (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+
+
 @pytest.fixture
 def vocab():
     return Vocabulary(LEXICON)
@@ -45,7 +50,7 @@ def test_zero_init_visual_features_ignore_expression(vocab, image):
     x = model.image_tensor(image)
     a = model.forward(x, model.tokenize("red circle"))
     b = model.forward(x, model.tokenize("leftmost triangle above the blue square"))
-    assert np.array_equal(a.visual.tokens.data, b.visual.tokens.data)
+    assert np.array_equal(a.visual.data, b.visual.data)
     # ... while the head output legitimately differs (it reads the summary feature)
     assert not np.array_equal(a.box.data, b.box.data)
 
@@ -57,7 +62,7 @@ def test_zero_init_equals_static_backbone_exactly(vocab, image):
     generated = model.forward(x, toks)
     model.law = None  # the backbone's own static projections
     static = model.forward(x, toks)
-    assert np.array_equal(generated.visual.tokens.data, static.visual.tokens.data)
+    assert np.array_equal(generated.visual.data, static.visual.data)
     assert np.array_equal(generated.box.data, static.box.data)
     assert np.array_equal(generated.mask.probs.data, static.mask.probs.data)
 
@@ -70,10 +75,10 @@ def test_nonzero_core_makes_features_expression_sensitive(vocab, image):
     x = model.image_tensor(image)
     a = model.forward(x, model.tokenize("red circle"))
     b = model.forward(x, model.tokenize("blue square"))
-    assert not np.array_equal(a.visual.tokens.data, b.visual.tokens.data)
+    assert not np.array_equal(a.visual.data, b.visual.data)
     # same expression still reproduces bit-identically
     c = model.forward(x, model.tokenize("red circle"))
-    assert np.array_equal(a.visual.tokens.data, c.visual.tokens.data)
+    assert np.array_equal(a.visual.data, c.visual.data)
 
 
 def test_pad_length_invariance_end_to_end(vocab, image):
@@ -165,16 +170,16 @@ def test_tape_entries_per_sample_match_readme(vocab):
         pred = model.forward(x, model.tokenize("red circle left of the square"))
         losses.total_loss(np.array([0.4, 0.3, 0.3, 0.3]), pred.box, mask,
                           pred.mask.probs)
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
-        encoding="utf-8")
-    stated = re.search(r"records (\d+)\s+tape\s+entries\s+per\s+sample", readme)
+    stated = re.search(r"records (\d+)\s+tape\s+entries\s+per\s+sample",
+                       readme_text())
     assert stated and len(tape._entries) == int(stated.group(1))
 
 
-def test_tape_entries_per_step_match_readme(tmp_path, monkeypatch):
-    # one real training step at the default (desk64) shapes and B=16
+def step_tape_entries(tmp_path, monkeypatch, **overrides):
+    """Tape entries of one real training step at the default (desk64)
+    shapes and batch size."""
     generate_dataset(tmp_path / "ds", seed=2, n_train=16, n_val=1, n_test=0)
-    cfg = TrainConfig(data_path=str(tmp_path / "ds"), steps=1)
+    cfg = TrainConfig(data_path=str(tmp_path / "ds"), steps=1, **overrides)
     recorded = []
     original = Tape.record
 
@@ -184,12 +189,25 @@ def test_tape_entries_per_step_match_readme(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Tape, "record", counting)
     train(cfg, tmp_path / "run")
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
-        encoding="utf-8")
+    return len(recorded)
+
+
+def test_tape_entries_per_step_match_readme(tmp_path, monkeypatch):
+    recorded = step_tape_entries(tmp_path, monkeypatch)
     stated = re.search(r"B=(\d+)\s+training\s+step\s+records\s+([\d,]+)\s+tape"
-                       r"\s+entries", readme)
-    assert stated and int(stated.group(1)) == cfg.batch_size
-    assert len(recorded) == int(stated.group(2).replace(",", ""))
+                       r"\s+entries", readme_text())
+    assert stated and int(stated.group(1)) == TrainConfig().batch_size
+    assert recorded == int(stated.group(2).replace(",", ""))
+
+
+@pytest.mark.parametrize("key", ["mth_enabled", "lap_enabled"])
+def test_tape_entries_per_ablated_step_match_readme(tmp_path, monkeypatch,
+                                                    key):
+    # the same B=16 step with one head branch off
+    recorded = step_tape_entries(tmp_path, monkeypatch, **{key: False})
+    stated = re.search(rf"`ablation\.{key}\s+=\s+false`,\s+(\d+)",
+                       readme_text())
+    assert stated and recorded == int(stated.group(1))
 
 
 # the three arms `lawground ablate` trains, as config overrides and loss mode
@@ -315,7 +333,7 @@ def test_b1_forward_bit_identical_to_per_sample_backbone(vocab, size):
         pred = model.forward(image, tokens, collect_attention=True)
         tok, maps, box, probs, pool_map = per_sample_forward(model, image,
                                                              tokens)
-        assert np.array_equal(pred.visual.tokens.data[0], tok)
+        assert np.array_equal(pred.visual.data[0], tok)
         assert all(np.array_equal(a, b) for a, b in zip(pred.attention, maps))
         assert np.array_equal(pred.box.data, box)
         if mth:
@@ -340,8 +358,8 @@ def test_static_batch_forward_keeps_images_apart(vocab):
     batch = model.forward_batch(images, tokens, collect_attention=True)
     for b, (image, toks) in enumerate(zip(images, tokens)):
         one = model.forward(image, toks, collect_attention=True)
-        for got, want in ((batch.visual.tokens.data[b],
-                           one.visual.tokens.data[0]),
+        for got, want in ((batch.visual.data[b],
+                           one.visual.data[0]),
                           (batch.box.data[b], one.box.data),
                           (batch.mask.probs.data[b], one.mask.probs.data),
                           (batch.pool_attention[b], one.pool_attention)):

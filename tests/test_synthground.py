@@ -187,6 +187,27 @@ def test_loader_rejects_missing_mask(tmp_path):
     assert "missing mask" in str(err.value)
 
 
+def test_corrupt_netpbm_files_are_data_errors_naming_the_file(tmp_path):
+    rgb = np.arange(48, dtype=np.uint8).reshape(4, 4, 3)
+    bits = np.eye(4, dtype=bool)
+    netpbm.write_ppm(tmp_path / "good.ppm", rgb)
+    netpbm.write_pbm(tmp_path / "good.pbm", bits)
+    assert np.array_equal(netpbm.read_ppm(tmp_path / "good.ppm"), rgb)
+    assert np.array_equal(netpbm.read_pbm(tmp_path / "good.pbm"), bits)
+    cases = {
+        "short.ppm": (netpbm.read_ppm,
+                      (tmp_path / "good.ppm").read_bytes()[:-1]),
+        "short.pbm": (netpbm.read_pbm,
+                      (tmp_path / "good.pbm").read_bytes()[:-1]),
+        "comment.ppm": (netpbm.read_ppm, b"P6\n# no line end"),
+        "header.pbm": (netpbm.read_pbm, b"P4\n4"),
+    }
+    for name, (read, blob) in cases.items():
+        (tmp_path / name).write_bytes(blob)
+        with pytest.raises(DataError, match=name):
+            read(tmp_path / name)
+
+
 def test_manifest_verifies_and_detects_tamper(tmp_path):
     out = tmp_path / "ds"
     generate_dataset(out, seed=5, n_train=3, n_val=1, n_test=1, resolution=32)

@@ -595,7 +595,7 @@ def test_cli_heads_not_dividing_width_is_config_error(dataset, tmp_path,
     "model.heads = 0", "law.groups = 0", "law.reduction_r = 0",
     "model.patch = 0", "text.heads = 0", "model.blocks = 0",
     "model.d_model = 0", "text.heads = 3", "train.flip_prob = 1.5",
-    "train.flip_prob = -0.5"])
+    "train.flip_prob = -0.5", "train.seed = -1", "optim.decay_step = -1"])
 def test_cli_bad_shape_or_flip_prob_is_config_error(dataset, tmp_path, capsys,
                                                     line):
     cfg = tmp_path / "cfg.txt"
@@ -620,6 +620,27 @@ def test_cli_ablate_val_split_without_relational_samples(tmp_path, capsys):
     rows = capsys.readouterr().out.splitlines()[1:5]
     assert len(rows) == 4 and all(r.endswith("n/a") for r in rows)
     assert (tmp_path / "abl" / "ablation.csv").exists()
+
+
+def test_cli_eval_truncated_image_exit_code(dataset, tmp_path, capsys):
+    training.train(tiny_cfg(dataset, steps=1), tmp_path / "run")
+    data = tmp_path / "ds"
+    shutil.copytree(dataset, data)
+    victim = load_dataset(data, "val")[0].image_path
+    victim.write_bytes(victim.read_bytes()[:-5])
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"data.path = {data}\n")
+    assert main(["eval", "--ckpt", str(tmp_path / "run" / "last.ckpt"),
+                 "--config", str(cfg)]) == 2
+    assert victim.name in capsys.readouterr().err
+
+
+def test_cli_eval_non_checkpoint_container_exit_code(tmp_path, capsys):
+    container = tmp_path / "x.ckpt"
+    write_arrays(container, {"param/w": np.zeros(3)})
+    assert main(["eval", "--ckpt", str(container)]) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("meta/config", "meta/step", "meta/rng"))
 
 
 def test_cli_eval_missing_checkpoint_exit_code(tmp_path, capsys):

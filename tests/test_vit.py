@@ -105,15 +105,11 @@ def test_forward_deterministic_and_length_checked():
     w = bb.static_weights()
     f1, _ = bb.forward([img], w)
     f2, _ = bb.forward([img], w)
-    assert np.array_equal(f1.tokens.data, f2.tokens.data)
-    assert f1.tokens.shape == (1, 4, 8) and f1.grid.shape == (8, 2, 2)
-    # a batch stacks the images' grids along the height
+    assert np.array_equal(f1.data, f2.data)
+    assert f1.shape == (1, 4, 8)
     other = Tensor(np.random.default_rng(7).uniform(0, 1, (3, 16, 16)))
     pair, _ = bb.forward([img, other], w)
-    assert pair.tokens.shape == (2, 4, 8) and pair.grid.shape == (8, 4, 2)
-    for b in range(2):
-        assert np.array_equal(pair.grid.data[:, 2 * b:2 * b + 2],
-                              pair.tokens.data[b].T.reshape(8, 2, 2))
+    assert pair.shape == (2, 4, 8)
     with pytest.raises(ShapeError):
         bb.forward([img], w[:1])
     stacked = [Tensor(np.stack([x.data] * 2)) for x in w]
@@ -137,7 +133,7 @@ def test_forward_grad_check_through_two_blocks():
 
     def readout(t):
         feats, _ = bb.forward([t], bb.static_weights())
-        return (feats.tokens * feats.tokens).mean()
+        return (feats * feats).mean()
 
     assert grad_check(readout, img) <= 1e-4
 
@@ -152,11 +148,11 @@ def test_forward_grad_check_two_images_with_per_image_weights():
                                 for _ in imgs]), requires_grad=True)
                for w in bb.static_weights()]
 
-    per_image = Tensor(np.repeat([1.0, 2.0], 2)[None, :, None])
+    per_image = Tensor(np.array([1.0, 2.0])[:, None, None])
 
     def readout(*_):
         feats, _ = bb.forward(imgs, weights)
-        return (feats.grid * feats.grid * per_image).mean()
+        return (feats * feats * per_image).mean()
 
     assert grad_check(readout, imgs + weights) <= 1e-4
 
