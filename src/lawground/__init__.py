@@ -1,5 +1,6 @@
 """Language-adaptive weight generation for box+mask grounding, desk scale."""
 
+import ctypes
 import os
 
 # single-threaded BLAS: faster on these matrix sizes and trivially
@@ -8,6 +9,20 @@ import os
 # before lawground keeps the thread count it started with.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+# one glibc malloc arena for every thread: evaluation's worker threads would
+# otherwise each allocate from an arena of their own, which cannot reuse the
+# memory training freed into the main one, and peak RSS would grow by their
+# working sets. Skipped where the C library has no mallopt.
+_M_ARENA_MAX = -8
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError):
+    pass
+else:
+    _mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    _mallopt.restype = ctypes.c_int
+    _mallopt(_M_ARENA_MAX, 1)
 
 from .errors import (
     ConfigError,

@@ -7,7 +7,7 @@ import argparse
 import sys
 
 from .config import TrainConfig, load_config, validate
-from .errors import ConfigError, DataError, LawgroundError, NumericError
+from .errors import ConfigError, DataError, LawgroundError
 from .synthground import generate_dataset
 from . import train as training
 

@@ -79,7 +79,11 @@ def read_arrays(path):
     out = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: entry name at byte {off - name_len} "
+                            f"is not UTF-8") from exc
         tag, rank = struct.unpack("<BB", take(2))
         if tag not in _TAG_TO_DTYPE:
             raise DataError(f"{path}: unknown dtype tag {tag} for {name!r}")

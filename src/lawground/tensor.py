@@ -7,6 +7,8 @@ its own topological order). Everything is float64 with fixed reduction
 orders, so repeated runs are bit-identical.
 """
 
+import threading
+
 import numpy as np
 from scipy.special import erf, expit
 
@@ -20,12 +22,22 @@ _INV_SQRT2PI = 0.3989422804014327
 _SIG_HI = float(np.nextafter(1.0, 0.0))
 _SIG_LO = 1e-300
 
-_tapes = []  # active tapes, innermost last
+
+class _ThreadTapes(threading.local):
+    """Each thread's active tapes, innermost last: an op run on one thread
+    never records onto a tape another thread has open."""
+
+    def __init__(self):
+        self.stack = []
+
+
+_tapes = _ThreadTapes()
 
 
 def active_tape():
-    """The innermost active Tape, or None."""
-    return _tapes[-1] if _tapes else None
+    """The innermost Tape this thread has open, or None."""
+    stack = _tapes.stack
+    return stack[-1] if stack else None
 
 
 class Tape:
@@ -41,11 +53,11 @@ class Tape:
         self._consumed = False
 
     def __enter__(self):
-        _tapes.append(self)
+        _tapes.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tapes.pop()
+        popped = _tapes.stack.pop()
         assert popped is self
         if exc_type is not None:
             # a forward that failed leaves no graph behind

@@ -7,6 +7,9 @@ all artifacts (checkpoints, CSV logs, batch hashes) are byte-stable.
 
 import hashlib
 import json
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -14,7 +17,7 @@ import numpy as np
 
 from . import netpbm
 from .config import config_to_text, parse_config_text, validate
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .head import binarize
 from .losses import (LossWeights, box_iou, mask_iou, miou, prec_at_05,
                      total_loss)
@@ -29,6 +32,9 @@ METRIC_COLUMNS = ("step", "split", "prec_at_05", "miou", "loss_total",
                   "loss_l1", "loss_giou", "loss_focal", "loss_dice")
 
 LENGTH_BUCKETS = ((1, 5), (6, 7), (8, 10), (11, None))
+
+# visual-token rows per evaluation chunk: 4 samples at 64x64, 1 at 128x128
+EVAL_ROWS = 256
 
 
 def build_model(cfg, vocab):
@@ -68,17 +74,28 @@ def load_checkpoint(path, data_path=None):
                if key not in arrays]
     if missing:
         raise DataError(f"{path}: not a checkpoint, no {', '.join(missing)}")
-    cfg = validate(parse_config_text(array_to_str(arrays["meta/config"])))
+    try:
+        cfg = validate(parse_config_text(array_to_str(arrays["meta/config"])))
+    except (UnicodeDecodeError, ConfigError) as exc:
+        raise DataError(f"{path}: unreadable meta/config: {exc}") from exc
     if data_path:
         cfg.data_path = str(data_path)
     vocab = load_vocab(cfg.data_path)
     model = build_model(cfg, vocab)
     params = {name[len("param/"):]: arr for name, arr in arrays.items()
               if name.startswith("param/")}
-    model.store.load_state_arrays(params)
+    try:
+        model.store.load_state_arrays(params)
+    except ShapeError as exc:
+        raise DataError(f"{path}: does not fit the model built from its "
+                        f"config and {cfg.data_path}: {exc}") from exc
     step = int(arrays["meta/step"][0])
     rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = json.loads(array_to_str(arrays["meta/rng"]))
+    try:
+        # a JSON or UTF-8 decoding error is a ValueError
+        rng.bit_generator.state = json.loads(array_to_str(arrays["meta/rng"]))
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DataError(f"{path}: unreadable meta/rng: {exc}") from exc
     return model, cfg, step, rng
 
 
@@ -86,21 +103,58 @@ def load_checkpoint(path, data_path=None):
 # evaluation
 
 
-def predict_sample(model, sample, threshold):
-    tokens = model.tokenize(sample.expression)
-    image = model.image_tensor(sample.image())
-    pred = model.forward(image, tokens)
-    box = pred.box.data.copy()
-    mask = binarize(pred.mask.probs, threshold) if pred.mask is not None else None
+def predict_sample(pred, b, threshold):
+    """Sample b of a batch Prediction: a copy of its box and its binarised
+    mask (None without the mask branch)."""
+    box = pred.box.data[b].copy()
+    mask = (binarize(pred.mask.probs.data[b], threshold)
+            if pred.mask is not None else None)
     return box, mask
+
+
+def forward_chunk(model, samples):
+    """One tape-free batch Prediction for a chunk of samples."""
+    return model.forward_batch([model.image_tensor(s.image()) for s in samples],
+                               [model.tokenize(s.expression) for s in samples])
+
+
+def usable_cpus():
+    """How many CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
 
 
 def evaluate_model(model, samples, threshold):
     """Box precision, mask mIoU, the relational subset, and length buckets.
 
-    Forwards run tape-free, one sample at a time; metrics reduce in sample
-    order."""
-    outputs = [predict_sample(model, s, threshold) for s in samples]
+    The samples split, in order, into chunks of EVAL_ROWS // T samples (T
+    visual tokens per image, at least one sample). One worker thread per
+    usable CPU runs whole chunks through the tape-free batch forward, with
+    about one chunk per worker in flight; this thread takes the chunks back
+    in order and reads every sample out with predict_sample, in sample
+    order, so metrics reduce in sample order whatever the CPU count. A
+    failing chunk raises its error here and the chunks not yet started are
+    cancelled."""
+    size = max(1, EVAL_ROWS // model.backbone.n_tokens)
+    chunks = [samples[i:i + size] for i in range(0, len(samples), size)]
+    workers = max(1, min(usable_cpus(), len(chunks)))
+    outputs = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        queued = iter(chunks[workers:])
+        pending = deque((chunk, pool.submit(forward_chunk, model, chunk))
+                        for chunk in chunks[:workers])
+        try:
+            while pending:
+                chunk, future = pending.popleft()
+                pred = future.result()
+                following = next(queued, None)
+                if following is not None:
+                    pending.append((following, pool.submit(
+                        forward_chunk, model, following)))
+                outputs.extend(predict_sample(pred, b, threshold)
+                               for b in range(len(chunk)))
+        finally:
+            for _, future in pending:
+                future.cancel()
 
     def subset_metrics(indices):
         if not indices:
@@ -186,6 +240,14 @@ class _BatchStream:
         return batch
 
 
+def check_resolution(samples, cfg):
+    """ConfigError unless the samples' images have the model's size."""
+    res = samples[0].image().shape[0]
+    if res != cfg.image_size:
+        raise ConfigError(
+            f"dataset resolution {res} != model.image_size {cfg.image_size}")
+
+
 def _selection_metric(report, mode):
     if mode == "rec":
         return report["prec_at_05"]
@@ -210,10 +272,7 @@ def train(cfg, out_dir):
     if not val_samples:
         raise ConfigError(f"no validation samples under {cfg.data_path}; "
                           f"training evaluates on the val split")
-    res = train_samples[0].image().shape[0]
-    if res != cfg.image_size:
-        raise ConfigError(
-            f"dataset resolution {res} != model.image_size {cfg.image_size}")
+    check_resolution(train_samples, cfg)
 
     vocab = load_vocab(cfg.data_path)
     model = build_model(cfg, vocab)
@@ -310,6 +369,7 @@ def evaluate_checkpoint(ckpt_path, data_path, split, out_dir=None):
     samples = load_dataset(cfg.data_path, split)
     if not samples:
         raise ConfigError(f"split {split!r} is empty under {cfg.data_path}")
+    check_resolution(samples, cfg)
     report = evaluate_model(model, samples, cfg.threshold)
     if out_dir is not None:
         out = Path(out_dir)

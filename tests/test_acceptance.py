@@ -11,11 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.special import erf, expit
+from scipy.special import erf
 
 from lawground import losses
-from lawground.config import TrainConfig, load_config, validate
+from lawground.config import TrainConfig, load_config
 from lawground.head import MultitaskHead, binarize
 from lawground.law import (
     DecompositionParams,
@@ -25,9 +24,8 @@ from lawground.law import (
 )
 from lawground.model import GroundingModel
 from lawground.params import ParamStore
-from lawground.synthground import generate_dataset, load_dataset
+from lawground.synthground import generate_dataset
 from lawground.tensor import (
-    Tape,
     Tensor,
     attention,
     bilinear_upsample,

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,6 +13,7 @@ from lawground.tensor import (
     Tensor,
     _record,
     _softmax_,
+    active_tape,
     attention,
     backward,
     bilinear_upsample,
@@ -415,6 +418,24 @@ def test_grads_merge_across_tapes():
             loss = x.sum()
         tape.backward(loss)
     np.testing.assert_allclose(x.grad, np.full(3, 2.0), atol=0)
+
+
+def test_ops_on_another_thread_skip_the_callers_tape():
+    x = rand_tensor((3,), requires_grad=True)
+    seen = {}
+
+    def work():
+        seen["tape"] = active_tape()
+        seen["out"] = (x * x).sum()
+
+    with Tape() as tape:
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=60)
+        loss = x.sum()
+    assert not worker.is_alive()
+    assert seen["tape"] is None and seen["out"]._tape is None
+    assert len(tape._entries) == 1 and loss._tape is tape
 
 
 def test_backward_empties_the_tape():

@@ -6,7 +6,9 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,10 +22,10 @@ from lawground.config import (
     parse_config_text,
     validate,
 )
-from lawground.errors import ConfigError, DataError, NumericError, ShapeError
+from lawground.errors import ConfigError, DataError, NumericError
 from lawground.model import GroundingModel
 from lawground.serial import read_arrays, write_arrays
-from lawground.synthground import generate_dataset, load_dataset
+from lawground.synthground import generate_dataset, load_dataset, load_vocab
 from lawground.tensor import Tape, Tensor
 
 
@@ -42,6 +44,12 @@ def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("ds")
     generate_dataset(root, seed=4, n_train=8, n_val=6, n_test=4, resolution=32)
     return root
+
+
+def forward_sample(model, sample):
+    """The B=1 tape-free Prediction for one sample."""
+    return model.forward(model.image_tensor(sample.image()),
+                         model.tokenize(sample.expression))
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +213,15 @@ def test_checkpoint_save_load_save_byte_identical(dataset, tmp_path):
 def test_checkpoint_restores_forward_outputs_bitwise(dataset, tmp_path):
     cfg = tiny_cfg(dataset, steps=5)
     training.train(cfg, tmp_path / "run")
-    model, loaded_cfg, _, _ = training.load_checkpoint(
-        tmp_path / "run" / "last.ckpt", dataset)
+    model, _, _, _ = training.load_checkpoint(tmp_path / "run" / "last.ckpt",
+                                              dataset)
     sample = load_dataset(dataset, "val")[0]
-    box1, mask1 = training.predict_sample(model, sample, loaded_cfg.threshold)
+    pred1 = forward_sample(model, sample)
     model2, _, _, _ = training.load_checkpoint(tmp_path / "run" / "last.ckpt",
                                                dataset)
-    box2, mask2 = training.predict_sample(model2, sample, loaded_cfg.threshold)
-    assert np.array_equal(box1, box2) and np.array_equal(mask1, mask2)
+    pred2 = forward_sample(model2, sample)
+    assert np.array_equal(pred1.box.data, pred2.box.data)
+    assert np.array_equal(pred1.mask.probs.data, pred2.mask.probs.data)
 
 
 def test_checkpoint_entry_order_does_not_matter(dataset, tmp_path):
@@ -237,9 +246,10 @@ def test_checkpoint_entry_order_does_not_matter(dataset, tmp_path):
     for name, p in model.store.items():
         assert np.array_equal(permuted.store[name].data, p.data)
     sample = load_dataset(dataset, "val")[0]
-    box1, mask1 = training.predict_sample(model, sample, cfg.threshold)
-    box2, mask2 = training.predict_sample(permuted, sample, cfg.threshold)
-    assert np.array_equal(box1, box2) and np.array_equal(mask1, mask2)
+    pred1 = forward_sample(model, sample)
+    pred2 = forward_sample(permuted, sample)
+    assert np.array_equal(pred1.box.data, pred2.box.data)
+    assert np.array_equal(pred1.mask.probs.data, pred2.mask.probs.data)
 
 
 def test_checkpoint_shape_mismatch_rejected(dataset, tmp_path):
@@ -249,7 +259,7 @@ def test_checkpoint_shape_mismatch_rejected(dataset, tmp_path):
     arrays = read_arrays(ckpt)
     arrays["param/text.embed"] = arrays["param/text.embed"][:, :-1]
     write_arrays(ckpt, arrays)
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match="text.embed"):
         training.load_checkpoint(ckpt, dataset)
 
 
@@ -360,11 +370,22 @@ def test_resolution_mismatch_is_config_error(dataset, tmp_path):
 # evaluation
 
 
+# a stand-in model whose chunks hold 256 // 64 = 4 samples
+STUB_MODEL = SimpleNamespace(backbone=SimpleNamespace(n_tokens=64))
+
+
+def stub_forward(monkeypatch, predict):
+    """Make each chunk's forward hand back the chunk's samples, and
+    predict_sample return predict(sample) for each of them."""
+    monkeypatch.setattr(training, "forward_chunk", lambda model, chunk: chunk)
+    monkeypatch.setattr(training, "predict_sample",
+                        lambda chunk, b, thr: predict(chunk[b]))
+
+
 def test_evaluate_gt_stub_is_perfect(dataset, monkeypatch):
     samples = load_dataset(dataset, "val")
-    monkeypatch.setattr(training, "predict_sample",
-                        lambda model, s, thr: (s.box.copy(), s.mask().copy()))
-    report = training.evaluate_model(object(), samples, 0.35)
+    stub_forward(monkeypatch, lambda s: (s.box.copy(), s.mask().copy()))
+    report = training.evaluate_model(STUB_MODEL, samples, 0.35)
     assert report["prec_at_05"] == 1.0
     assert report["miou"] == 1.0
     assert report["relational"]["prec_at_05"] == 1.0
@@ -375,12 +396,126 @@ def test_evaluate_constant_box_stub_matches_loop(dataset, monkeypatch):
 
     samples = load_dataset(dataset, "val")
     const = np.array([0.5, 0.5, 0.25, 0.25])
-    monkeypatch.setattr(training, "predict_sample",
-                        lambda model, s, thr: (const.copy(), None))
-    report = training.evaluate_model(object(), samples, 0.35)
+    stub_forward(monkeypatch, lambda s: (const.copy(), None))
+    report = training.evaluate_model(STUB_MODEL, samples, 0.35)
     want = sum(1 for s in samples if box_iou(const, s.box) > 0.5) / len(samples)
     assert report["prec_at_05"] == want
     assert report["miou"] is None
+
+
+@pytest.fixture(scope="module")
+def eval_model(dataset, tmp_path_factory):
+    """A trained model with 64 visual tokens per image: 4 samples a chunk."""
+    run = tmp_path_factory.mktemp("eval_run")
+    training.train(tiny_cfg(dataset, patch=4, steps=4), run)
+    model, cfg, _, _ = training.load_checkpoint(run / "last.ckpt", dataset)
+    return model, cfg.threshold
+
+
+def test_evaluate_report_does_not_depend_on_worker_count(dataset, eval_model,
+                                                         monkeypatch):
+    model, threshold = eval_model
+    samples = load_dataset(dataset, "val")
+    real = training.predict_sample
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # more workers than this host may have cores, switching often
+        for workers in (1, 2, 4):
+            outputs = []
+
+            def record(pred, b, thr):
+                outputs.append(real(pred, b, thr))
+                return outputs[-1]
+
+            monkeypatch.setattr(training, "usable_cpus", lambda: workers)
+            monkeypatch.setattr(training, "predict_sample", record)
+            report = training.evaluate_model(model, samples, threshold)
+            runs[workers] = report, outputs
+    finally:
+        sys.setswitchinterval(interval)
+    report, outputs = runs[1]
+    assert len(outputs) == len(samples)
+    for other, other_outputs in (runs[2], runs[4]):
+        assert other == report
+        for (box, mask), (other_box, other_mask) in zip(outputs,
+                                                        other_outputs):
+            assert np.array_equal(box, other_box)
+            assert np.array_equal(mask, other_mask)
+
+
+@pytest.mark.parametrize("split,count", [("val", 6), ("test", 4), ("val", 1)])
+def test_evaluate_matches_per_sample_forward(dataset, eval_model, monkeypatch,
+                                             split, count):
+    # 6 samples make a full and a partial chunk, 4 one full chunk, 1 a
+    # partial one
+    model, threshold = eval_model
+    samples = load_dataset(dataset, split)[:count]
+    assert len(samples) == count
+    seen = []
+    real = training.predict_sample
+
+    def record(pred, b, thr):
+        seen.append((pred.box.data[b].copy(), pred.mask.probs.data[b].copy()))
+        return real(pred, b, thr)
+
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(training, "predict_sample", record)
+    training.evaluate_model(model, samples, threshold)
+    assert len(seen) == count
+    for sample, (box, probs) in zip(samples, seen):
+        single = forward_sample(model, sample)
+        assert np.abs(box - single.box.data).max() <= 1e-13
+        assert np.abs(probs - single.mask.probs.data).max() <= 1e-13
+
+
+def test_predict_sample_runs_on_calling_thread_in_sample_order(dataset,
+                                                               monkeypatch):
+    samples = load_dataset(dataset, "val")
+    forward_threads, calls = set(), []
+
+    def forward(model, chunk):
+        forward_threads.add(threading.get_ident())
+        return chunk
+
+    def predict(chunk, b, thr):
+        calls.append((threading.get_ident(), chunk[b].scene_id))
+        return chunk[b].box.copy(), None
+
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(training, "forward_chunk", forward)
+    monkeypatch.setattr(training, "predict_sample", predict)
+    training.evaluate_model(STUB_MODEL, samples, 0.35)
+    assert calls == [(threading.get_ident(), s.scene_id) for s in samples]
+    assert threading.get_ident() not in forward_threads
+
+
+def test_evaluate_records_nothing_on_callers_tape(dataset, eval_model,
+                                                  monkeypatch):
+    model, threshold = eval_model
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    with Tape() as tape:
+        training.evaluate_model(model, load_dataset(dataset, "val"), threshold)
+    assert tape._entries == []
+
+
+def test_evaluate_failing_chunk_raises_and_cancels_the_rest(dataset,
+                                                            monkeypatch):
+    samples = load_dataset(dataset, "val")
+    started = []
+
+    def forward(model, chunk):
+        started.append(chunk[0].scene_id)
+        raise NumericError(f"chunk at scene {chunk[0].scene_id} failed")
+
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(training, "forward_chunk", forward)
+    one_per_chunk = SimpleNamespace(backbone=SimpleNamespace(n_tokens=256))
+    with pytest.raises(NumericError, match=f"scene {samples[0].scene_id} "):
+        training.evaluate_model(one_per_chunk, samples, 0.35)
+    # 6 chunks, of which at most one per worker was ever handed out
+    assert len(started) <= 2
 
 
 def test_rerun_evaluation_identical(dataset, tmp_path):
@@ -649,3 +784,71 @@ def test_cli_eval_missing_checkpoint_exit_code(tmp_path, capsys):
         read_arrays(missing)
     assert main(["eval", "--ckpt", str(missing)]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_cli_eval_other_resolution_is_config_error(tmp_path, capsys,
+                                                   monkeypatch):
+    ds64, ds128 = tmp_path / "ds64", tmp_path / "ds128"
+    for root, res in ((ds64, 64), (ds128, 128)):
+        assert main(["gen", "--out", str(root), "--seed", "3", "--n-train",
+                     "1", "--n-val", "2", "--n-test", "0",
+                     "--res", str(res)]) == 0
+    cfg = tiny_cfg(ds64, image_size=64)
+    ckpt = tmp_path / "64.ckpt"
+    training.save_checkpoint(ckpt, GroundingModel(cfg, load_vocab(ds64)), cfg,
+                             0, np.random.Generator(np.random.PCG64(0)))
+
+    def forward(model, chunk):
+        raise AssertionError("a forward ran")
+
+    monkeypatch.setattr(training, "forward_chunk", forward)
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text(f"data.path = {ds128}\n")
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(ckpt), "--config", str(cfg_file)]) == 2
+    assert "dataset resolution 128 != model.image_size 64" in \
+        capsys.readouterr().err
+
+
+def rename_entry(blob, old, new):
+    """A container's bytes with one entry name swapped for another of the
+    same length."""
+    assert len(old) == len(new) and blob.count(old) == 1
+    return blob.replace(old, new)
+
+
+@pytest.mark.parametrize("case", ["extra_vocab_word", "entry_name_not_utf8",
+                                  "config_not_utf8", "config_unparsable",
+                                  "rng_not_utf8", "rng_not_json",
+                                  "rng_wrong_state"])
+def test_cli_eval_checkpoint_that_does_not_fit_exit_code(dataset, tmp_path,
+                                                         capsys, case):
+    training.train(tiny_cfg(dataset, steps=1), tmp_path / "run")
+    ckpt = tmp_path / "run" / "last.ckpt"
+    data = tmp_path / "ds"
+    shutil.copytree(dataset, data)
+    arrays = read_arrays(ckpt)
+    if case == "extra_vocab_word":
+        with open(data / "vocab.txt", "a", encoding="utf-8") as fh:
+            fh.write("zebra\n")
+    elif case == "entry_name_not_utf8":
+        ckpt.write_bytes(rename_entry(ckpt.read_bytes(), b"meta/step",
+                                      b"meta/st\xffp"))
+    else:
+        key, payload = {
+            "config_not_utf8": ("meta/config", b"\xff\xfe"),
+            "config_unparsable": ("meta/config", b"model.blocks = many\n"),
+            "rng_not_utf8": ("meta/rng", b"\xff\xfe"),
+            "rng_not_json": ("meta/rng", b"{not json"),
+            "rng_wrong_state": ("meta/rng", b'{"state": 1}'),
+        }[case]
+        arrays[key] = np.frombuffer(payload, dtype=np.uint8)
+        write_arrays(ckpt, arrays)
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text(f"data.path = {data}\n")
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(ckpt), "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err
+    if case == "extra_vocab_word":
+        assert "text.embed" in err

@@ -3,7 +3,7 @@ import pytest
 
 from lawground.errors import ShapeError
 from lawground.params import ParamStore
-from lawground.tensor import Tape, Tensor, grad_check
+from lawground.tensor import Tensor, grad_check
 from lawground.vit import VisualBackbone, attention_rollout
 
 RNG = np.random.default_rng(21)
