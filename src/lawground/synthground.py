@@ -415,7 +415,11 @@ def load_dataset(root, split=None):
 
 
 def load_vocab(root):
-    return Vocabulary.load(Path(root) / "vocab.txt")
+    path = Path(root) / "vocab.txt"
+    try:
+        return Vocabulary.load(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read the vocabulary: {exc}") from exc
 
 
 def flip_sample(image, mask, box, expression):

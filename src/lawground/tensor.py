@@ -45,12 +45,16 @@ class Tape:
 
     Use as a context manager around the forward pass; ops created inside are
     recorded in execution order. ``backward`` walks the record once, in
-    reverse, accumulating into the ``grad`` buffers of requires_grad leaves.
+    reverse, accumulating into the ``grad`` buffers of requires_grad leaves,
+    or, given a ``grads`` dict, into that dict instead: one zero-initialised
+    array per leaf, keyed by the leaf Tensor. Tapes with dicts of their own
+    can then take gradients of the same leaves on different threads at once.
     """
 
-    def __init__(self):
+    def __init__(self, grads=None):
         self._entries = []  # (out, parents, backfn) in execution order
         self._consumed = False
+        self._grads = grads
 
     def __enter__(self):
         _tapes.stack.append(self)
@@ -85,7 +89,7 @@ class Tape:
             raise TapeError("backward already ran on this tape, or its forward "
                             "failed; build a new tape")
         self._consumed = True
-        entries = self._entries
+        entries, grads = self._entries, self._grads
         try:
             if not np.isfinite(loss.data):
                 raise NumericError(f"loss is not finite: {float(loss.data)}")
@@ -104,7 +108,14 @@ class Tape:
                     if gp is None:
                         continue
                     if parent.requires_grad:
-                        parent.grad += gp
+                        if grads is None:
+                            parent.grad += gp
+                        else:
+                            held = grads.get(parent)
+                            if held is None:
+                                held = grads[parent] = np.zeros_like(
+                                    parent.data)
+                            held += gp
                     elif getattr(parent, "_tape", None) is self:
                         pid = id(parent)
                         held = adjoint.get(pid)

@@ -33,8 +33,14 @@ METRIC_COLUMNS = ("step", "split", "prec_at_05", "miou", "loss_total",
 
 LENGTH_BUCKETS = ((1, 5), (6, 7), (8, 10), (11, None))
 
-# visual-token rows per evaluation chunk: 4 samples at 64x64, 1 at 128x128
+# visual-token rows per tape-free evaluation chunk: 4 samples at 64x64, 1 at
+# 128x128 (at 64x64, 4-sample chunks cost less per sample than 8-sample ones)
 EVAL_ROWS = 256
+
+# visual-token rows per taped training chunk: 8 samples at 64x64, 2 at
+# 128x128. Taped chunks of 256 rows made the B=16 desk64 step slower, and
+# split a B=2 step at 128x128 into two chunks that raised its peak memory.
+STEP_ROWS = 512
 
 
 def build_model(cfg, vocab):
@@ -123,38 +129,46 @@ def usable_cpus():
     return len(os.sched_getaffinity(0))
 
 
+def in_order(fn, chunks):
+    """Yield (chunk, fn(chunk)) for each chunk, in chunk order.
+
+    One worker thread per usable CPU (capped at the chunk count) runs the
+    chunks, with at most one chunk per worker in flight. A caller that
+    reduces the results in the order they come gets the same answer on any
+    CPU count. A failing chunk raises its error here, and the chunks not yet
+    started are cancelled."""
+    workers = max(1, min(usable_cpus(), len(chunks)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(fn, chunk) for chunk in chunks[:workers])
+        try:
+            for k, chunk in enumerate(chunks):
+                # no name may hold a failed future: it holds its error,
+                # whose traceback holds this frame, a cycle that would keep
+                # the chunk's graph alive until the cyclic collector ran
+                result = pending.popleft().result()
+                if k + workers < len(chunks):
+                    pending.append(pool.submit(fn, chunks[k + workers]))
+                yield chunk, result
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 def evaluate_model(model, samples, threshold):
     """Box precision, mask mIoU, the relational subset, and length buckets.
 
     The samples split, in order, into chunks of EVAL_ROWS // T samples (T
-    visual tokens per image, at least one sample). One worker thread per
-    usable CPU runs whole chunks through the tape-free batch forward, with
-    about one chunk per worker in flight; this thread takes the chunks back
-    in order and reads every sample out with predict_sample, in sample
-    order, so metrics reduce in sample order whatever the CPU count. A
-    failing chunk raises its error here and the chunks not yet started are
-    cancelled."""
+    visual tokens per image, at least one sample), which `in_order` runs
+    through the tape-free batch forward. This thread reads every sample out
+    with predict_sample, in sample order, so metrics reduce in sample order
+    whatever the CPU count."""
     size = max(1, EVAL_ROWS // model.backbone.n_tokens)
     chunks = [samples[i:i + size] for i in range(0, len(samples), size)]
-    workers = max(1, min(usable_cpus(), len(chunks)))
     outputs = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        queued = iter(chunks[workers:])
-        pending = deque((chunk, pool.submit(forward_chunk, model, chunk))
-                        for chunk in chunks[:workers])
-        try:
-            while pending:
-                chunk, future = pending.popleft()
-                pred = future.result()
-                following = next(queued, None)
-                if following is not None:
-                    pending.append((following, pool.submit(
-                        forward_chunk, model, following)))
-                outputs.extend(predict_sample(pred, b, threshold)
-                               for b in range(len(chunk)))
-        finally:
-            for _, future in pending:
-                future.cancel()
+    for chunk, pred in in_order(lambda chunk: forward_chunk(model, chunk),
+                                chunks):
+        outputs.extend(predict_sample(pred, b, threshold)
+                       for b in range(len(chunk)))
 
     def subset_metrics(indices):
         if not indices:
@@ -248,6 +262,36 @@ def check_resolution(samples, cfg):
             f"dataset resolution {res} != model.image_size {cfg.image_size}")
 
 
+def step_chunk(model, weights, mode, chunk, share, grads):
+    """One chunk of a training batch on a tape of its own: the batch
+    forward, the joint loss weighted by `share` (the chunk's fraction of the
+    batch) and backward into `grads` (None: each parameter's own grad).
+
+    Returns the chunk's loss parts and, when its loss is not finite,
+    backward's NumericError (else None). The error is returned, not raised,
+    so the other chunks still run and the step's nan_dump.json gets the
+    parts of every chunk."""
+    images, masks, boxes, exprs = zip(*chunk)
+    with Tape(grads) as tape:
+        pred = model.forward_batch(
+            [model.image_tensor(image) for image in images],
+            [model.tokenize(expr) for expr in exprs])
+        probs = pred.mask.probs if pred.mask is not None else None
+        loss, parts = total_loss(
+            np.stack(boxes), pred.box, np.stack(masks).astype(np.float64),
+            probs, weights, mode)
+        loss = loss * share
+    try:
+        tape.backward(loss)
+    except NumericError as exc:
+        # without its traceback: the traceback's frames lead back to the
+        # worker's frame, which holds the future that will hold this error,
+        # and in that cycle the chunk's graph would wait for the cyclic
+        # collector
+        return parts, exc.with_traceback(None)
+    return parts, None
+
+
 def _selection_metric(report, mode):
     if mode == "rec":
         return report["prec_at_05"]
@@ -308,6 +352,11 @@ def train(cfg, out_dir):
                 save_checkpoint(out / "best.ckpt", model, cfg, step, rng)
             return report
 
+        size = max(1, STEP_ROWS // model.backbone.n_tokens)
+
+        def run_chunk(work):
+            return step_chunk(model, weights, cfg.mode, *work)
+
         for step in range(1, cfg.steps + 1):
             indices = stream.take(cfg.batch_size)
             flips = rng.random(cfg.batch_size) < cfg.flip_prob
@@ -323,20 +372,21 @@ def train(cfg, out_dir):
                 item = (sample.image(), sample.mask(), sample.box,
                         sample.expression)
                 batch.append(flip_sample(*item) if flip else item)
-            images, masks, boxes, exprs = zip(*batch)
-            with Tape() as tape:
-                pred = model.forward_batch(
-                    [model.image_tensor(image) for image in images],
-                    [model.tokenize(expr) for expr in exprs])
-                probs = pred.mask.probs if pred.mask is not None else None
-                batch_loss, parts = total_loss(
-                    np.stack(boxes), pred.box,
-                    np.stack(masks).astype(np.float64), probs, weights,
-                    cfg.mode)
-
-            try:
-                tape.backward(batch_loss)
-            except NumericError as exc:
+            # chunk 0 writes into each parameter's grad and the others into
+            # dicts of their own, which this thread adds in chunk order, so
+            # the sums depend on the chunk split only
+            chunks = [batch[i:i + size] for i in range(0, len(batch), size)]
+            work = [(chunk, len(chunk) / len(batch), {} if k else None)
+                    for k, chunk in enumerate(chunks)]
+            parts, failure = {}, None
+            for (_, share, grads), (chunk_parts, error) in in_order(
+                    run_chunk, work):
+                for key, value in chunk_parts.items():
+                    parts[key] = parts.get(key, 0.0) + share * value
+                for param, grad in (grads or {}).items():
+                    param.grad += grad
+                failure = failure or error
+            if failure is not None:
                 dump = {"step": step, "loss_parts": parts,
                         "scene_ids": [train_samples[i].scene_id
                                       for i in indices],
@@ -345,7 +395,8 @@ def train(cfg, out_dir):
                     json.dumps(dump, sort_keys=True, indent=2),
                     encoding="utf-8")
                 raise NumericError(f"non-finite loss at step {step}; "
-                                   f"batch dumped to nan_dump.json") from exc
+                                   f"batch dumped to nan_dump.json"
+                                   ) from failure
             scale = cfg.decay_factor if step > cfg.decay_step else 1.0
             opt.step(lr_scale=scale)
             opt.zero_grad()

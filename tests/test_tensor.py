@@ -420,6 +420,31 @@ def test_grads_merge_across_tapes():
     np.testing.assert_allclose(x.grad, np.full(3, 2.0), atol=0)
 
 
+def test_tape_with_grads_dict_leaves_param_grads_alone():
+    x = rand_tensor((3, 4), requires_grad=True)
+    w = rand_tensor((4,), requires_grad=True)
+    untouched = rand_tensor((2,), requires_grad=True)
+
+    def loss_of():
+        # x twice: its two adjoints (one a read-only broadcast) add up
+        return (x * w).sum() + x.sum()
+
+    with Tape() as tape:
+        loss = loss_of()
+    tape.backward(loss)
+    want = {x: x.grad.copy(), w: w.grad.copy()}
+    x.zero_grad()
+    w.zero_grad()
+    grads = {}
+    with Tape(grads) as tape:
+        loss = loss_of()
+    tape.backward(loss)
+    assert not x.grad.any() and not w.grad.any()
+    assert untouched not in grads and set(grads) == set(want)
+    for leaf, grad in want.items():
+        assert np.array_equal(grads[leaf], grad)
+
+
 def test_ops_on_another_thread_skip_the_callers_tape():
     x = rand_tensor((3,), requires_grad=True)
     seen = {}

@@ -2,11 +2,13 @@ import contextlib
 import gc
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
 import textwrap
 import threading
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +25,9 @@ from lawground.config import (
     validate,
 )
 from lawground.errors import ConfigError, DataError, NumericError
+from lawground.losses import total_loss
 from lawground.model import GroundingModel
+from lawground.optim import AdamW
 from lawground.serial import read_arrays, write_arrays
 from lawground.synthground import generate_dataset, load_dataset, load_vocab
 from lawground.tensor import Tape, Tensor
@@ -322,6 +326,117 @@ def test_failed_step_frees_its_graph_without_cyclic_gc(dataset, tmp_path,
     assert (tmp_path / "run" / "nan_dump.json").exists()
 
 
+def test_failing_second_chunk_dumps_the_whole_batch(dataset, tmp_path,
+                                                   monkeypatch):
+    # chunks of 2 samples: a B=3 step is a 2-sample chunk and a 1-sample
+    # one, and only the 1-sample chunk's loss is not finite
+    real = training.total_loss
+    parts_of = {}
+
+    def poisoned(box_true, *args, **kwargs):
+        loss, parts = real(box_true, *args, **kwargs)
+        parts_of[len(box_true)] = parts
+        return (loss * np.inf if len(box_true) == 1 else loss), parts
+
+    monkeypatch.setattr(training, "STEP_ROWS", 32)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(training, "total_loss", poisoned)
+    cfg = tiny_cfg(dataset, steps=3, batch_size=3)
+    with unreachable_graph_objects() as counts:
+        with pytest.raises(NumericError, match="nan_dump.json"):
+            training.train(cfg, tmp_path / "run")
+    assert counts == {"Tensor": 0, "Tape": 0}
+    dump = json.loads((tmp_path / "run" / "nan_dump.json").read_text())
+    assert dump["step"] == 1 and len(dump["scene_ids"]) == 3
+    assert dump["loss_parts"] == {
+        key: 2 / 3 * parts_of[2][key] + 1 / 3 * parts_of[1][key]
+        for key in parts_of[1]}
+
+
+def one_step(monkeypatch, cfg, out):
+    """Train one step; returns each parameter's gradient as AdamW saw it,
+    the train row's loss parts and the chunks the step ran."""
+    grads, chunks = {}, []
+    real_step, real_chunk = AdamW.step, training.step_chunk
+
+    def step(opt, lr_scale=1.0):
+        for params, _ in opt.groups:
+            grads.update((name, p.grad.copy()) for name, p in params)
+        return real_step(opt, lr_scale)
+
+    def step_chunk(model, weights, mode, chunk, share, dest):
+        chunks.append(chunk)
+        return real_chunk(model, weights, mode, chunk, share, dest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AdamW, "step", step)
+        patch.setattr(training, "step_chunk", step_chunk)
+        training.train(replace(cfg, steps=1, log_every=1), out)
+    row = next(r for r in (out / "metrics.csv").read_text().splitlines()
+               if r.split(",")[1] == "train")
+    parts = [float(v) for v in row.split(",")[4:]]
+    return grads, parts, chunks
+
+
+def test_split_step_matches_one_chunk_step(dataset, tmp_path, monkeypatch):
+    cfg = tiny_cfg(dataset, batch_size=16)
+    # 16 visual tokens an image: 512 rows make one chunk of 16 samples, and
+    # 128 rows two chunks of 8
+    one, one_parts, one_chunks = one_step(monkeypatch, cfg, tmp_path / "one")
+    monkeypatch.setattr(training, "STEP_ROWS", 128)
+    two, two_parts, two_chunks = one_step(monkeypatch, cfg, tmp_path / "two")
+    assert [len(c) for c in one_chunks] == [16]
+    assert [len(c) for c in two_chunks] == [8, 8]
+    assert one.keys() == two.keys()
+    for name, grad in one.items():
+        assert np.abs(two[name] - grad).max() <= 1e-12 * np.abs(grad).max(), \
+            name
+    assert len(one_parts) == 5
+    for a, b in zip(one_parts, two_parts):
+        assert abs(b - a) <= 1e-12 * abs(a)
+
+
+def test_one_chunk_step_equals_one_tape_over_the_batch(dataset, tmp_path,
+                                                       monkeypatch):
+    cfg = validate(tiny_cfg(dataset, batch_size=4))
+    grads, _, chunks = one_step(monkeypatch, cfg, tmp_path / "run")
+    assert len(chunks) == 1
+    model = GroundingModel(cfg, load_vocab(dataset))
+    images, masks, boxes, exprs = zip(*chunks[0])
+    with Tape() as tape:
+        pred = model.forward_batch(
+            [model.image_tensor(image) for image in images],
+            [model.tokenize(expr) for expr in exprs])
+        loss, _ = total_loss(np.stack(boxes), pred.box,
+                             np.stack(masks).astype(np.float64),
+                             pred.mask.probs, training.loss_weights_from(cfg),
+                             cfg.mode)
+    tape.backward(loss)
+    assert grads.keys() == set(model.store.names())
+    for name, p in model.store.items():
+        assert np.array_equal(grads[name], p.grad), name
+
+
+def test_chunked_run_does_not_depend_on_worker_count(dataset, tmp_path,
+                                                     monkeypatch):
+    # chunks of 2 samples: a B=5 step is 3 chunks, the last one short
+    monkeypatch.setattr(training, "STEP_ROWS", 32)
+    cfg = tiny_cfg(dataset, steps=4, batch_size=5, log_every=1, eval_every=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # more workers than this host may have cores, switching often
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(training, "usable_cpus", lambda: workers)
+            training.train(cfg, tmp_path / str(workers))
+    finally:
+        sys.setswitchinterval(interval)
+    for workers in (2, 4):
+        for rel in ("metrics.csv", "batches.log", "last.ckpt", "best.ckpt"):
+            assert (tmp_path / "1" / rel).read_bytes() == \
+                (tmp_path / str(workers) / rel).read_bytes(), (workers, rel)
+
+
 def test_package_import_pins_openblas_to_one_thread():
     """The pin applies only if set before numpy loads, so it is checked in a
     fresh interpreter, reading the thread count from OpenBLAS itself."""
@@ -358,6 +473,44 @@ def test_package_import_pins_openblas_to_one_thread():
     if not counts:
         pytest.skip("no OpenBLAS thread-count symbol in this process")
     assert counts == [1] * len(counts)
+
+
+def test_training_steps_do_not_fault_freed_memory_back_in(tmp_path):
+    """A step frees its whole graph when its chunks return; the package's
+    malloc settings keep that memory mapped for the next step. Run in a
+    fresh interpreter, so the import applies them before anything else
+    allocates."""
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the malloc settings are glibc's")
+    generate_dataset(tmp_path / "ds", seed=2, n_train=8, n_val=1, n_test=0)
+    probe = textwrap.dedent("""
+        import json, resource, sys
+        from lawground import optim, train
+        from lawground.config import TrainConfig
+        faults = []
+        real = optim.AdamW.step
+
+        def step(opt, lr_scale=1.0):
+            real(opt, lr_scale)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+        optim.AdamW.step = step
+        train.train(TrainConfig(data_path=sys.argv[1], steps=6, batch_size=4,
+                                eval_every=6, log_every=6), sys.argv[2])
+        print(json.dumps([b - a for a, b in zip(faults, faults[1:])]))
+    """)
+    src = str(Path(training.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "ds"),
+         str(tmp_path / "run")], env=env, capture_output=True, text=True,
+        timeout=300, check=True)
+    per_step = json.loads(done.stdout.strip().splitlines()[-1])
+    # a desk64 B=4 step re-faulted about 5,700 pages (22 MiB) when the top
+    # of the heap went back to the kernel after each step
+    assert len(per_step) == 5 and sorted(per_step)[2] < 1000, per_step
 
 
 def test_resolution_mismatch_is_config_error(dataset, tmp_path):
@@ -808,6 +961,22 @@ def test_cli_eval_other_resolution_is_config_error(tmp_path, capsys,
     assert main(["eval", "--ckpt", str(ckpt), "--config", str(cfg_file)]) == 2
     assert "dataset resolution 128 != model.image_size 64" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["directory", "vocab"])
+def test_cli_eval_missing_data_directory_or_vocab_exit_code(dataset, tmp_path,
+                                                            capsys, missing):
+    training.train(tiny_cfg(dataset, steps=0), tmp_path / "run")
+    data = tmp_path / "ds"
+    if missing == "vocab":
+        shutil.copytree(dataset, data)
+        (data / "vocab.txt").unlink()
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text(f"data.path = {data}\n")
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(tmp_path / "run" / "last.ckpt"),
+                 "--config", str(cfg_file)]) == 2
+    assert str(data / "vocab.txt") in capsys.readouterr().err
 
 
 def rename_entry(blob, old, new):
