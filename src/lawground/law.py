@@ -139,22 +139,23 @@ def fused_weights(params, cores, layer):
     static, out_f, in_f = (params.static_fused[layer], params.out_factor,
                            params.in_factor)
     core = cores.data[:, layer]                              # (B, d_w, d_w)
+    out_fd, in_fd, cores_shape = out_f.data, in_f.data, cores.shape
     n, d_w = core.shape[0], core.shape[1]
-    d_out, d_in = out_f.shape[0], in_f.shape[0]
+    d_out, d_in = out_fd.shape[0], in_fd.shape[0]
     if (d_out, d_in) != static.shape:
         raise ShapeError(
             f"decomposition produces {(d_out, d_in)}, static weights are "
             f"{static.shape}")
-    left = (out_f.data @ core).reshape(n * d_out, d_w)       # out_f @ core_b
-    out = Tensor(static.data + (left @ in_f.data.T).reshape(n, d_out, d_in))
+    left = (out_fd @ core).reshape(n * d_out, d_w)           # out_f @ core_b
+    out = Tensor(static.data + (left @ in_fd.T).reshape(n, d_out, d_in))
 
     def backfn(g):
         g_rows = g.reshape(n * d_out, d_in)
         # column block b of g_cols is g_b @ in_factor, the adjoint of left_b
-        g_cols = (g_rows @ in_f.data).reshape(n, d_out, d_w).transpose(
+        g_cols = (g_rows @ in_fd).reshape(n, d_out, d_w).transpose(
             1, 0, 2).reshape(d_out, n * d_w)
-        g_cores = np.zeros(cores.shape)
-        g_cores[:, layer] = (out_f.data.T @ g_cols).reshape(
+        g_cores = np.zeros(cores_shape)
+        g_cores[:, layer] = (out_fd.T @ g_cols).reshape(
             d_w, n, d_w).transpose(1, 0, 2)
         g_out = g_cols @ core.transpose(0, 2, 1).reshape(n * d_w, d_w)
         return (g.sum(axis=0), g_out, g_cores, g_rows.T @ left)

@@ -103,6 +103,17 @@ class GroundingSample:
             self._mask = netpbm.read_pbm(self.mask_path)
         return self._mask
 
+    def arrays(self, resolution):
+        """The (H, W, 3) image and (H, W) mask, checked to be resolution x
+        resolution pixels: DataError naming the file otherwise."""
+        image, mask = self.image(), self.mask()
+        for path, (h, w) in ((self.image_path, image.shape[:2]),
+                             (self.mask_path, mask.shape)):
+            if (h, w) != (resolution, resolution):
+                raise DataError(f"{path}: {w}x{h} pixels, expected "
+                                f"{resolution}x{resolution}")
+        return image, mask
+
     @property
     def word_count(self):
         return len(self.expression.split())

@@ -3,8 +3,10 @@
 Operations run eagerly on numpy. When a Tape is active, each differentiable
 op records a closure mapping the output adjoint to input adjoints; backward
 replays the records in exact reverse execution order (any execution order is
-its own topological order). Everything is float64 with fixed reduction
-orders, so repeated runs are bit-identical.
+its own topological order). A closure keeps only the arrays and shapes its
+backward formula reads, never a Tensor of the graph, so an intermediate
+that no formula needs is freed during the forward. Everything is float64
+with fixed reduction orders, so repeated runs are bit-identical.
 """
 
 import threading
@@ -52,7 +54,9 @@ class Tape:
     """
 
     def __init__(self, grads=None):
-        self._entries = []  # (out, parents, backfn) in execution order
+        # (parents, backfn) per op in execution order; an op's output is
+        # known by its entry's index here, its slot
+        self._entries = []
         self._consumed = False
         self._grads = grads
 
@@ -70,9 +74,16 @@ class Tape:
         return False
 
     def record(self, out, parents, backfn):
-        """Append one op: backfn(out_adjoint) -> per-parent adjoints (or None)."""
-        out._tape = self
-        self._entries.append((out, parents, backfn))
+        """Append one op: backfn(out_adjoint) -> per-parent adjoints (or None).
+
+        The entry never holds `out` or an intermediate parent: `out` gets
+        the next slot, and each parent is kept as its slot on this tape, as
+        itself if it is a requires_grad leaf, or as None if no gradient
+        flows into it."""
+        out._tape, out._slot = self, len(self._entries)
+        self._entries.append((tuple(
+            p if p.requires_grad else p._slot if p._tape is self else None
+            for p in parents), backfn))
 
     def backward(self, loss):
         """Replay the record in reverse, popping each entry as it runs.
@@ -93,33 +104,27 @@ class Tape:
         try:
             if not np.isfinite(loss.data):
                 raise NumericError(f"loss is not finite: {float(loss.data)}")
-            # Adjoints are keyed by id() although popped entries free their
-            # tensors mid-sweep. That stays sound: backward creates no
-            # Tensor, and every live key belongs to a tensor that an entry
-            # not yet popped still holds (a parent on this tape was recorded
-            # before its child), so no key can name a freed object.
-            adjoint = {id(loss): np.ones((), dtype=np.float64)}
+            # one adjoint per slot, popped with its entry
+            adjoint = [None] * len(entries)
+            adjoint[loss._slot] = np.ones((), dtype=np.float64)
             while entries:
-                out, parents, backfn = entries.pop()
-                g = adjoint.pop(id(out), None)
+                parents, backfn = entries.pop()
+                g = adjoint.pop()
                 if g is None:
                     continue
                 for parent, gp in zip(parents, backfn(g)):
-                    if gp is None:
+                    if gp is None or parent is None:
                         continue
-                    if parent.requires_grad:
-                        if grads is None:
-                            parent.grad += gp
-                        else:
-                            held = grads.get(parent)
-                            if held is None:
-                                held = grads[parent] = np.zeros_like(
-                                    parent.data)
-                            held += gp
-                    elif getattr(parent, "_tape", None) is self:
-                        pid = id(parent)
-                        held = adjoint.get(pid)
-                        adjoint[pid] = gp if held is None else held + gp
+                    if type(parent) is int:
+                        held = adjoint[parent]
+                        adjoint[parent] = gp if held is None else held + gp
+                    elif grads is None:
+                        parent.grad += gp
+                    else:
+                        held = grads.get(parent)
+                        if held is None:
+                            held = grads[parent] = np.zeros_like(parent.data)
+                        held += gp
         finally:
             # a replay that stops early drops the rest of the graph too
             entries.clear()
@@ -136,14 +141,16 @@ def backward(loss):
 class Tensor:
     """Dense float64 array, row-major, with an optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    # _tape and _slot name the tape entry that produced this tensor
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_slot",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         # strided views are fine internally; serialization emits row-major bytes
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
-        self._tape = None
+        self._tape = self._slot = None
 
     @property
     def shape(self):
@@ -229,18 +236,20 @@ def _unbroadcast(g, shape):
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data + b.data)
+    a_shape, b_shape = a.shape, b.shape
     return _record(
         out, (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+        lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data)
+    ad, bd = a.data, b.data
+    out = Tensor(ad * bd)
     return _record(
         out, (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape),
-                   _unbroadcast(g * a.data, b.shape)))
+        lambda g: (_unbroadcast(g * bd, ad.shape),
+                   _unbroadcast(g * ad, bd.shape)))
 
 
 def sigmoid(x):
@@ -276,17 +285,17 @@ def gelu_slope(x, cdf):
 
 
 def gelu(x):
-    """x * CDF_N(0,1)(x), exact-erf form."""
+    """x * CDF_N(0,1)(x), exact-erf form. On a tape, the slope is computed
+    in the forward and is all the backward keeps."""
     x = as_tensor(x)
     cdf = gelu_cdf(x.data)
     out = Tensor(x.data * cdf)
-
-    def backfn(g):
-        slope = gelu_slope(x.data, cdf)
-        slope *= g
-        return (slope,)
-
-    return _record(out, (x,), backfn)
+    tape = active_tape()
+    if tape is None:
+        return out
+    slope = gelu_slope(x.data, cdf)
+    tape.record(out, (x,), lambda g: (np.multiply(slope, g, out=slope),))
+    return out
 
 
 def _softmax_(p, axis=-1):
@@ -406,18 +415,19 @@ def linear(x, w, b=None):
     if (x.ndim != 2 or w.ndim not in (2, 3) or x.shape[1] != w.shape[-1]
             or x.shape[0] % blocks):
         raise ShapeError(f"linear: incompatible shapes {x.shape} and {w.shape}")
+    xd, wd = x.data, w.data
     if w.ndim == 2:
-        y = x.data @ w.data.T
+        y = xd @ wd.T
 
         def grads(g):
-            return g @ w.data, g.T @ x.data
+            return g @ wd, g.T @ xd
     else:
-        xb = x.data.reshape(blocks, -1, x.shape[1])
-        y = (xb @ w.data.transpose(0, 2, 1)).reshape(x.shape[0], -1)
+        xb = xd.reshape(blocks, -1, xd.shape[1])
+        y = (xb @ wd.transpose(0, 2, 1)).reshape(xd.shape[0], -1)
 
         def grads(g):
             gb = g.reshape(blocks, -1, g.shape[1])
-            return ((gb @ w.data).reshape(x.shape),
+            return ((gb @ wd).reshape(xd.shape),
                     gb.transpose(0, 2, 1) @ xb)
     if b is None:
         return _record(Tensor(y), (x, w), grads)
@@ -430,10 +440,10 @@ def tsum(x, axis=None, keepdims=False):
     x = as_tensor(x)
     out = Tensor(np.sum(x.data, axis=axis, keepdims=keepdims))
 
-    def backfn(g, x=x, axis=axis, keepdims=keepdims):
+    def backfn(g, shape=x.shape, axis=axis, keepdims=keepdims):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape),)
+        return (np.broadcast_to(g, shape),)
 
     return _record(out, (x,), backfn)
 
@@ -444,10 +454,10 @@ def tmean(x, axis=None, keepdims=False):
     n = x.size if axis is None else np.prod(
         [x.shape[i] for i in (axis if isinstance(axis, tuple) else (axis,))])
 
-    def backfn(g, x=x, axis=axis, keepdims=keepdims, n=float(n)):
+    def backfn(g, shape=x.shape, axis=axis, keepdims=keepdims, n=float(n)):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / n, x.shape),)
+        return (np.broadcast_to(g / n, shape),)
 
     return _record(out, (x,), backfn)
 
@@ -455,7 +465,7 @@ def tmean(x, axis=None, keepdims=False):
 def reshape(x, shape):
     x = as_tensor(x)
     out = Tensor(x.data.reshape(shape))
-    return _record(out, (x,), lambda g: (g.reshape(x.shape),))
+    return _record(out, (x,), lambda g, shape=x.shape: (g.reshape(shape),))
 
 
 def transpose(x, axes=None):
@@ -474,8 +484,8 @@ def getitem(x, idx):
     x = as_tensor(x)
     out = Tensor(x.data[idx])
 
-    def backfn(g, x=x, idx=idx):
-        gx = np.zeros_like(x.data)
+    def backfn(g, shape=x.shape, idx=idx):
+        gx = np.zeros(shape)
         gx[idx] = g
         return (gx,)
 
@@ -491,8 +501,8 @@ def take_rows(table, ids):
             f"row index out of range for table with {table.shape[0]} rows")
     out = Tensor(table.data[ids])
 
-    def backfn(g, table=table, ids=ids):
-        gt = np.zeros_like(table.data)
+    def backfn(g, shape=table.shape, ids=ids):
+        gt = np.zeros(shape)
         np.add.at(gt, ids, g)
         return (gt,)
 
@@ -511,12 +521,12 @@ def layer_norm(x, gain, bias, eps=1e-5):
     y += bias.data
     out = Tensor(y)
 
-    def backfn(g, x=x, gain=gain, xhat=xhat, inv=inv):
+    def backfn(g, gain=gain.data, xhat=xhat, inv=inv):
         # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), with
         # dxhat = g * gain, built in place in dxhat's buffer
         dgain = _unbroadcast(g * xhat, gain.shape)
         dbias = _unbroadcast(g, gain.shape)
-        dx = g * gain.data
+        dx = g * gain
         m1 = np.mean(dx, axis=-1, keepdims=True)
         scratch = dx * xhat
         m2 = np.mean(scratch, axis=-1, keepdims=True)

@@ -120,8 +120,10 @@ def predict_sample(pred, b, threshold):
 
 def forward_chunk(model, samples):
     """One tape-free batch Prediction for a chunk of samples."""
-    return model.forward_batch([model.image_tensor(s.image()) for s in samples],
-                               [model.tokenize(s.expression) for s in samples])
+    size = model.config.image_size
+    return model.forward_batch(
+        [model.image_tensor(s.arrays(size)[0]) for s in samples],
+        [model.tokenize(s.expression) for s in samples])
 
 
 def usable_cpus():
@@ -369,7 +371,7 @@ def train(cfg, out_dir):
             batch = []
             for idx, flip in zip(indices, flips):
                 sample = train_samples[idx]
-                item = (sample.image(), sample.mask(), sample.box,
+                item = (*sample.arrays(cfg.image_size), sample.box,
                         sample.expression)
                 batch.append(flip_sample(*item) if flip else item)
             # chunk 0 writes into each parameter's grad and the others into

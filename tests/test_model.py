@@ -1,11 +1,15 @@
+import functools
 import itertools
 import re
+import tracemalloc
+import types
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lawground import losses
+from lawground import losses, vit
 from lawground.attention import transformer_block
 from lawground.config import TrainConfig
 from lawground.law import layer_cores
@@ -173,6 +177,102 @@ def test_tape_entries_per_sample_match_readme(vocab):
     stated = re.search(r"records (\d+)\s+tape\s+entries\s+per\s+sample",
                        readme_text())
     assert stated and len(tape._entries) == int(stated.group(1))
+
+
+def desk64_chunk(vocab, n=8):
+    """A default-config (desk64) model and the inputs of one n-sample
+    training chunk."""
+    rng = np.random.default_rng(5)
+    model = GroundingModel(TrainConfig(), vocab)
+    images = [model.image_tensor(rng.integers(0, 255, (64, 64, 3),
+                                              dtype=np.uint8))
+              for _ in range(n)]
+    exprs = ("red circle left of the square", "small green triangle",
+             "the leftmost blue square", "large circle")
+    tokens = [model.tokenize(exprs[i % len(exprs)]) for i in range(n)]
+    boxes = rng.uniform(0.2, 0.6, (n, 4))
+    masks = (rng.uniform(size=(n, 64, 64)) > 0.5).astype(np.float64)
+    return model, images, tokens, boxes, masks
+
+
+def record_chunk(model, images, tokens, boxes, masks):
+    """The chunk's taped forward and joint loss: (tape, loss)."""
+    with Tape() as tape:
+        pred = model.forward_batch(images, tokens)
+        loss, _ = losses.total_loss(boxes, pred.box, masks, pred.mask.probs)
+    return tape, loss
+
+
+def held_tensors(backfn):
+    """Every Tensor a backward closure can reach through nested functions,
+    partials, closure cells, defaults, containers and object attributes."""
+    found, seen, todo = [], set(), [backfn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (np.ndarray, type,
+                                               types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            found.append(obj)
+        elif isinstance(obj, functools.partial):
+            todo += [obj.func, *obj.args, *obj.keywords.values()]
+        elif isinstance(obj, types.FunctionType):
+            todo += [c.cell_contents for c in obj.__closure__ or ()
+                     if c.cell_contents is not None]
+            todo += [*(obj.__defaults__ or ()),
+                     *(obj.__kwdefaults__ or {}).values()]
+        elif isinstance(obj, (list, tuple, set)):
+            todo += obj
+        elif isinstance(obj, dict):
+            todo += obj.values()
+        elif hasattr(obj, "__dict__"):
+            todo += vars(obj).values()
+    return found
+
+
+def test_backward_closures_hold_no_graph_tensor(vocab, monkeypatch):
+    # an intermediate's array lives only as long as a backward formula
+    # reads it: a block's residual output is dead once the forward is done
+    residual = []
+    original = vit.VisualBackbone.attention_block
+
+    def keeping_block0(self, x, qkv_w, layer, lengths=None):
+        out, probs = original(self, x, qkv_w, layer, lengths)
+        if layer == 0:
+            residual.append(weakref.ref(out))
+        return out, probs
+
+    monkeypatch.setattr(vit.VisualBackbone, "attention_block", keeping_block0)
+    tape, loss = record_chunk(*desk64_chunk(vocab))
+    assert len(residual) == 1 and residual[0]() is None
+    held = [t for *_, backfn in tape._entries for t in held_tensors(backfn)
+            if t._tape is tape]
+    assert held == []
+    # the walk does see a Tensor captured by a closure
+    assert held_tensors(lambda g: (g * loss.data, loss)) == [loss]
+    tape.backward(loss)
+
+
+# tracemalloc bytes one 8-sample desk64 chunk's tape holds after its forward
+# and joint loss: 27.84 MiB measured with every closure keeping only what its
+# backward reads, 37.99 MiB when each entry held its op's output and parent
+# Tensors. The 0.5 MiB margin is half of one ViT block's GELU slope array,
+# so a closure that keeps a block's activation Tensor by accident fails it.
+CHUNK_GRAPH_MIB = 27.84 + 0.5
+
+
+def test_chunk_graph_size_is_pinned(vocab):
+    model, images, tokens, boxes, masks = desk64_chunk(vocab)
+    model.forward_batch(images, tokens)  # fills the upsampling cache
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tape, loss = record_chunk(model, images, tokens, boxes, masks)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= CHUNK_GRAPH_MIB * 2 ** 20, held / 2 ** 20
 
 
 def step_tape_entries(tmp_path, monkeypatch, **overrides):

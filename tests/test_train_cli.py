@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lawground import netpbm
 from lawground import train as training
 from lawground.cli import main
 from lawground.config import (
@@ -857,6 +858,35 @@ def test_cli_eval_split_without_relational_samples(dataset, tmp_path, capsys):
     assert "test: n=1 prec@0.5=" in out
     assert "test/relational: n=0 prec@0.5=n/a miou=n/a" in out
     assert (tmp_path / "ev" / "eval_metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("kind", ["image", "mask"])
+def test_cli_sample_of_another_resolution_is_data_error(dataset, tmp_path,
+                                                        capsys, command, kind):
+    # the split's first sample has the model's size, so only the per-sample
+    # check can see the last one's 16x16 file
+    data = tmp_path / "ds"
+    shutil.copytree(dataset, data)
+    split = "train" if command == "train" else "test"
+    sample = load_dataset(data, split)[-1]
+    if kind == "image":
+        path = sample.image_path
+        netpbm.write_ppm(path, np.zeros((16, 16, 3), dtype=np.uint8))
+    else:
+        path = sample.mask_path
+        netpbm.write_pbm(path, np.zeros((16, 16), dtype=bool))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config_to_text(tiny_cfg(data, steps=8, eval_every=8)))
+    run = tmp_path / "run"
+    if command == "train":
+        argv = ["train", "--config", str(cfg), "--out", str(run)]
+    else:
+        training.train(tiny_cfg(data, steps=0), run)
+        argv = ["eval", "--ckpt", str(run / "last.ckpt"), "--split", "test"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{path}: 16x16 pixels, expected 32x32" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["train.eval_every", "train.log_every"])
