@@ -1,6 +1,6 @@
 """The pre-norm transformer block shared by the text encoder and the ViT."""
 
-from .tensor import attention, gelu, layer_norm, linear
+from .tensor import attention, gelu, layer_norm_linear, linear
 
 
 def block_params(store, prefix, width, hidden):
@@ -27,16 +27,17 @@ def transformer_block(x, blk, qkv_w, heads, lengths=None):
 
     qkv_w stacks the query/key/value projections as a (3d, d) matrix applied
     as LN(x) @ qkv_w^T + blk["qkv_b"]; the text encoder passes its own, the
-    ViT its static one or a (B, 3d, d) stack of generated ones, weight b for
-    the b-th of B equal row blocks (see tensor.linear). `lengths` splits the
-    rows into packed sequences that attend only within themselves (default:
-    one sequence).
+    ViT its static one or the generator's Rebuilt (B, 3d, d) stack, weight b
+    for the b-th of B equal row blocks (see tensor.linear). Each LN runs
+    fused with the projection after it (tensor.layer_norm_linear), so the
+    tape keeps its output once. `lengths` splits the rows into packed
+    sequences that attend only within themselves (default: one sequence).
     Returns the block output (T, d) and one (H, L, L) array of attention
     probabilities per sequence.
     """
-    h = layer_norm(x, blk["ln1_g"], blk["ln1_b"])
-    ctx, probs = attention(linear(h, qkv_w, blk["qkv_b"]), heads, lengths)
+    qkv = layer_norm_linear(x, blk["ln1_g"], blk["ln1_b"], qkv_w, blk["qkv_b"])
+    ctx, probs = attention(qkv, heads, lengths)
     x = x + linear(ctx, blk["out_w"], blk["out_b"])
-    h = layer_norm(x, blk["ln2_g"], blk["ln2_b"])
-    h = gelu(linear(h, blk["mlp_w1"], blk["mlp_b1"]))
+    h = gelu(layer_norm_linear(x, blk["ln2_g"], blk["ln2_b"], blk["mlp_w1"],
+                               blk["mlp_b1"]))
     return x + linear(h, blk["mlp_w2"], blk["mlp_b2"]), probs

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import (Tensor, _record, _softmax_, as_tensor, gelu_cdf,
-                     gelu_slope, segment_bounds)
+from .tensor import (Rebuilt, Tensor, _record, _softmax_, as_tensor,
+                     gelu_cdf, gelu_slope, segment_bounds)
 
 
 @dataclass
@@ -133,13 +133,17 @@ def layer_cores(feats, params, lengths=None):
 
 def fused_weights(params, cores, layer):
     """Every expression's fused projection for one layer, static +
-    out_factor @ core_b @ in_factor^T, as one (B, d_out, d_in) op with the
-    static weights, both factors and the (B, N, d_w, d_w) cores as parents.
-    Forward and backward each stack the batch into a few GEMMs."""
+    out_factor @ core_b @ in_factor^T, as a Rebuilt (B, d_out, d_in) stack
+    with the static weights, both factors and the (B, N, d_w, d_w) cores as
+    parents. Nothing keeps the stack: the projection that reads it rebuilds
+    it from left = out_factor @ core_b in its forward and its backward, and
+    the stack's backward is part of that projection's record. Forward and
+    backward each stack the batch into a few GEMMs."""
     static, out_f, in_f = (params.static_fused[layer], params.out_factor,
                            params.in_factor)
     core = cores.data[:, layer]                              # (B, d_w, d_w)
-    out_fd, in_fd, cores_shape = out_f.data, in_f.data, cores.shape
+    static_d, out_fd, in_fd = static.data, out_f.data, in_f.data
+    cores_shape = cores.shape
     n, d_w = core.shape[0], core.shape[1]
     d_out, d_in = out_fd.shape[0], in_fd.shape[0]
     if (d_out, d_in) != static.shape:
@@ -147,7 +151,9 @@ def fused_weights(params, cores, layer):
             f"decomposition produces {(d_out, d_in)}, static weights are "
             f"{static.shape}")
     left = (out_fd @ core).reshape(n * d_out, d_w)           # out_f @ core_b
-    out = Tensor(static.data + (left @ in_fd.T).reshape(n, d_out, d_in))
+
+    def build():
+        return static_d + (left @ in_fd.T).reshape(n, d_out, d_in)
 
     def backfn(g):
         g_rows = g.reshape(n * d_out, d_in)
@@ -160,14 +166,16 @@ def fused_weights(params, cores, layer):
         g_out = g_cols @ core.transpose(0, 2, 1).reshape(n * d_w, d_w)
         return (g.sum(axis=0), g_out, g_cores, g_rows.T @ left)
 
-    return _record(out, (static, out_f, cores, in_f), backfn)
+    return Rebuilt((n, d_out, d_in), (static, out_f, cores, in_f), build,
+                   backfn)
 
 
 def generate_all(feats, params, lengths=None):
     """Every visual layer's fused projections for the packed expressions
-    (see layer_cores): one (B, d_out, d_in) stack per layer, row b for
-    expression b, plus the per-expression (N, G, L) token attention arrays.
-    Records 1 + n_layers tape entries."""
+    (see layer_cores): one Rebuilt (B, d_out, d_in) stack per layer, row b
+    for expression b, plus the per-expression (N, G, L) token attention
+    arrays. Records one tape entry; each stack's backward is recorded by the
+    projection that reads it."""
     cores, alphas = layer_cores(feats, params, lengths)
     return ([fused_weights(params, cores, i) for i in range(params.n_layers)],
             alphas)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor import Tensor, _record, as_tensor
+from .tensor import Tensor, _record, active_tape, as_tensor
 
 # guards 0/0 for degenerate (empty) boxes without disturbing regular values
 _TINY = 1e-300
@@ -124,18 +124,25 @@ def mask_loss(mask_true, mask_pred, weights):
     total_eps = np.sum(true, **pixels) + np.sum(p, **pixels) + _DICE_EPS
     dice = 1.0 - overlap_eps / total_eps
     out = Tensor(np.mean(weights.focal * focal + weights.dice * dice))
+    terms = float(np.mean(focal)), float(np.mean(dice))
+    tape = active_tape()
+    if tape is None:
+        return (out, *terms)
+    # the focal and dice gradients up to their factors of g, formed here so
+    # the closure keeps two (..., H, W) arrays
+    d_pt = focus / p_t - gamma * miss ** (gamma - 1.0) * log_pt
+    g_focal_unit = d_pt * (2.0 * true - 1.0)
+    g_dice_unit = overlap_eps / total_eps - 2.0 * true
+    n_maps, per_map = dice.size, p.size / dice.size
+    focal_w, dice_w = -alpha * weights.focal, weights.dice
 
     def backfn(g):
-        g = g / dice.size                       # each map's share of the mean
-        d_pt = focus / p_t - gamma * miss ** (gamma - 1.0) * log_pt
-        g_focal = d_pt * (2.0 * true - 1.0) * (
-            -alpha * weights.focal * g / (p.size / dice.size))
-        g_dice = (overlap_eps / total_eps - 2.0 * true) * (
-            weights.dice * g / total_eps)
-        return (g_focal + g_dice,)
+        g = g / n_maps                          # each map's share of the mean
+        return (g_focal_unit * (focal_w * g / per_map)
+                + g_dice_unit * (dice_w * g / total_eps),)
 
-    return (_record(out, (pred,), backfn), float(np.mean(focal)),
-            float(np.mean(dice)))
+    tape.record(out, (pred,), backfn)
+    return (out, *terms)
 
 
 def total_loss(box_true, box_pred, mask_true, mask_pred, weights=None,

@@ -83,7 +83,9 @@ class GroundingModel:
 
         The expression half runs once for the batch: the text encoder over
         the packed token sequences, then every expression's generator cores
-        and one (B, 3d, d) stack of fused weights per layer. The image half
+        and one Rebuilt (B, 3d, d) stack of fused weights per layer, which
+        only the layer's QKV projection builds, in its forward and again in
+        its backward. The image half
         runs the backbone once over the B images stacked into one row block,
         each image projected by its own expression's QKV weights (or all by
         the static ones without a weight generator). The head runs once on

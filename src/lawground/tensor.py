@@ -404,6 +404,49 @@ def attention(qkv, heads, lengths=None):
 # linear algebra and shape ops
 
 
+class Rebuilt:
+    """A weight array that no tape entry holds: the op that reads it calls
+    `build()` for the array in its forward and again in its backward, and
+    hands the array's adjoint to `backfn`, which returns one adjoint per
+    Tensor in `parents`. `build` reads only arrays that stay unchanged until
+    backward has run, so every call returns the same bits."""
+
+    __slots__ = ("shape", "parents", "build", "backfn")
+
+    def __init__(self, shape, parents, build, backfn):
+        self.shape, self.parents = shape, parents
+        self.build, self.backfn = build, backfn
+
+    @property
+    def ndim(self):
+        return len(self.shape)
+
+
+def _check_linear(x_shape, w_shape):
+    blocks = w_shape[0] if len(w_shape) == 3 else 1
+    if (len(x_shape) != 2 or len(w_shape) not in (2, 3)
+            or x_shape[1] != w_shape[-1] or x_shape[0] % blocks):
+        raise ShapeError(f"linear: incompatible shapes {x_shape} and {w_shape}")
+
+
+def _project(xd, wd):
+    """xd (n, k) @ wd^T: wd is (m, k), or a (B, m, k) stack whose weight b
+    projects the b-th of B equal row blocks, as one batched matmul."""
+    if wd.ndim == 2:
+        return xd @ wd.T
+    xb = xd.reshape(wd.shape[0], -1, xd.shape[1])
+    return (xb @ wd.transpose(0, 2, 1)).reshape(xd.shape[0], -1)
+
+
+def _project_grads(g, xd, wd):
+    """The adjoints of _project's xd and wd, given its output's."""
+    if wd.ndim == 2:
+        return g @ wd, g.T @ xd
+    gb = g.reshape(wd.shape[0], -1, g.shape[1])
+    xb = xd.reshape(wd.shape[0], -1, xd.shape[1])
+    return (gb @ wd).reshape(xd.shape), gb.transpose(0, 2, 1) @ xb
+
+
 def linear(x, w, b=None):
     """x (n, k) @ w (m, k)^T -> (n, m), plus an optional (m,) bias.
 
@@ -411,29 +454,15 @@ def linear(x, w, b=None):
     applies weight b to block b, as one batched matmul.
     """
     x, w = as_tensor(x), as_tensor(w)
-    blocks = w.shape[0] if w.ndim == 3 else 1
-    if (x.ndim != 2 or w.ndim not in (2, 3) or x.shape[1] != w.shape[-1]
-            or x.shape[0] % blocks):
-        raise ShapeError(f"linear: incompatible shapes {x.shape} and {w.shape}")
+    _check_linear(x.shape, w.shape)
     xd, wd = x.data, w.data
-    if w.ndim == 2:
-        y = xd @ wd.T
-
-        def grads(g):
-            return g @ wd, g.T @ xd
-    else:
-        xb = xd.reshape(blocks, -1, xd.shape[1])
-        y = (xb @ wd.transpose(0, 2, 1)).reshape(xd.shape[0], -1)
-
-        def grads(g):
-            gb = g.reshape(blocks, -1, g.shape[1])
-            return ((gb @ wd).reshape(xd.shape),
-                    gb.transpose(0, 2, 1) @ xb)
+    y = _project(xd, wd)
     if b is None:
-        return _record(Tensor(y), (x, w), grads)
+        return _record(Tensor(y), (x, w), lambda g: _project_grads(g, xd, wd))
     b = as_tensor(b)
     y += b.data
-    return _record(Tensor(y), (x, w, b), lambda g: (*grads(g), g.sum(axis=0)))
+    return _record(Tensor(y), (x, w, b), lambda g: (
+        *_project_grads(g, xd, wd), g.sum(axis=0)))
 
 
 def tsum(x, axis=None, keepdims=False):
@@ -509,33 +538,85 @@ def take_rows(table, ids):
     return _record(out, (table,), backfn)
 
 
+def _normalize(xd, eps):
+    """(xhat, inv): xd centred and scaled to unit variance over its last
+    axis, and the per-row scale 1 / sqrt(var + eps)."""
+    mu = np.mean(xd, axis=-1, keepdims=True)
+    xc = xd - mu
+    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    return xc * inv, inv
+
+
+def _scale_shift(xhat, gain, bias):
+    """The LayerNorm output xhat * gain + bias, in one new buffer."""
+    y = xhat * gain
+    y += bias
+    return y
+
+
+def _layer_norm_grads(g, gain, xhat, inv):
+    """The adjoints of a LayerNorm's input, gain and bias, given its
+    output's."""
+    # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), with
+    # dxhat = g * gain, built in place in dxhat's buffer
+    dgain = _unbroadcast(g * xhat, gain.shape)
+    dbias = _unbroadcast(g, gain.shape)
+    dx = g * gain
+    m1 = np.mean(dx, axis=-1, keepdims=True)
+    scratch = dx * xhat
+    m2 = np.mean(scratch, axis=-1, keepdims=True)
+    dx -= m1
+    dx -= np.multiply(xhat, m2, out=scratch)
+    dx *= inv
+    return dx, dgain, dbias
+
+
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize over the last axis, then scale and shift."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = np.mean(x.data, axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    y = xhat * gain.data
-    y += bias.data
+    gd = gain.data
+    xhat, inv = _normalize(x.data, eps)
+    out = Tensor(_scale_shift(xhat, gd, bias.data))
+    return _record(out, (x, gain, bias),
+                   lambda g: _layer_norm_grads(g, gd, xhat, inv))
+
+
+def layer_norm_linear(x, gain, bias, w, b, eps=1e-5):
+    """linear(layer_norm(x, gain, bias, eps), w, b) as one op with the same
+    arithmetic, for a pre-norm projection.
+
+    The tape keeps each activation once: the entry holds the LayerNorm's
+    xhat, which its own gradient reads, and its backward rebuilds the
+    LayerNorm output from it for the weight's gradient. w is a (m, k)
+    weight, a (B, m, k) stack (see linear) or a Rebuilt one: its array is
+    built for the forward and again for the backward, and its record folds
+    into this op's, its parents between the LayerNorm's and the bias.
+    """
+    x, gain, bias, b = (as_tensor(x), as_tensor(gain), as_tensor(bias),
+                        as_tensor(b))
+    if not isinstance(w, Rebuilt):
+        w = as_tensor(w)
+        wd = w.data
+        w = Rebuilt(w.shape, (w,), lambda: wd, lambda gw: (gw,))
+    _check_linear(x.shape, w.shape)
+    gd, bd = gain.data, bias.data
+    xhat, inv = _normalize(x.data, eps)
+    y = _project(_scale_shift(xhat, gd, bd), w.build())
+    y += b.data
     out = Tensor(y)
+    tape = active_tape()
+    if tape is None:
+        return out
+    build, w_backfn = w.build, w.backfn
 
-    def backfn(g, gain=gain.data, xhat=xhat, inv=inv):
-        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), with
-        # dxhat = g * gain, built in place in dxhat's buffer
-        dgain = _unbroadcast(g * xhat, gain.shape)
-        dbias = _unbroadcast(g, gain.shape)
-        dx = g * gain
-        m1 = np.mean(dx, axis=-1, keepdims=True)
-        scratch = dx * xhat
-        m2 = np.mean(scratch, axis=-1, keepdims=True)
-        dx -= m1
-        dx -= np.multiply(xhat, m2, out=scratch)
-        dx *= inv
-        return (dx, dgain, dbias)
+    def backfn(g):
+        gh, gw = _project_grads(g, _scale_shift(xhat, gd, bd), build())
+        return (*_layer_norm_grads(gh, gd, xhat, inv), *w_backfn(gw),
+                g.sum(axis=0))
 
-    return _record(out, (x, gain, bias), backfn)
+    tape.record(out, (x, gain, bias, *w.parents, b), backfn)
+    return out
 
 
 # ---------------------------------------------------------------------------

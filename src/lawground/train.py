@@ -19,7 +19,7 @@ from . import netpbm
 from .config import config_to_text, parse_config_text, validate
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .head import binarize
-from .losses import (LossWeights, box_iou, mask_iou, miou, prec_at_05,
+from .losses import (LossWeights, box_iou, mask_iou, prec_at_05,
                      total_loss)
 from .model import GroundingModel
 from .optim import AdamW
@@ -166,23 +166,24 @@ def evaluate_model(model, samples, threshold):
     whatever the CPU count."""
     size = max(1, EVAL_ROWS // model.backbone.n_tokens)
     chunks = [samples[i:i + size] for i in range(0, len(samples), size)]
-    outputs = []
+    # per sample, once: its box's precision at 0.5 (1 or 0) and its mask
+    # IoU (None without a mask branch)
+    hits, mask_ious = [], []
     for chunk, pred in in_order(lambda chunk: forward_chunk(model, chunk),
                                 chunks):
-        outputs.extend(predict_sample(pred, b, threshold)
-                       for b in range(len(chunk)))
+        for b, sample in enumerate(chunk):
+            box, mask = predict_sample(pred, b, threshold)
+            hits.append(prec_at_05([box], [sample.box]))
+            mask_ious.append(None if mask is None
+                             else mask_iou(mask, sample.mask()))
 
     def subset_metrics(indices):
         if not indices:
             return {"count": 0, "prec_at_05": None, "miou": None}
-        boxes = [outputs[i][0] for i in indices]
-        gts = [samples[i].box for i in indices]
-        prec = prec_at_05(boxes, gts)
-        masks = [outputs[i][1] for i in indices]
-        iou = None
-        if all(m is not None for m in masks):
-            iou = miou(masks, [samples[i].mask() for i in indices])
-        return {"count": len(indices), "prec_at_05": prec, "miou": iou}
+        ious = [mask_ious[i] for i in indices]
+        return {"count": len(indices),
+                "prec_at_05": sum(hits[i] for i in indices) / len(indices),
+                "miou": None if None in ious else float(np.mean(ious))}
 
     every = list(range(len(samples)))
     relational = [i for i in every

@@ -80,8 +80,9 @@ class VisualBackbone:
 
     def attention_block(self, x, qkv_w, layer, lengths=None):
         """Block `layer` of the stack over the row block x with the supplied
-        fused QKV projection: one (3d, d) matrix for all rows, or a (B, 3d,
-        d) stack whose weight b projects the b-th of B equal row blocks.
+        fused QKV projection: one (3d, d) matrix for all rows, or the
+        generator's Rebuilt (B, 3d, d) stack, whose weight b projects the
+        b-th of B equal row blocks.
         `lengths` splits the rows into images that attend only within
         themselves (default: one image). Returns the block output and one
         (H, T, T) array of attention probabilities per image."""
@@ -91,7 +92,7 @@ class VisualBackbone:
     def forward(self, images, weights, collect_attention=False):
         """Run all blocks once over a batch of images stacked into one row
         block. weights holds per layer one (3d, d) projection shared by
-        every image or a (B, 3d, d) stack, one per image. Returns the
+        every image or a Rebuilt (B, 3d, d) stack, one per image. Returns the
         batch's final (B, T, d_model) tokens and, when collected, per image
         its list of per-layer (H, T, T) attention maps (else None)."""
         if len(weights) != self.n_blocks:

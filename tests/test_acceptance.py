@@ -27,11 +27,13 @@ from lawground.params import ParamStore
 from lawground.synthground import generate_dataset
 from lawground.tensor import (
     Tensor,
+    _record,
     attention,
     bilinear_upsample,
     gelu,
     grad_check,
     layer_norm,
+    layer_norm_linear,
     linear,
     sigmoid,
     softmax,
@@ -60,6 +62,12 @@ TRAIN_WALL_BUDGET_S = 30 * 60
 WORDS = ["red", "green", "blue", "yellow", "purple", "white", "circle",
          "square", "triangle", "small", "large", "left", "right", "above",
          "below", "of", "the", "leftmost", "rightmost", "topmost"]
+
+
+def taped(weights):
+    """A Rebuilt weight stack as a Tensor on the active tape, with the
+    record that folds into the projection reading it, on its own."""
+    return _record(Tensor(weights.build()), weights.parents, weights.backfn)
 
 
 def report(name, ok, detail=""):
@@ -162,7 +170,7 @@ def test_criterion_2_gradient_suite():
           [feats, *law.layer_embeds, *law.reducers, *law.core_weights,
            *law.core_biases])
     cores = ot((1, 2, 2, 2))
-    check("fused_weights", lambda *_: sq(fused_weights(law, cores, 1)),
+    check("fused_weights", lambda *_: sq(taped(fused_weights(law, cores, 1))),
           [law.static_fused[1], law.out_factor, cores, law.in_factor])
     box_true = op_rng.uniform([0.3, 0.3, 0.1, 0.1], [0.7, 0.7, 0.4, 0.4])
     check("box_loss",
@@ -202,13 +210,33 @@ def test_criterion_2_gradient_suite():
     batch_cores = Tensor(batch_rng.normal(0, 0.5, (3, 2, 2, 2)),
                          requires_grad=True)
     check("batched_fused_weights",
-          lambda *_: sq(fused_weights(law, batch_cores, 1)),
+          lambda *_: sq(taped(fused_weights(law, batch_cores, 1))),
           [law.static_fused[1], law.out_factor, batch_cores, law.in_factor])
     rows_rng = np.random.default_rng(16)
     check("per_image_linear", lambda x, w, b: sq(linear(x, w, b)),
           [Tensor(rows_rng.normal(size=(6, 4)), requires_grad=True),
            Tensor(rows_rng.normal(size=(3, 5, 4)), requires_grad=True),
            Tensor(rows_rng.normal(size=(5,)), requires_grad=True)])
+    # pre-norm projections, own stream: a shared weight, and a generated
+    # stack whose record folds into the projection's
+    norm_rng = np.random.default_rng(18)
+
+    def nt(shape, scale=1.0):
+        return Tensor(norm_rng.normal(0, scale, shape), requires_grad=True)
+
+    check("layer_norm_linear",
+          lambda x, g, b, w, c: sq(layer_norm_linear(x, g, b, w, c)),
+          [nt((4, 6)), nt((6,)), nt((6,)), nt((5, 6)), nt((5,))])
+    gen = DecompositionParams(
+        layer_embeds=[], reducers=[], core_weights=[], core_biases=[],
+        out_factor=nt((5, 2), 0.5), in_factor=nt((4, 2), 0.5),
+        static_fused=[nt((5, 4), 0.5)], groups=2, rank_dw=2)
+    gen_cores = nt((3, 1, 2, 2), 0.5)
+    check("generated_layer_norm_linear",
+          lambda x, g, b, c, *_: sq(layer_norm_linear(
+              x, g, b, fused_weights(gen, gen_cores, 0), c)),
+          [nt((6, 4)), nt((4,)), nt((4,)), nt((5,)), gen.static_fused[0],
+           gen.out_factor, gen_cores, gen.in_factor])
     # batch means of the joint loss's two ops, own stream
     loss_rng = np.random.default_rng(17)
     boxes_true = loss_rng.uniform([0.3, 0.3, 0.1, 0.1], [0.7, 0.7, 0.4, 0.4],
@@ -347,7 +375,7 @@ def test_criterion_4_oracle_equivalence():
                            rng.normal(size=d_w * d_w), d_w, d_out, d_in)
         token = rng.normal(size=d_l)
         (weights,), _ = generate_all(Tensor(token[None]), params)
-        got = weights[0].data
+        got = weights.build()[0]
         reduced = [erf_gelu(sum(params.reducers[0].data[h, j] * token[j]
                                 for j in range(d_l)))
                    for h in range(d_h)]

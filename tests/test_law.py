@@ -20,6 +20,8 @@ from lawground.tensor import (
     gelu_cdf,
     gelu_slope,
     grad_check,
+    layer_norm,
+    layer_norm_linear,
     linear,
     reshape,
     softmax,
@@ -29,6 +31,12 @@ from lawground.tensor import (
 from lawground.vit import VisualBackbone
 
 RNG = np.random.default_rng(7)
+
+
+def taped(weights):
+    """A Rebuilt weight stack as a Tensor on the active tape, with the
+    record that folds into the projection reading it, on its own."""
+    return _record(Tensor(weights.build()), weights.parents, weights.backfn)
 
 
 def erf_gelu(x):
@@ -230,14 +238,14 @@ def test_generate_weights_zero_core_is_exactly_static():
     assert not cores.data.any()
     weights, _ = generate_all(feats, params)
     for i, out in enumerate(weights):
-        assert np.array_equal(out.data[0], params.static_fused[i].data)
+        assert np.array_equal(out.build()[0], params.static_fused[i].data)
 
 
 def test_generate_weights_zero_factor_annihilates():
     params = make_decomp(zero_core=False)
     params.out_factor.data[...] = 0.0
     out = fused_weights(params, Tensor(RNG.normal(size=(1, 2, 2, 2))), 1)
-    assert np.array_equal(out.data[0], params.static_fused[1].data)
+    assert np.array_equal(out.build()[0], params.static_fused[1].data)
 
 
 def test_generate_weights_matches_triple_product_oracle():
@@ -245,7 +253,7 @@ def test_generate_weights_matches_triple_product_oracle():
     params = make_decomp(n_layers=1, d_l=4, d_h=2, d_w=2, d_in=2, d_model=2,
                          zero_core=False, seed=11)
     core = RNG.normal(size=(2, 2))
-    got = fused_weights(params, Tensor(core[None, None]), 0).data[0]
+    got = fused_weights(params, Tensor(core[None, None]), 0).build()[0]
 
     want = params.static_fused[0].data.copy()
     p, q = params.out_factor.data, params.in_factor.data
@@ -264,7 +272,7 @@ def test_generate_all_zero_core_ignores_expression():
     w1, _ = generate_all(Tensor(RNG.normal(size=(3, 8))), params)
     w2, _ = generate_all(Tensor(RNG.normal(size=(5, 8))), params)
     for a, b in zip(w1, w2):
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a.build(), b.build())
 
 
 def test_generate_all_deterministic():
@@ -273,7 +281,7 @@ def test_generate_all_deterministic():
     w1, _ = generate_all(feats, params)
     w2, _ = generate_all(feats, params)
     for a, b in zip(w1, w2):
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a.build(), b.build())
 
 
 def test_generate_all_sensitive_to_any_token():
@@ -285,7 +293,7 @@ def test_generate_all_sensitive_to_any_token():
     bumped[2] += 1e-3
     moved, _ = generate_all(Tensor(bumped), params)
     for a, b in zip(base, moved):
-        assert np.abs(a.data - b.data).max() > 0.0
+        assert np.abs(a.build() - b.build()).max() > 0.0
 
 
 def test_generate_all_layers_are_independent():
@@ -294,13 +302,14 @@ def test_generate_all_layers_are_independent():
     base, _ = generate_all(feats, params)
     params.layer_embeds[1].data[...] += 0.37
     moved, _ = generate_all(feats, params)
-    assert np.array_equal(base[0].data, moved[0].data)
-    assert not np.array_equal(base[1].data, moved[1].data)
+    assert np.array_equal(base[0].build(), moved[0].build())
+    assert not np.array_equal(base[1].build(), moved[1].build())
 
 
 def test_generated_views_stack_back_to_fused():
     params = make_decomp(zero_core=False)
-    fused = fused_weights(params, Tensor(RNG.normal(size=(1, 2, 2, 2))), 0)[0]
+    fused = taped(fused_weights(params,
+                                Tensor(RNG.normal(size=(1, 2, 2, 2))), 0))[0]
     d = fused.shape[0] // 3
     query, key, value = (fused[i * d:(i + 1) * d, :] for i in range(3))
     stacked = np.concatenate([query.data, key.data, value.data], axis=0)
@@ -311,7 +320,7 @@ def test_dynamic_delta_rank_bound():
     params = make_decomp(n_layers=1, d_l=8, d_h=4, d_w=2, d_in=6, d_model=6,
                          zero_core=False, seed=5)
     fused = fused_weights(params, Tensor(RNG.normal(size=(1, 1, 2, 2))), 0)
-    delta = fused.data[0] - params.static_fused[0].data
+    delta = fused.build()[0] - params.static_fused[0].data
     sv = np.linalg.svd(delta, compute_uv=False)
     assert (sv[params.rank_dw:] < 1e-10).all()
 
@@ -344,7 +353,7 @@ def test_gradients_reach_every_generator_parameter():
     def loss_fn(*_):
         weights, _ = generate_all(feats, params)
         total = None
-        for w in weights:
+        for w in map(taped, weights):
             term = (w * w).sum()
             total = term if total is None else total + term
         return total
@@ -366,7 +375,7 @@ def test_shared_factor_grad_is_sum_of_per_layer_clones():
     params.out_factor.zero_grad()
     with Tape() as tape:
         weights, _ = generate_all(feats, params)
-        loss = readout(weights)
+        loss = readout([taped(w) for w in weights])
     tape.backward(loss)
     shared_grad = params.out_factor.grad.copy()
 
@@ -382,7 +391,7 @@ def test_shared_factor_grad_is_sum_of_per_layer_clones():
             groups=params.groups, rank_dw=params.rank_dw)
         with Tape() as tape:
             cores, _ = layer_cores(feats, params)
-            w = fused_weights(cloned_params, cores, layer)
+            w = taped(fused_weights(cloned_params, cores, layer))
             loss = (w * w).sum()
         tape.backward(loss)
         clone_grads += clone.grad
@@ -410,7 +419,7 @@ def run_generator(fn, feats, params, upstream):
 def generate_one(feats, params):
     """generate_all on one expression: its weights and its (N, G, L) alpha."""
     weights, (alpha,) = generate_all(feats, params)
-    return [w[0] for w in weights], alpha
+    return [taped(w)[0] for w in weights], alpha
 
 
 def test_generate_all_matches_composed_oracle():
@@ -426,11 +435,12 @@ def test_generate_all_matches_composed_oracle():
                 assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
 
 
-def test_generate_all_records_one_entry_per_layer_plus_one():
+def test_generate_all_records_only_the_core_op():
+    # each layer's stack is recorded by the projection that reads it
     params = make_decomp(n_layers=3, zero_core=False)
     with Tape() as tape:
         generate_all(Tensor(RNG.normal(size=(4, 8)), requires_grad=True), params)
-    assert len(tape._entries) == 1 + params.n_layers
+    assert len(tape._entries) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -548,14 +558,14 @@ def test_packed_layer_cores_match_one_expression_at_a_time():
                                    atol=1e-13 * max(1.0, np.abs(want).max()))
 
 
-def test_generate_all_packed_records_one_core_op_plus_one_per_layer():
+def test_generate_all_packed_records_only_the_core_op():
     params = make_decomp(n_layers=3, zero_core=False)
     lengths = (2, 5, 1)
     with Tape() as tape:
         weights, alphas = generate_all(
             Tensor(RNG.normal(size=(8, 8)), requires_grad=True), params,
             lengths)
-    assert len(tape._entries) == 1 + params.n_layers
+    assert len(tape._entries) == 1
     assert [w.shape for w in weights] == [
         (len(lengths), *s.shape) for s in params.static_fused]
     assert [a.shape[-1] for a in alphas] == list(lengths)
@@ -603,8 +613,8 @@ def test_fused_weights_one_expression_is_bit_identical_to_per_sample_code():
     rng = np.random.default_rng(40)
     cores = Tensor(rng.normal(size=(1, 2, 8, 8)), requires_grad=True)
     upstream = rng.normal(size=(192, 64))
-    got = run_fused(lambda: fused_weights(params, cores, 1), params, cores,
-                    upstream[None])
+    got = run_fused(lambda: taped(fused_weights(params, cores, 1)), params,
+                    cores, upstream[None])
     want = run_fused(lambda: per_sample_fused_weight(params, cores, 0, 1),
                      params, cores, upstream)
     assert np.array_equal(got[0][0], want[0])
@@ -618,7 +628,7 @@ def test_batched_fused_weights_match_one_expression_at_a_time():
     rng = np.random.default_rng(41)
     cores = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
     upstream = rng.normal(size=(4, 15, 5))
-    weights, grads = run_fused(lambda: fused_weights(params, cores, 1),
+    weights, grads = run_fused(lambda: taped(fused_weights(params, cores, 1)),
                                params, cores, upstream)
     assert weights.shape == (4, 15, 5)
     summed = [np.zeros_like(g) for g in grads]
@@ -631,3 +641,32 @@ def test_batched_fused_weights_match_one_expression_at_a_time():
     for g, want in zip(grads, summed):
         np.testing.assert_allclose(g, want, rtol=0,
                                    atol=1e-13 * max(1.0, np.abs(want).max()))
+
+
+def test_projection_of_generated_stack_is_bit_identical_to_composed_ops():
+    # desk shapes: d_model 64, rank 8, three images of 4 tokens
+    params = make_decomp(n_layers=2, d_l=16, d_h=4, d_w=8, d_in=64,
+                         d_model=64, zero_core=False, seed=9)
+    rng = np.random.default_rng(42)
+    cores = Tensor(rng.normal(size=(3, 2, 8, 8)), requires_grad=True)
+    leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
+              for shape in ((12, 64), (64,), (64,), (192,))]
+    upstream = rng.normal(size=(12, 192))
+    grads_of = [*leaves, params.static_fused[1], params.out_factor, cores,
+                params.in_factor]
+
+    def run(project):
+        for leaf in grads_of:
+            leaf.zero_grad()
+        with Tape() as tape:
+            x, gain, bias, b = leaves
+            y = project(x, gain, bias, fused_weights(params, cores, 1), b)
+            loss = (y * Tensor(upstream)).sum()
+        tape.backward(loss)
+        return [y.data] + [leaf.grad.copy() for leaf in grads_of]
+
+    got = run(layer_norm_linear)
+    want = run(lambda x, gain, bias, w, b: linear(layer_norm(x, gain, bias),
+                                                  taped(w), b))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)

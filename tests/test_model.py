@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lawground import losses, vit
+from lawground import attention, losses, vit
 from lawground.attention import transformer_block
 from lawground.config import TrainConfig
 from lawground.law import layer_cores
@@ -203,19 +203,20 @@ def record_chunk(model, images, tokens, boxes, masks):
     return tape, loss
 
 
-def held_tensors(backfn):
-    """Every Tensor a backward closure can reach through nested functions,
-    partials, closure cells, defaults, containers and object attributes."""
+def reachable(backfn):
+    """Every object a backward closure can reach through nested functions,
+    partials, closure cells, defaults, containers and object attributes
+    (slotted ones too). Tensors and arrays are reached, not walked into."""
     found, seen, todo = [], set(), [backfn]
     while todo:
         obj = todo.pop()
-        if id(obj) in seen or isinstance(obj, (np.ndarray, type,
-                                               types.ModuleType)):
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
             continue
         seen.add(id(obj))
-        if isinstance(obj, Tensor):
-            found.append(obj)
-        elif isinstance(obj, functools.partial):
+        found.append(obj)
+        if isinstance(obj, (Tensor, np.ndarray)):
+            continue
+        if isinstance(obj, functools.partial):
             todo += [obj.func, *obj.args, *obj.keywords.values()]
         elif isinstance(obj, types.FunctionType):
             todo += [c.cell_contents for c in obj.__closure__ or ()
@@ -228,6 +229,25 @@ def held_tensors(backfn):
             todo += obj.values()
         elif hasattr(obj, "__dict__"):
             todo += vars(obj).values()
+        elif hasattr(obj, "__slots__"):
+            todo += [getattr(obj, name) for name in obj.__slots__
+                     if hasattr(obj, name)]
+    return found
+
+
+def held_tensors(backfn):
+    """Every Tensor a backward closure can reach (see reachable)."""
+    return [t for t in reachable(backfn) if isinstance(t, Tensor)]
+
+
+def held_arrays(backfn):
+    """Every array a backward closure can reach, and the arrays they are
+    views of."""
+    found = []
+    for a in reachable(backfn):
+        while isinstance(a, np.ndarray):
+            found.append(a)
+            a = a.base
     return found
 
 
@@ -254,12 +274,40 @@ def test_backward_closures_hold_no_graph_tensor(vocab, monkeypatch):
     tape.backward(loss)
 
 
+def test_backward_closures_hold_no_weight_stack_or_layer_norm_output(
+        vocab, monkeypatch):
+    # each activation is kept once: a pre-norm projection keeps its LN's
+    # normalised input, not the LN output, and rebuilds a generated stack
+    model, images, tokens, boxes, masks = desk64_chunk(vocab)
+    rng = np.random.default_rng(6)
+    for name, param in model.store.items():
+        if ".ln" in name:  # so that no LN output equals its normalised input
+            param.data[...] = rng.normal(size=param.shape)
+    ln_outputs = []
+    fused = attention.layer_norm_linear
+
+    def spying(x, gain, bias, w, b):
+        with Tape():  # off the chunk's tape
+            ln_outputs.append(layer_norm(x, gain, bias).data)
+        return fused(x, gain, bias, w, b)
+
+    monkeypatch.setattr(attention, "layer_norm_linear", spying)
+    tape, loss = record_chunk(model, images, tokens, boxes, masks)
+    cfg = model.config
+    assert len(ln_outputs) == 2 * (cfg.text_layers + cfg.blocks)
+    held = [a for *_, backfn in tape._entries for a in held_arrays(backfn)]
+    stack = (len(images), 3 * cfg.d_model, cfg.d_model)
+    assert not [a.shape for a in held if a.shape == stack]
+    assert not [a.shape for a in held for h in ln_outputs
+                if a.shape == h.shape and np.array_equal(a, h)]
+    tape.backward(loss)
+
+
 # tracemalloc bytes one 8-sample desk64 chunk's tape holds after its forward
-# and joint loss: 27.84 MiB measured with every closure keeping only what its
-# backward reads, 37.99 MiB when each entry held its op's output and parent
-# Tensors. The 0.5 MiB margin is half of one ViT block's GELU slope array,
-# so a closure that keeps a block's activation Tensor by accident fails it.
-CHUNK_GRAPH_MIB = 27.84 + 0.5
+# and joint loss: 22.26 MiB measured with each activation kept once. The
+# 0.5 MiB margin is half of one ViT block's GELU slope array, so a closure
+# that keeps a block's activation by accident fails it.
+CHUNK_GRAPH_MIB = 22.26 + 0.5
 
 
 def test_chunk_graph_size_is_pinned(vocab):

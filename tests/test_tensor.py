@@ -20,6 +20,8 @@ from lawground.tensor import (
     gelu,
     grad_check,
     layer_norm,
+    layer_norm_linear,
+    linear,
     reshape,
     sigmoid,
     softmax,
@@ -146,13 +148,13 @@ def test_attention_matches_composed_primitives(n_tok, heads, dh):
             np.testing.assert_allclose(g, w, rtol=1e-15, atol=0)
 
 
-def test_transformer_block_records_ten_entries():
+def test_transformer_block_records_eight_entries():
     blk = block_params(ParamStore(0), "b.", 4, 16)
     with Tape() as tape:
         out, (probs,) = transformer_block(rand_tensor((5, 4)), blk,
                                           blk["qkv_w"], 2)
-    # ln, linear, attention, linear, add, ln, linear, gelu, linear, add
-    assert len(tape._entries) == 10
+    # ln + qkv, attention, linear, add, ln + fc1, gelu, linear, add
+    assert len(tape._entries) == 8
     assert out.shape == (5, 4)
     assert isinstance(probs, np.ndarray) and probs.shape == (2, 5, 5)
 
@@ -536,6 +538,33 @@ def test_grad_check_layernorm():
     x = rand_tensor((5, 6), requires_grad=True)
     assert grad_check(lambda x, g, b: square_sum(layer_norm(x, g, b)),
                       [x, g, b]) <= 1e-4
+
+
+def run_projection(fn, leaves, upstream):
+    """fn's output and d<output, upstream>/d every leaf."""
+    for leaf in leaves:
+        leaf.zero_grad()
+    with Tape() as tape:
+        y = fn(*leaves)
+        loss = (y * Tensor(upstream)).sum()
+    tape.backward(loss)
+    return [y.data] + [leaf.grad.copy() for leaf in leaves]
+
+
+@pytest.mark.parametrize("w_shape", [(5, 6), (3, 5, 6)])
+def test_layer_norm_linear_is_bit_identical_to_composed_ops(w_shape):
+    # a shared (m, k) weight, and a (B, m, k) stack over B row blocks; own
+    # stream, so the tests after this one keep their inputs
+    rng = np.random.default_rng(len(w_shape))
+    leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
+              for shape in ((6, 6), (6,), (6,), w_shape, (5,))]
+    upstream = rng.normal(size=(6, 5))
+    got = run_projection(layer_norm_linear, leaves, upstream)
+    want = run_projection(
+        lambda x, g, b, w, c: linear(layer_norm(x, g, b), w, c), leaves,
+        upstream)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_grad_check_spatial_ops():
