@@ -3,10 +3,12 @@ summary feature, once per batch of B images and their B summary rows.
 
 Box branch: spatial attention pooling conditioned on the summary feature
 (or plain averaging when disabled), then a 3-layer MLP with a sigmoid to
-normalized center-x/center-y/width/height. Mask branch: transposed-conv
-upsampling to quarter resolution, a per-pixel dot product against the
-summary feature as a weight-free dynamic projection, then bilinear x4 and
-a sigmoid.
+normalized center-x/center-y/width/height. Mask branch: stride-2 2x2
+transposed-conv upsampling to quarter resolution, a per-pixel dot product
+against the summary feature as a weight-free dynamic projection, then
+bilinear x4 and a sigmoid. Every branch runs on the (B*T, d) token rows:
+an upsampling stage maps each pixel to its four children's rows, and the
+last stage is contracted with each summary row before it meets the pixels.
 """
 
 from dataclasses import dataclass
@@ -24,8 +26,6 @@ from .tensor import (
     sigmoid,
     softmax,
     transpose,
-    transposed_conv2x,
-    tsum,
 )
 
 
@@ -132,20 +132,39 @@ class MultitaskHead:
         return sigmoid(linear(h, self.box_w3, self.box_b3))
 
     def predict_mask(self, tokens, cls_rows):
+        """The batch's MaskPrediction from its (B, T, d_model) tokens and
+        (B, d_text) summary rows."""
         n, t, c = tokens.shape
         side = isqrt(t)
-        # one channel-first (d_model, B*side, side) map: the images' grids
-        # stacked along the height
-        feat = transpose(reshape(tokens, (n * side, side, c)), (2, 0, 1))
-        for j, (kernel, bias) in enumerate(self.up_stages):
-            feat = transposed_conv2x(feat, kernel, bias)
-            if j < len(self.up_stages) - 1:
-                feat = gelu(feat)
-        c, h, w = feat.shape
-        # weight-free dynamic projection: each summary row is its image's
-        # kernel
-        kernels = reshape(transpose(cls_rows), (c, n, 1, 1))
-        logits = tsum(kernels * reshape(feat, (c, n, h // n, w)), axis=0)
+        rows = reshape(tokens, (n * t, c))
+        stages = self.up_stages
+        for kernel, bias in stages[:-1]:
+            # a stride-2 2x2 transposed conv maps each pixel alone: one
+            # projection to its four children's channels, then each child
+            # on a row of its own
+            c_in, c_out = kernel.shape[:2]
+            w = reshape(transpose(kernel, (2, 3, 1, 0)), (4 * c_out, c_in))
+            rows = gelu(reshape(linear(rows, w), (-1, c_out)) + bias)
+        if stages:
+            # the last stage and the weight-free dynamic projection
+            # reassociated: each summary row contracts the kernel into its
+            # image's (4, c_in) kernel and the bias into a scalar shift
+            kernel, bias = stages[-1]
+            c_in, c_out = kernel.shape[:2]
+            k = reshape(transpose(kernel, (2, 3, 0, 1)), (4 * c_in, c_out))
+            kernels = reshape(linear(cls_rows, k), (n, 4, c_in))
+            shift = linear(cls_rows, reshape(bias, (1, c_out)))
+        else:
+            # stride-4 tokens: each summary row is its image's kernel
+            kernels, shift = reshape(cls_rows, (n, 1, c)), None
+        n_up = len(stages)
+        grid = reshape(linear(rows, kernels), (n, side, side) + (2, 2) * n_up)
+        if shift is not None:
+            grid = grid + reshape(shift, (n,) + (1,) * (grid.ndim - 1))
+        # every pixel's nested children, stage by stage, into the image grid
+        axes = (0, 1, *range(3, grid.ndim, 2), 2, *range(4, grid.ndim, 2))
+        logits = reshape(transpose(grid, axes),
+                         (n, side << n_up, side << n_up))
         probs = sigmoid(bilinear_upsample(logits, 4))
         return MaskPrediction(quarter_logits=logits, probs=probs)
 

@@ -205,11 +205,3 @@ def mask_iou(pred, gt):
         return 1.0  # both empty
     return float(np.logical_and(pred, gt).sum()) / float(union)
 
-
-def miou(pred_masks, gt_masks):
-    """Mean over samples of binary mask IoU."""
-    if len(pred_masks) != len(gt_masks):
-        raise ShapeError(
-            f"got {len(pred_masks)} predictions for {len(gt_masks)} ground truths")
-    scores = [mask_iou(p, g) for p, g in zip(pred_masks, gt_masks)]
-    return float(np.mean(scores)) if scores else 0.0

@@ -189,9 +189,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis, keepdims)
 
@@ -508,19 +505,6 @@ def transpose(x, axes=None):
     return _record(out, (x,), lambda g: (np.transpose(g, inv),))
 
 
-def getitem(x, idx):
-    """Basic indexing (ints/slices); gradient scatters back into place."""
-    x = as_tensor(x)
-    out = Tensor(x.data[idx])
-
-    def backfn(g, shape=x.shape, idx=idx):
-        gx = np.zeros(shape)
-        gx[idx] = g
-        return (gx,)
-
-    return _record(out, (x,), backfn)
-
-
 def take_rows(table, ids):
     """Row gather table[ids]; the gradient scatter-adds duplicate rows."""
     table = as_tensor(table)
@@ -620,44 +604,7 @@ def layer_norm_linear(x, gain, bias, w, b, eps=1e-5):
 
 
 # ---------------------------------------------------------------------------
-# spatial ops
-
-
-def transposed_conv2x(x, kernel, bias):
-    """Stride-2 transposed convolution with a 2x2 kernel: (c_in,h,w) -> (c_out,2h,2w).
-
-    Output blocks are disjoint, so each input pixel spreads its kernel into
-    one 2x2 patch. The gradient w.r.t. the input is the matching forward
-    convolution.
-    """
-    x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
-    if x.ndim != 3 or kernel.ndim != 4 or kernel.shape[2:] != (2, 2):
-        raise ShapeError(
-            f"transposed_conv2x needs (c,h,w) input and (c_in,c_out,2,2) kernel, "
-            f"got {x.shape} and {kernel.shape}")
-    if x.shape[0] != kernel.shape[0] or bias.shape != (kernel.shape[1],):
-        raise ShapeError(
-            f"channel mismatch: input {x.shape[0]}, kernel {kernel.shape[:2]}, "
-            f"bias {bias.shape}")
-    c_in, c_out = kernel.shape[0], kernel.shape[1]
-    h, w = x.shape[1], x.shape[2]
-    x_flat = x.data.reshape(c_in, h * w)
-    k_flat = kernel.data.reshape(c_in, c_out * 4)
-    spread = (k_flat.T @ x_flat).reshape(c_out, 2, 2, h, w)
-    out_data = np.ascontiguousarray(spread.transpose(0, 3, 1, 4, 2)).reshape(
-        c_out, 2 * h, 2 * w)
-    out = Tensor(out_data + bias.data[:, None, None])
-
-    def backfn(g, x_flat=x_flat, k_flat=k_flat):
-        g_flat = np.ascontiguousarray(
-            g.reshape(c_out, h, 2, w, 2).transpose(0, 2, 4, 1, 3)).reshape(
-            c_out * 4, h * w)
-        gx = (k_flat @ g_flat).reshape(c_in, h, w)
-        gk = (x_flat @ g_flat.T).reshape(c_in, c_out, 2, 2)
-        gb = g.sum(axis=(1, 2))
-        return (gx, gk, gb)
-
-    return _record(out, (x, kernel, bias), backfn)
+# upsampling
 
 
 _BILINEAR_CACHE = {}

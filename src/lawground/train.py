@@ -483,8 +483,9 @@ def inspect(ckpt_path, data_path, scene_id, out_dir):
     out.mkdir(parents=True, exist_ok=True)
 
     tokens = model.tokenize(sample.expression)
-    image = model.image_tensor(sample.image())
-    pred = model.forward(image, tokens, collect_attention=True)
+    image, gt_mask = sample.arrays(cfg.image_size)
+    pred = model.forward(model.image_tensor(image), tokens,
+                         collect_attention=True)
 
     rollout = attention_rollout(pred.attention, model.backbone.side)
     netpbm.write_pgm(out / "rollout.pgm", rollout)
@@ -506,7 +507,7 @@ def inspect(ckpt_path, data_path, scene_id, out_dir):
     if pred.mask is not None:
         mask = binarize(pred.mask.probs, cfg.threshold)
         overlay["mask_rle"] = mask_rle(mask)
-        overlay["mask_iou"] = mask_iou(mask, sample.mask())
+        overlay["mask_iou"] = mask_iou(mask, gt_mask)
     (out / "overlay.json").write_text(
         json.dumps(overlay, sort_keys=True, indent=2), encoding="utf-8")
 

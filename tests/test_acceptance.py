@@ -39,8 +39,6 @@ from lawground.tensor import (
     softmax,
     take_rows,
     transpose,
-    transposed_conv2x,
-    tsum,
 )
 from lawground.text import Vocabulary
 from lawground.train import evaluate_checkpoint, train
@@ -141,13 +139,13 @@ def test_criterion_2_gradient_suite():
           [rt((4, 5))])
     check("reshape_transpose", lambda x: sq(transpose(x.reshape((6, 2)))),
           [rt((3, 4))])
-    check("getitem", lambda x: sq(x[1:3, ::2]), [rt((4, 5))])
+    rt((4, 5))  # the draw of the former getitem arm: inputs stay put
     check("take_rows", lambda t: sq(take_rows(t, np.array([0, 2, 2]))),
           [rt((4, 3))])
     check("layer_norm", lambda x, g, b: sq(layer_norm(x, g, b)),
           [rt((4, 6)), rt((6,)), rt((6,))])
-    check("transposed_conv2x", lambda x, k, b: sq(transposed_conv2x(x, k, b)),
-          [rt((2, 3, 3)), rt((2, 2, 2, 2)), rt((2,))])
+    # the draws of the former transposed-conv arm: inputs stay put
+    rt((2, 3, 3)), rt((2, 2, 2, 2)), rt((2,))
     check("bilinear_upsample", lambda x: sq(bilinear_upsample(x, 2)),
           [rt((3, 4))])
     # own streams, so every other check keeps its inputs
@@ -237,6 +235,18 @@ def test_criterion_2_gradient_suite():
               x, g, b, fused_weights(gen, gen_cores, 0), c)),
           [nt((6, 4)), nt((4,)), nt((4,)), nt((5,)), gen.static_fused[0],
            gen.out_factor, gen_cores, gen.in_factor])
+    # the mask branch through two upsampling stages, own stream
+    mask_rng = np.random.default_rng(19)
+    mask_head = MultitaskHead(ParamStore(19), d_model=4, d_text=3,
+                              pool_dim=2, stride=16)
+    stage_params = [p for stage in mask_head.up_stages for p in stage]
+    for p in stage_params:
+        p.data[...] = mask_rng.normal(0, 0.5, p.shape)
+    check("mask_branch",
+          lambda x, c, *_: sq(mask_head.predict_mask(x, c).probs),
+          [Tensor(mask_rng.normal(size=(2, 4, 4)), requires_grad=True),
+           Tensor(mask_rng.normal(size=(2, 3)), requires_grad=True),
+           *stage_params])
     # batch means of the joint loss's two ops, own stream
     loss_rng = np.random.default_rng(17)
     boxes_true = loss_rng.uniform([0.3, 0.3, 0.1, 0.1], [0.7, 0.7, 0.4, 0.4],
@@ -443,15 +453,19 @@ def test_criterion_4_oracle_equivalence():
         close("lap-pooled", pooled.data[0],
               sum(a[t] * tokens[t] for t in range(4)), ORACLE_TOL_CLOSED)
 
-    # dynamic mask projection vs per-pixel dot loop
+    # dynamic mask projection of stride-4 tokens vs per-pixel dot loop
+    proj_head = MultitaskHead(ParamStore(0), d_model=5, d_text=5, pool_dim=3,
+                              stride=4)
     for case in range(n_cases):
         rng = np.random.default_rng(case)
         feat = rng.normal(size=(5, 3, 3))
         cls = rng.normal(size=5)
-        got = tsum(Tensor(cls).reshape((5, 1, 1)) * Tensor(feat), axis=0)
+        tokens = feat.transpose(1, 2, 0).reshape(1, 9, 5)
+        got = proj_head.predict_mask(Tensor(tokens),
+                                     Tensor(cls[None])).quarter_logits
         want = np.array([[np.dot(cls, feat[:, i, j]) for j in range(3)]
                          for i in range(3)])
-        close("mask-projection", got.data, want, ORACLE_TOL_ARITH)
+        close("mask-projection", got.data[0], want, ORACLE_TOL_ARITH)
 
     # losses and metrics vs plain-float oracles
     for case in range(n_cases):
@@ -503,12 +517,11 @@ def test_criterion_4_oracle_equivalence():
         close("prec", losses.prec_at_05(preds, gts), want, 0.0)
         masks_p = [rng.uniform(size=(5, 5)) > 0.5 for _ in range(4)]
         masks_g = [rng.uniform(size=(5, 5)) > 0.5 for _ in range(4)]
-        ious = []
         for mp, mg in zip(masks_p, masks_g):
             u = np.logical_or(mp, mg).sum()
-            ious.append(1.0 if u == 0 else np.logical_and(mp, mg).sum() / u)
-        close("miou", losses.miou(masks_p, masks_g), float(np.mean(ious)),
-              ORACLE_TOL_ARITH)
+            close("mask_iou", losses.mask_iou(mp, mg),
+                  1.0 if u == 0 else np.logical_and(mp, mg).sum() / u,
+                  ORACLE_TOL_ARITH)
 
     elapsed = time.time() - t0
     ok = not failures and elapsed <= ORACLE_BUDGET_S

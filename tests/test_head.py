@@ -6,7 +6,7 @@ import pytest
 from lawground.errors import ConfigError
 from lawground.head import MultitaskHead, binarize
 from lawground.params import ParamStore
-from lawground.tensor import Tensor, grad_check
+from lawground.tensor import Tape, Tensor, grad_check
 
 
 RNG = np.random.default_rng(33)
@@ -222,6 +222,77 @@ def test_forward_equals_direct_branch_calls(lap, mth):
         assert np.array_equal(mask.probs.data, want.probs.data)
     else:
         assert mask is None
+
+
+def old_order_mask_logits(tokens, cls, stages, upstream):
+    """Reference for the mask branch in the order it once ran: per image,
+    stride-2 2x2 transposed convs on the channel-first map (GELU between),
+    then the per-pixel dot with the summary row. Returns the quarter logits
+    and the adjoints of sum(logits * upstream) w.r.t. tokens, cls and each
+    stage's kernel and bias, all as numpy arrays."""
+    from scipy.special import erf
+
+    n, t, c = tokens.shape
+    side = round(t ** 0.5)
+    logits, d_tokens, d_cls = [], np.zeros_like(tokens), np.zeros_like(cls)
+    d_stages = [(np.zeros_like(k), np.zeros_like(b)) for k, b in stages]
+    for img in range(n):
+        feat = tokens[img].reshape(side, side, c).transpose(2, 0, 1)
+        inputs, pres = [], []
+        for j, (k, b) in enumerate(stages):
+            inputs.append(feat)
+            _, h, w = feat.shape
+            pre = np.einsum("cij,coab->oiajb", feat, k).reshape(
+                k.shape[1], 2 * h, 2 * w) + b[:, None, None]
+            pres.append(pre)
+            last = j == len(stages) - 1
+            feat = pre if last else pre * 0.5 * (1 + erf(pre / np.sqrt(2)))
+        logits.append(np.einsum("o,oij->ij", cls[img], feat))
+        g = upstream[img]
+        d_cls[img] = np.einsum("oij,ij->o", feat, g)
+        d_feat = cls[img][:, None, None] * g
+        for j in reversed(range(len(stages))):
+            k, pre, x = stages[j][0], pres[j], inputs[j]
+            if j < len(stages) - 1:
+                cdf = 0.5 * (1 + erf(pre / np.sqrt(2)))
+                d_feat = d_feat * (cdf + pre * np.exp(-pre ** 2 / 2)
+                                   / np.sqrt(2 * np.pi))
+            _, h, w = x.shape
+            blocks = d_feat.reshape(k.shape[1], h, 2, w, 2)
+            d_stages[j][0][...] += np.einsum("cij,oiajb->coab", x, blocks)
+            d_stages[j][1][...] += d_feat.sum(axis=(1, 2))
+            d_feat = np.einsum("coab,oiajb->cij", k, blocks)
+        d_tokens[img] = d_feat.transpose(1, 2, 0).reshape(t, c)
+    return [np.array(logits), d_tokens, d_cls,
+            *[a for pair in d_stages for a in pair]]
+
+
+@pytest.mark.parametrize("stride,d_text", [(4, 6), (8, 5), (16, 5)],
+                         ids=["0-stages", "1-stage", "2-stages"])
+def test_mask_branch_matches_old_order_oracle(stride, d_text):
+    # 0, 1 and 2 upsampling stages; own stream
+    rng = np.random.default_rng(stride)
+    head, _ = make_head(d_model=6, d_text=d_text, stride=stride)
+    for kernel, bias in head.up_stages:
+        kernel.data[...] = rng.normal(0, 0.5, kernel.shape)
+        bias.data[...] = rng.normal(0, 0.5, bias.shape)
+    tokens = Tensor(rng.normal(size=(2, 9, 6)), requires_grad=True)
+    cls = Tensor(rng.normal(size=(2, d_text)), requires_grad=True)
+    quarter = 3 * stride // 4
+    upstream = rng.normal(size=(2, quarter, quarter))
+    with Tape() as tape:
+        logits = head.predict_mask(tokens, cls).quarter_logits
+        loss = (logits * Tensor(upstream)).sum()
+    tape.backward(loss)
+    want = old_order_mask_logits(
+        tokens.data, cls.data,
+        [(k.data, b.data) for k, b in head.up_stages], upstream)
+    got = [logits.data, tokens.grad, cls.grad,
+           *[p.grad for stage in head.up_stages for p in stage]]
+    assert len(got) == len(want) == 3 + 2 * len(head.up_stages)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 def test_mask_branch_stride_validation():

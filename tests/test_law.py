@@ -308,12 +308,15 @@ def test_generate_all_layers_are_independent():
 
 def test_generated_views_stack_back_to_fused():
     params = make_decomp(zero_core=False)
-    fused = taped(fused_weights(params,
-                                Tensor(RNG.normal(size=(1, 2, 2, 2))), 0))[0]
+    cores = RNG.normal(size=(1, 2, 2, 2))
+    fused = fused_weights(params, Tensor(cores), 0).build()[0]
+    # each of the query, key and value blocks is its own low-rank update
     d = fused.shape[0] // 3
-    query, key, value = (fused[i * d:(i + 1) * d, :] for i in range(3))
-    stacked = np.concatenate([query.data, key.data, value.data], axis=0)
-    assert np.array_equal(stacked, fused.data)
+    static, out = params.static_fused[0].data, params.out_factor.data
+    views = [static[i * d:(i + 1) * d] + out[i * d:(i + 1) * d] @ cores[0, 0]
+             @ params.in_factor.data.T for i in range(3)]
+    np.testing.assert_allclose(np.concatenate(views), fused, rtol=0,
+                               atol=1e-12)
 
 
 def test_dynamic_delta_rank_bound():
@@ -419,7 +422,7 @@ def run_generator(fn, feats, params, upstream):
 def generate_one(feats, params):
     """generate_all on one expression: its weights and its (N, G, L) alpha."""
     weights, (alpha,) = generate_all(feats, params)
-    return [taped(w)[0] for w in weights], alpha
+    return [reshape(taped(w), w.shape[1:]) for w in weights], alpha
 
 
 def test_generate_all_matches_composed_oracle():

@@ -12,7 +12,6 @@ from lawground.losses import (
     box_loss,
     mask_iou,
     mask_loss,
-    miou,
     prec_at_05,
     total_loss,
 )
@@ -395,8 +394,8 @@ def test_miou_identical_and_disjoint():
     a = np.zeros((4, 4), dtype=bool)
     a[:2] = True
     b = ~a
-    assert miou([a], [a]) == 1.0
-    assert miou([a], [b]) == 0.0
+    assert mask_iou(a, a) == 1.0
+    assert mask_iou(a, b) == 0.0
 
 
 def test_miou_half_overlap_third():
@@ -404,7 +403,7 @@ def test_miou_half_overlap_third():
     gt[0, 0] = gt[0, 1] = True
     pred = np.zeros((4, 4), dtype=bool)
     pred[0, 1] = pred[0, 2] = True
-    assert abs(miou([pred], [gt]) - 1.0 / 3.0) < 1e-15
+    assert abs(mask_iou(pred, gt) - 1.0 / 3.0) < 1e-15
 
 
 def test_miou_empty_union_counts_full():

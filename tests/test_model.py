@@ -17,7 +17,7 @@ from lawground.model import GroundingModel
 from lawground.synthground import LEXICON, generate_dataset
 from lawground.tensor import (Tape, Tensor, bilinear_upsample, gelu,
                               layer_norm, linear, reshape, sigmoid, softmax,
-                              transpose, transposed_conv2x, tsum)
+                              transpose)
 from lawground.text import Vocabulary
 from lawground.train import train
 
@@ -304,10 +304,11 @@ def test_backward_closures_hold_no_weight_stack_or_layer_norm_output(
 
 
 # tracemalloc bytes one 8-sample desk64 chunk's tape holds after its forward
-# and joint loss: 22.26 MiB measured with each activation kept once. The
-# 0.5 MiB margin is half of one ViT block's GELU slope array, so a closure
-# that keeps a block's activation by accident fails it.
-CHUNK_GRAPH_MIB = 22.26 + 0.5
+# and joint loss: 21.40 MiB measured with each activation kept once and the
+# mask branch on token rows. The 0.5 MiB margin is half of one ViT block's
+# GELU slope array, so a closure that keeps a block's activation by accident
+# fails it.
+CHUNK_GRAPH_MIB = 21.40 + 0.5
 
 
 def test_chunk_graph_size_is_pinned(vocab):
@@ -410,9 +411,10 @@ def test_packed_step_gradients_match_per_sample_forwards(vocab, arm):
 def per_sample_head(head, tokens, cls, side):
     """MultitaskHead as it ran per sample before it ran once per batch, its
     matrix-vector products written out in numpy, so the B=1 case can be
-    checked bit for bit. tokens (T, d) and cls (d_text,) are arrays; returns
-    the box, the mask probabilities (or None) and the pooling map (or
-    None)."""
+    checked bit for bit. The mask branch runs in the head's token-row order:
+    the last upsampling stage meets the summary row before the pixels.
+    tokens (T, d) and cls (d_text,) are arrays; returns the box, the mask
+    probabilities (or None) and the pooling map (or None)."""
     x, pool_map, probs = Tensor(tokens), None, None
     if head.lap_enabled:
         proj_v = linear(x, head.pool_vis).data
@@ -425,13 +427,22 @@ def per_sample_head(head, tokens, cls, side):
     h = gelu(Tensor(head.box_w2.data @ h.data) + head.box_b2)
     box = sigmoid(Tensor(head.box_w3.data @ h.data) + head.box_b3)
     if head.mask_enabled:
-        feat = transpose(reshape(x, (side, side, head.d_model)), (2, 0, 1))
-        for j, (kernel, bias) in enumerate(head.up_stages):
-            feat = transposed_conv2x(feat, kernel, bias)
-            if j < len(head.up_stages) - 1:
-                feat = gelu(feat)
-        logits = tsum(Tensor(cls.reshape(head.d_text, 1, 1)) * feat, axis=0)
-        probs = sigmoid(bilinear_upsample(logits, 4)).data
+        rows, stages = tokens, [(k.data, b.data) for k, b in head.up_stages]
+        for k, b in stages[:-1]:
+            w = k.transpose(2, 3, 1, 0).reshape(-1, k.shape[0])
+            rows = gelu(Tensor((rows @ w.T).reshape(-1, k.shape[1]) + b)).data
+        if stages:
+            k, b = stages[-1]
+            kernel = (k.transpose(2, 3, 0, 1).reshape(-1, k.shape[1])
+                      @ cls).reshape(4, -1)
+            logits = rows @ kernel.T + b @ cls
+        else:
+            logits = rows @ cls
+        n_up = len(stages)
+        axes = (0, *range(2, 2 + 2 * n_up, 2), 1, *range(3, 2 + 2 * n_up, 2))
+        logits = logits.reshape((side, side) + (2, 2) * n_up).transpose(
+            axes).reshape(side << n_up, -1)
+        probs = sigmoid(bilinear_upsample(Tensor(logits), 4)).data
     return box.data, probs, pool_map
 
 

@@ -153,7 +153,8 @@ def test_encode_degenerate_config_is_residual_clean(vocab):
     store["text.block0.mlp.fc2.weight"].data[...] = 0.0
     seq = tokenize("red circle", vocab, max_len=8)
     got = enc.encode([seq]).data
-    want = layer_norm(take_rows(enc.embed, seq) + enc.pos[:len(seq)],
+    positions = take_rows(enc.pos, np.arange(len(seq)))
+    want = layer_norm(take_rows(enc.embed, seq) + positions,
                       enc.final_g, enc.final_b).data
     np.testing.assert_allclose(got, want, atol=0)
 
@@ -174,8 +175,8 @@ def test_encode_grad_check_small_config(vocab):
 
 def unpacked_encode(enc, ids):
     """TextEncoder.encode as it was before packing: one sequence, positions
-    sliced off the table, kept verbatim for the bit-identity check."""
-    x = take_rows(enc.embed, ids) + enc.pos[:len(ids), :]
+    taken from the table's first rows, for the bit-identity check."""
+    x = take_rows(enc.embed, ids) + take_rows(enc.pos, np.arange(len(ids)))
     for blk in enc.blocks:
         h = layer_norm(x, blk["ln1_g"], blk["ln1_b"])
         ctx, _ = unpacked_attention(linear(h, blk["qkv_w"], blk["qkv_b"]),

@@ -860,12 +860,12 @@ def test_cli_eval_split_without_relational_samples(dataset, tmp_path, capsys):
     assert (tmp_path / "ev" / "eval_metrics.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("command", ["train", "eval", "inspect"])
 @pytest.mark.parametrize("kind", ["image", "mask"])
 def test_cli_sample_of_another_resolution_is_data_error(dataset, tmp_path,
                                                         capsys, command, kind):
     # the split's first sample has the model's size, so only the per-sample
-    # check can see the last one's 16x16 file
+    # check can see the last one's 16x16 file; inspect reads that one sample
     data = tmp_path / "ds"
     shutil.copytree(dataset, data)
     split = "train" if command == "train" else "test"
@@ -883,7 +883,10 @@ def test_cli_sample_of_another_resolution_is_data_error(dataset, tmp_path,
         argv = ["train", "--config", str(cfg), "--out", str(run)]
     else:
         training.train(tiny_cfg(data, steps=0), run)
-        argv = ["eval", "--ckpt", str(run / "last.ckpt"), "--split", "test"]
+        argv = [command, "--ckpt", str(run / "last.ckpt")] + (
+            ["--split", "test"] if command == "eval" else
+            ["--sample-id", str(sample.scene_id),
+             "--out", str(tmp_path / "insp")])
     capsys.readouterr()
     assert main(argv) == 2
     assert f"{path}: 16x16 pixels, expected 32x32" in capsys.readouterr().err
