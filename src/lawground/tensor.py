@@ -9,12 +9,64 @@ that no formula needs is freed during the forward. Everything is float64
 with fixed reduction orders, so repeated runs are bit-identical.
 """
 
+import ctypes
 import threading
 
 import numpy as np
-from scipy.special import erf, expit
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as _umath
 
 from .errors import NumericError, ShapeError, TapeError
+
+# numpy's ufunc C-API table (numpy/__ufunc_api.h): slot 1 is
+# PyUFunc_FromFuncAndData, slot 5 is PyUFunc_d_d, numpy's loop that applies
+# a C `double f(double)` to each element with the GIL released.
+_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+_capsule_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+_capsule_pointer.restype = ctypes.c_void_p
+_UFUNC_API = ctypes.cast(_capsule_pointer(_umath._UFUNC_API, None),
+                         ctypes.POINTER(ctypes.c_void_p))
+_ufunc_from_func_and_data = ctypes.PYFUNCTYPE(
+    ctypes.py_object, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_char_p,
+    ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int,
+    ctypes.c_char_p, ctypes.c_char_p, ctypes.c_int)(_UFUNC_API[1])
+_NPY_DOUBLE, _PYUFUNC_NONE = 12, -1
+# a ufunc keeps raw pointers to its loop, data, types, name and doc: they
+# live here for the life of the process
+_ufunc_buffers = []
+
+
+def _libm_ufunc(name):
+    """A float64 numpy ufunc over the C library's `double name(double)`."""
+    try:
+        fn = getattr(ctypes.CDLL(None), name)
+    except AttributeError:
+        raise ImportError(f"the C library has no {name}()") from None
+    funcs = (ctypes.c_void_p * 1)(_UFUNC_API[5])
+    data = (ctypes.c_void_p * 1)(ctypes.cast(fn, ctypes.c_void_p).value)
+    types = bytes([_NPY_DOUBLE, _NPY_DOUBLE])
+    cname = name.encode()
+    doc = f"{name}(x) of the C library, elementwise in float64.".encode()
+    _ufunc_buffers.append((funcs, data, types, cname, doc))
+    return _ufunc_from_func_and_data(funcs, data, types, 1, 1, 1,
+                                     _PYUFUNC_NONE, cname, doc, 0)
+
+
+# the C library's erf is the one math.erf calls, and its exp the one
+# scipy.special.expit calls (np.exp rounds 5% of outputs differently)
+erf = _libm_ufunc("erf")
+_exp = _libm_ufunc("exp")
+
+
+def expit(x):
+    """Logistic function of the array x: 1 / (1 + exp(-x)), scipy's
+    formula and roundings. exp(-x) overflows to inf quietly, giving 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + _exp(np.negative(x)))
+
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327

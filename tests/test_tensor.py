@@ -1,8 +1,11 @@
+import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import expit as scipy_expit
 
 from lawground.attention import block_params, transformer_block
 from lawground.errors import NumericError, ShapeError, TapeError
@@ -11,12 +14,15 @@ from lawground.params import ParamStore
 from lawground.tensor import (
     Tape,
     Tensor,
+    _libm_ufunc,
     _record,
     _softmax_,
     active_tape,
     attention,
     backward,
     bilinear_upsample,
+    erf,
+    expit,
     gelu,
     grad_check,
     layer_norm,
@@ -279,6 +285,78 @@ def test_gelu_matches_quadrature():
         want = x * normal_cdf(x)
         got = gelu(Tensor(x)).item()
         assert abs(got - want) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# erf and expit: C-library ufuncs
+
+
+def special_grid(*extra):
+    """2e5 + 1 points over [-8, 8], then normals, subnormals, signed zeros,
+    infinities and nan."""
+    tiny = np.finfo(np.float64).tiny
+    edges = [1e-300, tiny, np.nextafter(tiny, 0.0), 5e-324, 1e-310, 0.0,
+             1.0, 6.0, 27.0, 1e300, np.inf, *extra]
+    return np.concatenate([np.linspace(-8.0, 8.0, 200_001), edges,
+                           np.negative(edges), [np.nan]])
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_erf_is_bitwise_math_erf():
+    grid = special_grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = erf(grid)
+    assert np.array_equal(bits(got), bits([math.erf(v) for v in grid]))
+
+
+def test_expit_is_bitwise_scipy_expit():
+    grid = special_grid(800.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expit(grid)
+    assert np.array_equal(bits(got), bits(scipy_expit(grid)))
+
+
+@pytest.mark.parametrize("fn, oracle", [(erf, math.erf), (expit, scipy_expit)],
+                         ids=["erf", "expit"])
+def test_erf_and_expit_take_0d_strided_and_out(fn, oracle):
+    x = RNG.normal(0.0, 3.0, (6, 8))
+    assert bits(fn(np.array(0.75))) == bits(oracle(0.75))
+    view = x[1::2, ::3]
+    want = np.array([[oracle(v) for v in row] for row in view])
+    assert np.array_equal(bits(fn(view)), bits(want))
+    if fn is erf:
+        out = np.empty((3, 3))
+        assert erf(view, out=out) is out and np.array_equal(bits(out), bits(want))
+        erf(view, out=view)  # in place, as gelu_cdf calls it
+        assert np.array_equal(bits(view), bits(want))
+
+
+def test_erf_and_expit_on_two_threads_match_one():
+    x = RNG.normal(0.0, 3.0, 400_000)
+    want = [bits(erf(x)), bits(expit(x))]
+    got = [None, None]
+
+    def work(i):
+        got[i] = [bits(erf(x)), bits(expit(x))]
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=60)
+    assert not any(w.is_alive() for w in workers)
+    for each in got:
+        assert all(np.array_equal(a, b) for a, b in zip(each, want))
+
+
+def test_missing_c_library_function_is_import_error():
+    with pytest.raises(ImportError, match="no_such_function"):
+        _libm_ufunc("no_such_function")
 
 
 # ---------------------------------------------------------------------------

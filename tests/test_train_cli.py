@@ -476,6 +476,38 @@ def test_package_import_pins_openblas_to_one_thread():
     assert counts == [1] * len(counts)
 
 
+def test_runtime_imports_no_scipy(dataset, tmp_path):
+    """scipy is a test-only dependency. In a fresh interpreter, importing
+    the CLI loads no scipy module, and with scipy blocked a 2-step train,
+    eval and inspect all succeed."""
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config_to_text(tiny_cfg(dataset, steps=2, eval_every=2)))
+    sample = load_dataset(dataset, "val")[0].scene_id
+    probe = textwrap.dedent("""
+        import sys
+        import lawground.cli
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded
+        sys.modules["scipy"] = None
+        cfg, run, sample = sys.argv[1:]
+        main = lawground.cli.main
+        assert main(["train", "--config", cfg, "--out", run + "/run"]) == 0
+        ckpt = run + "/run/last.ckpt"
+        assert main(["eval", "--ckpt", ckpt, "--split", "val",
+                     "--out", run + "/ev"]) == 0
+        assert main(["inspect", "--ckpt", ckpt, "--sample-id", sample,
+                     "--out", run + "/insp"]) == 0
+    """)
+    src = str(Path(training.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(cfg), str(tmp_path), str(sample)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 def test_training_steps_do_not_fault_freed_memory_back_in(tmp_path):
     """A step frees its whole graph when its chunks return; the package's
     malloc settings keep that memory mapped for the next step. Run in a
