@@ -41,7 +41,7 @@ from .errors import (
     ShapeError,
     TapeError,
 )
-from .tensor import Tape, Tensor, backward, grad_check
+from .tensor import Tape, Tensor, grad_check
 
 __all__ = [
     "ConfigError",
@@ -52,7 +52,6 @@ __all__ = [
     "TapeError",
     "Tape",
     "Tensor",
-    "backward",
     "grad_check",
 ]
 

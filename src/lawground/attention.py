@@ -22,7 +22,7 @@ def block_params(store, prefix, width, hidden):
     }
 
 
-def transformer_block(x, blk, qkv_w, heads, lengths=None):
+def transformer_block(x, blk, qkv_w, heads, lengths):
     """x + MHA(LN(x)), then x + MLP(LN(x)), over tokens x (T, d).
 
     qkv_w stacks the query/key/value projections as a (3d, d) matrix applied
@@ -31,7 +31,7 @@ def transformer_block(x, blk, qkv_w, heads, lengths=None):
     for the b-th of B equal row blocks (see tensor.linear). Each LN runs
     fused with the projection after it (tensor.layer_norm_linear), so the
     tape keeps its output once. `lengths` splits the rows into packed
-    sequences that attend only within themselves (default: one sequence).
+    sequences that attend only within themselves.
     Returns the block output (T, d) and one (H, L, L) array of attention
     probabilities per sequence.
     """

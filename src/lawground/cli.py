@@ -13,10 +13,8 @@ from . import train as training
 
 
 def _load_cfg(args):
-    cfg = TrainConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, base=cfg)
-    if getattr(args, "seed", None) is not None:
+    cfg = load_config(args.config) if args.config else TrainConfig()
+    if args.seed is not None:
         cfg.seed = args.seed
     return cfg
 

@@ -88,8 +88,8 @@ def _parse_value(key, raw):
             f"bad value for {key}: {raw!r} (expected {kind.__name__})") from None
 
 
-def parse_config_text(text, base=None):
-    cfg = base or TrainConfig()
+def parse_config_text(text):
+    cfg = TrainConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -103,13 +103,13 @@ def parse_config_text(text, base=None):
     return cfg
 
 
-def load_config(path, base=None):
+def load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, base=base)
+    return parse_config_text(text)
 
 
 def config_to_text(cfg):

@@ -25,6 +25,7 @@ from .tensor import (
     reshape,
     sigmoid,
     softmax,
+    tmean,
     transpose,
 )
 
@@ -109,7 +110,7 @@ class MultitaskHead:
         if self.lap_enabled:
             pooled, pool_map = self.lap_pool(tokens, cls_rows)
         else:
-            pooled = tokens.mean(axis=1)
+            pooled = tmean(tokens, axis=1)
         return self.predict_box(pooled), mask, pool_map
 
     def lap_pool(self, tokens, cls_rows):

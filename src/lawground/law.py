@@ -64,26 +64,25 @@ def build_law_params(store, backbone, d_l, groups, reduction, rank_dw):
         groups=groups, rank_dw=rank_dw)
 
 
-def layer_cores(feats, params, lengths=None):
+def layer_cores(feats, params, lengths):
     """Every layer's core matrix for a batch of packed expressions, as one op.
 
     feats holds the (sum of lengths, d_l) token features of the expressions
-    stacked in order; `lengths` gives each expression's token count
-    (default: one expression of all rows). Per expression and layer n: a
-    group-wise softmax over the expression's tokens of embed_n . feats (G
-    groups of d_l/G channels) and the attention-weighted sum of its tokens;
-    then, vectorised over expressions and layers, the bias-free reducer with
-    GeLU and the core affine map reshaped row-major. Returns the
-    (B, N, d_w, d_w) cores, taped with feats and every embedding, reducer
-    and core map as parents, and one (N, G, L) token attention array per
-    expression.
+    stacked in order; `lengths` gives each expression's token count. Per
+    expression and layer n: a group-wise softmax over the expression's
+    tokens of embed_n . feats (G groups of d_l/G channels) and the
+    attention-weighted sum of its tokens; then, vectorised over expressions
+    and layers, the bias-free reducer with GeLU and the core affine map
+    reshaped row-major. Returns the (B, N, d_w, d_w) cores, taped with
+    feats and every embedding, reducer and core map as parents, and one
+    (N, G, L) token attention array per expression.
     """
     feats = as_tensor(feats)
     n_tok, d_l = feats.shape
     groups, n_layers, d_w = params.groups, params.n_layers, params.rank_dw
     if d_l % groups:
         raise ShapeError(f"groups {groups} must divide feature width {d_l}")
-    spans = segment_bounds((n_tok,) if lengths is None else lengths, n_tok)
+    spans = segment_bounds(lengths, n_tok)
     n_seq, gsize = len(spans), d_l // groups
     embeds = np.stack([e.data for e in params.layer_embeds])
     reducers = np.stack([r.data for r in params.reducers])
@@ -170,7 +169,7 @@ def fused_weights(params, cores, layer):
                    backfn)
 
 
-def generate_all(feats, params, lengths=None):
+def generate_all(feats, params, lengths):
     """Every visual layer's fused projections for the packed expressions
     (see layer_cores): one Rebuilt (B, d_out, d_in) stack per layer, row b
     for expression b, plus the per-expression (N, G, L) token attention

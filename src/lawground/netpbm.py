@@ -8,8 +8,11 @@ from .errors import DataError
 
 def _read(path, magic, fields):
     """The header fields and the payload bytes of the netpbm file at path."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     if not blob.startswith(magic):
         raise DataError(f"{path}: expected {magic!r} header")
     vals, pos = [], 2

@@ -48,9 +48,6 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def names(self):
-        return list(self._params)
-
     def __getitem__(self, name):
         return self._params[name]
 

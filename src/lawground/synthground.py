@@ -306,6 +306,11 @@ def generate_dataset(out_dir, seed=0, n_train=4000, n_val=500, n_test=500,
     """Write the dataset; returns per-split counts and the skip count."""
     if min(n_train, n_val, n_test) < 0 or n_train < 1:
         raise DataError("dataset sizes must be positive")
+    # a large object's centre lies in [radius + 2, resolution - radius - 3]
+    radius = _radius_for("large", resolution)
+    if resolution < 2 * radius + 5:
+        raise DataError(f"resolution {resolution} leaves no centre for a "
+                        f"large object of radius {radius}")
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(parents=True, exist_ok=True)

@@ -182,14 +182,6 @@ class Tape:
             entries.clear()
 
 
-def backward(loss):
-    """Run reverse-mode accumulation from a scalar loss into leaf grads."""
-    tape = getattr(loss, "_tape", None)
-    if tape is None:
-        raise TapeError("loss is not attached to any tape (detached graph)")
-    tape.backward(loss)
-
-
 class Tensor:
     """Dense float64 array, row-major, with an optional gradient buffer."""
 
@@ -212,10 +204,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data)
 
@@ -237,21 +225,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis, keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
 
 
 def as_tensor(x):
@@ -394,17 +367,16 @@ def segment_bounds(lengths, n_rows):
     return bounds
 
 
-def attention(qkv, heads, lengths=None):
+def attention(qkv, heads, lengths):
     """Scaled dot-product attention of fused (T, 3d) query/key/value rows.
 
     Heads split each d-wide block into `heads` slices of dh = d / heads.
-    `lengths` splits the rows into consecutive segments (default: one
-    segment of all T rows); a row attends only to the rows of its own
-    segment, so packed sequences never see each other. Returns the
-    head-merged context (T, d), taped with qkv as its one parent, and one
-    (H, L, L) probability array per segment. Each segment's scores are
-    built once and softmaxed in place; backward writes the three gradient
-    blocks into one (T, 3d) buffer.
+    `lengths` splits the rows into consecutive segments; a row attends
+    only to the rows of its own segment, so packed sequences never see each
+    other. Returns the head-merged context (T, d), taped with qkv as its one
+    parent, and one (H, L, L) probability array per segment. Each segment's
+    scores are built once and softmaxed in place; backward writes the three
+    gradient blocks into one (T, 3d) buffer.
     """
     qkv = as_tensor(qkv)
     if qkv.ndim != 2 or qkv.shape[1] % 3:
@@ -412,7 +384,7 @@ def attention(qkv, heads, lengths=None):
     n_tok, d = qkv.shape[0], qkv.shape[1] // 3
     if d % heads:
         raise ShapeError(f"head count {heads} does not divide width {d}")
-    spans = segment_bounds((n_tok,) if lengths is None else lengths, n_tok)
+    spans = segment_bounds(lengths, n_tok)
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
     q, k, v = qkv.data.reshape(n_tok, 3, heads, dh).transpose(1, 2, 0, 3)
@@ -529,7 +501,7 @@ def tsum(x, axis=None, keepdims=False):
 def tmean(x, axis=None, keepdims=False):
     x = as_tensor(x)
     out = Tensor(np.mean(x.data, axis=axis, keepdims=keepdims))
-    n = x.size if axis is None else np.prod(
+    n = x.data.size if axis is None else np.prod(
         [x.shape[i] for i in (axis if isinstance(axis, tuple) else (axis,))])
 
     def backfn(g, shape=x.shape, axis=axis, keepdims=keepdims, n=float(n)):
@@ -546,10 +518,8 @@ def reshape(x, shape):
     return _record(out, (x,), lambda g, shape=x.shape: (g.reshape(shape),))
 
 
-def transpose(x, axes=None):
+def transpose(x, axes):
     x = as_tensor(x)
-    if axes is None:
-        axes = tuple(reversed(range(x.ndim)))
     inv = [0] * len(axes)
     for i, a in enumerate(axes):
         inv[a] = i

@@ -10,7 +10,7 @@ import numpy as np
 
 from .attention import block_params, transformer_block
 from .errors import ShapeError
-from .tensor import Tensor, _record, as_tensor, layer_norm, linear, reshape
+from .tensor import Tensor, layer_norm, linear, reshape
 
 
 def position_code(side, width):
@@ -78,14 +78,14 @@ class VisualBackbone:
         x = reshape(x, (n, t, self.d_model)) + self.pos
         return reshape(x, (n * t, self.d_model))
 
-    def attention_block(self, x, qkv_w, layer, lengths=None):
+    def attention_block(self, x, qkv_w, layer, lengths):
         """Block `layer` of the stack over the row block x with the supplied
         fused QKV projection: one (3d, d) matrix for all rows, or the
         generator's Rebuilt (B, 3d, d) stack, whose weight b projects the
         b-th of B equal row blocks.
         `lengths` splits the rows into images that attend only within
-        themselves (default: one image). Returns the block output and one
-        (H, T, T) array of attention probabilities per image."""
+        themselves. Returns the block output and one (H, T, T) array of
+        attention probabilities per image."""
         return transformer_block(x, self.blocks[layer], qkv_w, self.heads,
                                  lengths)
 
@@ -117,34 +117,23 @@ class VisualBackbone:
 
 def patch_rows(images, s):
     """The (B*T, 3*s*s) rows of every non-overlapping s x s patch of B
-    (3, H, W) images, image by image and row-major over patches, each row
-    channel-major. One op with the images as parents; images that need no
-    gradient leave it unrecorded."""
-    images = [as_tensor(image) for image in images]
+    (3, H, W) image Tensors, image by image and row-major over patches, each
+    row channel-major. Images are inputs, never parameters: nothing is
+    recorded."""
     n, (c, h, w) = len(images), images[0].shape
     hp, wp = h // s, w // s
     stacked = np.stack([image.data for image in images])
-    rows = stacked.reshape(n, c, hp, s, wp, s).transpose(
-        0, 2, 4, 1, 3, 5).reshape(n * hp * wp, c * s * s)
-    out = Tensor(rows)
-    if not any(image.requires_grad or image._tape is not None
-               for image in images):
-        return out
-
-    def backfn(g):
-        return tuple(g.reshape(n, hp, wp, c, s, s).transpose(
-            0, 3, 1, 4, 2, 5).reshape(n, c, h, w))
-
-    return _record(out, tuple(images), backfn)
+    return Tensor(stacked.reshape(n, c, hp, s, wp, s).transpose(
+        0, 2, 4, 1, 3, 5).reshape(n * hp * wp, c * s * s))
 
 
-def attention_rollout(attn_maps, side, anchor=None):
+def attention_rollout(attn_maps, side):
     """Aggregate per-layer attention into one input-patch saliency grid.
 
     Each layer's head-averaged attention gets an identity added and rows
     renormalized; the per-layer matrices are multiplied in depth order. The
-    anchor row (an output token) is returned, or the mean over all output
-    tokens when anchor is None; the grid is scaled by its max into [0, 1].
+    mean over all output tokens is returned as a grid scaled by its max
+    into [0, 1].
     """
     if not attn_maps:
         raise ShapeError("attention_rollout needs at least one layer")
@@ -154,6 +143,5 @@ def attention_rollout(attn_maps, side, anchor=None):
         aug = avg + np.eye(avg.shape[0])
         aug = aug / aug.sum(axis=1, keepdims=True)
         rolled = aug if rolled is None else aug @ rolled
-    saliency = rolled.mean(axis=0) if anchor is None else rolled[anchor]
-    grid = saliency.reshape(side, side)
+    grid = rolled.mean(axis=0).reshape(side, side)
     return grid / grid.max()

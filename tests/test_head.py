@@ -6,7 +6,7 @@ import pytest
 from lawground.errors import ConfigError
 from lawground.head import MultitaskHead, binarize
 from lawground.params import ParamStore
-from lawground.tensor import Tape, Tensor, grad_check
+from lawground.tensor import Tape, Tensor, grad_check, tmean, tsum
 
 
 RNG = np.random.default_rng(33)
@@ -212,7 +212,7 @@ def test_forward_equals_direct_branch_calls(lap, mth):
         assert np.array_equal(pool_map, want_map)
         assert pool_map.shape == (3, 2, 2)
     else:
-        pooled = visual.mean(axis=1)
+        pooled = tmean(visual, axis=1)
         assert pool_map is None
     assert np.array_equal(box.data, head.predict_box(pooled).data)
     if mth:
@@ -282,7 +282,7 @@ def test_mask_branch_matches_old_order_oracle(stride, d_text):
     upstream = rng.normal(size=(2, quarter, quarter))
     with Tape() as tape:
         logits = head.predict_mask(tokens, cls).quarter_logits
-        loss = (logits * Tensor(upstream)).sum()
+        loss = tsum(logits * Tensor(upstream))
     tape.backward(loss)
     want = old_order_mask_logits(
         tokens.data, cls.data,
@@ -307,8 +307,8 @@ def test_mask_branch_stride_validation():
 def test_mask_disabled_removes_only_upsampler_params():
     full, store_full = make_head()
     rec, store_rec = make_head(mask_enabled=False)
-    names_full = set(store_full.names())
-    names_rec = set(store_rec.names())
+    names_full = {name for name, _ in store_full.items()}
+    names_rec = {name for name, _ in store_rec.items()}
     assert names_full - names_rec == {"head.up0.kernel", "head.up0.bias"}
     # shared parameters initialize identically (hash-seeded streams)
     for name in names_rec:
@@ -334,7 +334,7 @@ def test_head_grad_checks():
     def box_loss(tokens_t, cls_t):
         pooled, _ = head.lap_pool(tokens_t, cls_t)
         box = head.predict_box(pooled)
-        return (box * box).sum()
+        return tsum(box * box)
 
     assert grad_check(box_loss, [tokens, cls]) <= 1e-4
 
@@ -342,7 +342,7 @@ def test_head_grad_checks():
 
     def mask_loss(tokens_t, cls_t):
         probs = head.predict_mask(tokens_t, cls_t).probs
-        return (probs * probs).mean()
+        return tmean(probs * probs)
 
     assert grad_check(mask_loss, [mask_tokens, cls]) <= 1e-4
 
@@ -353,7 +353,7 @@ def test_head_grad_checks():
 
     def batch_loss(tokens_t, cls_t):
         box, mask, _ = head.forward(tokens_t, cls_t)
-        return (box * box).sum() + (mask.probs * mask.probs).mean()
+        return tsum(box * box) + tmean(mask.probs * mask.probs)
 
     assert grad_check(batch_loss, [tokens2, cls2]) <= 1e-4
 

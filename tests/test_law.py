@@ -111,7 +111,7 @@ def composed_generate_all(feats, params):
         core = reshape(row_matvec(params.core_weights[i], reduced)
                        + params.core_biases[i], (d_w, d_w))
         # out_factor @ core @ in_factor^T
-        delta = linear(linear(params.out_factor, transpose(core)),
+        delta = linear(linear(params.out_factor, transpose(core, (1, 0))),
                        params.in_factor)
         weights.append(params.static_fused[i] + delta)
         alphas.append(alpha.data)
@@ -128,7 +128,7 @@ def test_aggregate_singleton_mask():
     # a one-token sequence: all attention on it, pooled feature is that token
     params = one_layer()
     feats = RNG.normal(size=(1, 8))
-    cores, alphas = layer_cores(Tensor(feats), params)
+    cores, alphas = layer_cores(Tensor(feats), params, [len(feats)])
     np.testing.assert_allclose(alphas[0], [[[1.0], [1.0]]], atol=0)
     want, _ = brute_cores(feats, params)
     np.testing.assert_allclose(cores.data[0], want, rtol=1e-13, atol=1e-15)
@@ -138,7 +138,7 @@ def test_aggregate_zero_embedding_is_mean():
     params = one_layer(groups=4)
     params.layer_embeds[0].data[...] = 0.0
     feats = RNG.normal(size=(3, 8))
-    cores, alphas = layer_cores(Tensor(feats), params)
+    cores, alphas = layer_cores(Tensor(feats), params, [len(feats)])
     np.testing.assert_allclose(alphas[0], np.full((1, 4, 3), 1 / 3), atol=1e-15)
     want, _ = brute_cores(feats, params)
     np.testing.assert_allclose(cores.data[0], want, rtol=1e-13, atol=1e-15)
@@ -150,7 +150,7 @@ def test_aggregate_matches_brute_force():
                              seed=int(n_tok))
         params.groups = 3
         feats = RNG.normal(size=(int(n_tok), 12))
-        cores, alphas = layer_cores(Tensor(feats), params)
+        cores, alphas = layer_cores(Tensor(feats), params, [len(feats)])
         want_cores, want_alpha = brute_cores(feats, params)
         np.testing.assert_allclose(alphas[0], want_alpha, atol=1e-12)
         np.testing.assert_allclose(cores.data[0], want_cores, atol=1e-12)
@@ -160,12 +160,12 @@ def test_aggregate_alpha_normalization_and_exact_zeros():
     params = one_layer()
     feats = RNG.normal(size=(6, 8), scale=3.0)
     embed = params.layer_embeds[0].data
-    _, (alpha,) = layer_cores(Tensor(feats), params)
+    _, (alpha,) = layer_cores(Tensor(feats), params, [len(feats)])
     np.testing.assert_allclose(alpha[0].sum(axis=1), [1.0, 1.0], atol=1e-9)
     # a token whose logits trail the best by far more than exp's range
     # (-745) gets exactly zero attention in every group
     feats[4] = -1e3 * np.sign(embed)
-    _, (alpha,) = layer_cores(Tensor(feats), params)
+    _, (alpha,) = layer_cores(Tensor(feats), params, [len(feats)])
     assert (alpha[0][:, 4] == 0.0).all() and (alpha[0][:, :4] > 0.0).all()
     np.testing.assert_allclose(alpha[0].sum(axis=1), [1.0, 1.0], atol=1e-9)
 
@@ -183,7 +183,7 @@ def identity_cores(reducer, d_l):
 def test_reduce_zero_weights():
     params = one_layer()
     params.reducers[0].data[...] = 0.0
-    cores, _ = layer_cores(Tensor(RNG.normal(size=(3, 8))), params)
+    cores, _ = layer_cores(Tensor(RNG.normal(size=(3, 8))), params, [3])
     # gelu(0) = 0: only the core bias is left
     assert np.array_equal(cores.data.reshape(-1), params.core_biases[0].data)
 
@@ -193,7 +193,7 @@ def test_reduce_row_selection():
     reducer[0, 0] = reducer[1, 1] = 1.0
     params = identity_cores(reducer, 8)
     token = np.array([[2.0, -2.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0]])
-    cores, _ = layer_cores(Tensor(token), params)
+    cores, _ = layer_cores(Tensor(token), params, [1])
     np.testing.assert_allclose(cores.data.reshape(-1),
                                [erf_gelu(2.0), erf_gelu(-2.0), 0.0, 0.0],
                                atol=1e-15)
@@ -203,7 +203,7 @@ def test_reduce_matches_direct_evaluation():
     w = RNG.normal(size=(4, 12))
     h = RNG.normal(size=(1, 12))
     params = identity_cores(w, 12)
-    got = layer_cores(Tensor(h), params)[0].data.reshape(-1)
+    got = layer_cores(Tensor(h), params, [1])[0].data.reshape(-1)
     want = np.array([erf_gelu(sum(float(w[i, j]) * float(h[0, j])
                                   for j in range(12)))
                      for i in range(4)])
@@ -234,9 +234,9 @@ def make_decomp(n_layers=2, d_l=8, d_h=4, d_w=2, d_in=4, d_model=4, zero_core=Tr
 def test_generate_weights_zero_core_is_exactly_static():
     params = make_decomp(zero_core=True)
     feats = Tensor(RNG.normal(size=(3, 8)))
-    cores, _ = layer_cores(feats, params)
+    cores, _ = layer_cores(feats, params, [3])
     assert not cores.data.any()
-    weights, _ = generate_all(feats, params)
+    weights, _ = generate_all(feats, params, [3])
     for i, out in enumerate(weights):
         assert np.array_equal(out.build()[0], params.static_fused[i].data)
 
@@ -269,8 +269,8 @@ def test_generate_weights_matches_triple_product_oracle():
 
 def test_generate_all_zero_core_ignores_expression():
     params = make_decomp(zero_core=True)
-    w1, _ = generate_all(Tensor(RNG.normal(size=(3, 8))), params)
-    w2, _ = generate_all(Tensor(RNG.normal(size=(5, 8))), params)
+    w1, _ = generate_all(Tensor(RNG.normal(size=(3, 8))), params, [3])
+    w2, _ = generate_all(Tensor(RNG.normal(size=(5, 8))), params, [5])
     for a, b in zip(w1, w2):
         assert np.array_equal(a.build(), b.build())
 
@@ -278,8 +278,8 @@ def test_generate_all_zero_core_ignores_expression():
 def test_generate_all_deterministic():
     params = make_decomp(zero_core=False)
     feats = Tensor(RNG.normal(size=(2, 8)))
-    w1, _ = generate_all(feats, params)
-    w2, _ = generate_all(feats, params)
+    w1, _ = generate_all(feats, params, [2])
+    w2, _ = generate_all(feats, params, [2])
     for a, b in zip(w1, w2):
         assert np.array_equal(a.build(), b.build())
 
@@ -288,10 +288,10 @@ def test_generate_all_sensitive_to_any_token():
     # forward differencing: nudging one token moves every layer
     params = make_decomp(zero_core=False)
     feats = RNG.normal(size=(3, 8))
-    base, _ = generate_all(Tensor(feats), params)
+    base, _ = generate_all(Tensor(feats), params, [3])
     bumped = feats.copy()
     bumped[2] += 1e-3
-    moved, _ = generate_all(Tensor(bumped), params)
+    moved, _ = generate_all(Tensor(bumped), params, [3])
     for a, b in zip(base, moved):
         assert np.abs(a.build() - b.build()).max() > 0.0
 
@@ -299,9 +299,9 @@ def test_generate_all_sensitive_to_any_token():
 def test_generate_all_layers_are_independent():
     params = make_decomp(zero_core=False)
     feats = Tensor(RNG.normal(size=(3, 8)))
-    base, _ = generate_all(feats, params)
+    base, _ = generate_all(feats, params, [3])
     params.layer_embeds[1].data[...] += 0.37
-    moved, _ = generate_all(feats, params)
+    moved, _ = generate_all(feats, params, [3])
     assert np.array_equal(base[0].build(), moved[0].build())
     assert not np.array_equal(base[1].build(), moved[1].build())
 
@@ -341,7 +341,7 @@ def test_count_dynamic_params_matches_parameter_store():
     d_h = d_l // reduction
     per_layer = d_l + d_h * d_l + d_h * d_w * d_w + d_w * d_w
     want = n_layers * per_layer + d_w * (d_model + 3 * d_model)
-    got = sum(p.size for name, p in store.items() if name.startswith("law."))
+    got = sum(p.data.size for name, p in store.items() if name.startswith("law."))
     assert got == want == 9728
 
 
@@ -354,10 +354,10 @@ def test_gradients_reach_every_generator_parameter():
               *params.static_fused]
 
     def loss_fn(*_):
-        weights, _ = generate_all(feats, params)
+        weights, _ = generate_all(feats, params, [3])
         total = None
         for w in map(taped, weights):
-            term = (w * w).sum()
+            term = tsum(w * w)
             total = term if total is None else total + term
         return total
 
@@ -371,13 +371,13 @@ def test_shared_factor_grad_is_sum_of_per_layer_clones():
     def readout(weight_list):
         total = None
         for w in weight_list:
-            term = (w * w).sum()
+            term = tsum(w * w)
             total = term if total is None else total + term
         return total
 
     params.out_factor.zero_grad()
     with Tape() as tape:
-        weights, _ = generate_all(feats, params)
+        weights, _ = generate_all(feats, params, [3])
         loss = readout([taped(w) for w in weights])
     tape.backward(loss)
     shared_grad = params.out_factor.grad.copy()
@@ -393,9 +393,9 @@ def test_shared_factor_grad_is_sum_of_per_layer_clones():
             static_fused=params.static_fused,
             groups=params.groups, rank_dw=params.rank_dw)
         with Tape() as tape:
-            cores, _ = layer_cores(feats, params)
+            cores, _ = layer_cores(feats, params, [3])
             w = taped(fused_weights(cloned_params, cores, layer))
-            loss = (w * w).sum()
+            loss = tsum(w * w)
         tape.backward(loss)
         clone_grads += clone.grad
     np.testing.assert_allclose(shared_grad, clone_grads, rtol=1e-12, atol=1e-12)
@@ -412,7 +412,7 @@ def run_generator(fn, feats, params, upstream):
         weights, alphas = fn(feats, params)
         loss = None
         for w, u in zip(weights, upstream):
-            term = (w * Tensor(u)).sum()
+            term = tsum(w * Tensor(u))
             loss = term if loss is None else loss + term
     tape.backward(loss)
     return ([w.data for w in weights], list(alphas),
@@ -421,7 +421,7 @@ def run_generator(fn, feats, params, upstream):
 
 def generate_one(feats, params):
     """generate_all on one expression: its weights and its (N, G, L) alpha."""
-    weights, (alpha,) = generate_all(feats, params)
+    weights, (alpha,) = generate_all(feats, params, [len(feats.data)])
     return [reshape(taped(w), w.shape[1:]) for w in weights], alpha
 
 
@@ -442,7 +442,8 @@ def test_generate_all_records_only_the_core_op():
     # each layer's stack is recorded by the projection that reads it
     params = make_decomp(n_layers=3, zero_core=False)
     with Tape() as tape:
-        generate_all(Tensor(RNG.normal(size=(4, 8)), requires_grad=True), params)
+        generate_all(Tensor(RNG.normal(size=(4, 8)), requires_grad=True),
+                     params, [4])
     assert len(tape._entries) == 1
 
 
@@ -505,7 +506,7 @@ def run_cores(fn, feats, params, upstream):
         leaf.zero_grad()
     with Tape() as tape:
         cores, alphas = fn()
-        loss = (cores * Tensor(upstream)).sum()
+        loss = tsum(cores * Tensor(upstream))
     tape.backward(loss)
     return cores.data, alphas, [leaf.grad.copy() for leaf in leaves]
 
@@ -518,7 +519,7 @@ def test_layer_cores_one_expression_is_bit_identical_to_unpacked_code():
         rng = np.random.default_rng(100 + seed)
         feats = Tensor(rng.normal(size=(n_tok, 16)), requires_grad=True)
         upstream = rng.normal(size=(4, 3, 3))
-        got = run_cores(lambda: layer_cores(feats, params), feats, params,
+        got = run_cores(lambda: layer_cores(feats, params, [n_tok]), feats, params,
                         upstream[None])
         want = run_cores(lambda: unpacked_layer_cores(feats, params), feats,
                          params, upstream)
@@ -544,7 +545,7 @@ def test_packed_layer_cores_match_one_expression_at_a_time():
     lo = 0
     for b, n in enumerate(lengths):
         one = Tensor(feats_np[lo:lo + n], requires_grad=True)
-        cores, alphas, grads = run_cores(lambda: layer_cores(one, params),
+        cores, alphas, grads = run_cores(lambda: layer_cores(one, params, [n]),
                                          one, params, upstream[b:b + 1])
         np.testing.assert_allclose(packed[0][b], cores[0], rtol=0, atol=1e-13)
         np.testing.assert_allclose(packed[1][b], alphas[0], rtol=0,
@@ -604,7 +605,7 @@ def run_fused(fn, params, cores, upstream):
         leaf.zero_grad()
     with Tape() as tape:
         w = fn()
-        loss = (w * Tensor(upstream)).sum()
+        loss = tsum(w * Tensor(upstream))
     tape.backward(loss)
     return w.data, [leaf.grad.copy() for leaf in leaves]
 
@@ -664,7 +665,7 @@ def test_projection_of_generated_stack_is_bit_identical_to_composed_ops():
         with Tape() as tape:
             x, gain, bias, b = leaves
             y = project(x, gain, bias, fused_weights(params, cores, 1), b)
-            loss = (y * Tensor(upstream)).sum()
+            loss = tsum(y * Tensor(upstream))
         tape.backward(loss)
         return [y.data] + [leaf.grad.copy() for leaf in grads_of]
 

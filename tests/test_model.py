@@ -17,7 +17,7 @@ from lawground.model import GroundingModel
 from lawground.synthground import LEXICON, generate_dataset
 from lawground.tensor import (Tape, Tensor, bilinear_upsample, gelu,
                               layer_norm, linear, reshape, sigmoid, softmax,
-                              transpose)
+                              tmean, transpose)
 from lawground.text import Vocabulary
 from lawground.train import train
 
@@ -113,9 +113,9 @@ def test_ablation_toggles_isolate_parameters(vocab):
     no_lap = GroundingModel(tiny_config(lap_enabled=False, seed=1), vocab)
     no_mth = GroundingModel(tiny_config(mth_enabled=False, seed=1), vocab)
 
-    assert not any(n.startswith("law.") for n in no_lawg.store.names())
-    assert not any(n.startswith("head.pool.") for n in no_lap.store.names())
-    assert not any(n.startswith("head.up") for n in no_mth.store.names())
+    assert not any(n.startswith("law.") for n, _ in no_lawg.store.items())
+    assert not any(n.startswith("head.pool.") for n, _ in no_lap.store.items())
+    assert not any(n.startswith("head.up") for n, _ in no_mth.store.items())
 
     # shared parameters initialize identically across arms
     for name, p in no_lawg.store.items():
@@ -129,7 +129,7 @@ def test_parameter_groups_split_backbone_and_rest(vocab):
     rest_names = {n for n, _ in rest}
     assert all(n.startswith(("text.", "vit.")) for n in backbone_names)
     assert all(n.startswith(("law.", "head.")) for n in rest_names)
-    assert backbone_names | rest_names == set(model.store.names())
+    assert backbone_names | rest_names == {n for n, _ in model.store.items()}
     assert not (backbone_names & rest_names)
 
 
@@ -422,7 +422,7 @@ def per_sample_head(head, tokens, cls, side):
         pooled = tokens.T @ attn.data
         pool_map = attn.data.reshape(side, side)
     else:
-        pooled = x.mean(axis=0).data
+        pooled = tmean(x, axis=0).data
     h = gelu(Tensor(head.box_w1.data @ pooled) + head.box_b1)
     h = gelu(Tensor(head.box_w2.data @ h.data) + head.box_b2)
     box = sigmoid(Tensor(head.box_w3.data @ h.data) + head.box_b3)
@@ -469,7 +469,7 @@ def per_sample_forward(model, image, tokens):
     maps = []
     for layer in range(bb.n_blocks):
         x, probs = transformer_block(x, bb.blocks[layer], weights[layer],
-                                     bb.heads)
+                                     bb.heads, [bb.n_tokens])
         maps.append(probs[0])
     x = layer_norm(x, bb.final_g, bb.final_b)
     return (x.data, maps,

@@ -19,7 +19,6 @@ from lawground.tensor import (
     _softmax_,
     active_tape,
     attention,
-    backward,
     bilinear_upsample,
     erf,
     expit,
@@ -32,7 +31,9 @@ from lawground.tensor import (
     sigmoid,
     softmax,
     take_rows,
+    tmean,
     transpose,
+    tsum,
 )
 
 RNG = np.random.default_rng(1234)
@@ -135,7 +136,7 @@ def composed_attention(qkv, heads, key_bias=None):
 
 def one_segment(qkv, heads):
     """attention over one sequence: its context and (H, T, T) probabilities."""
-    ctx, (probs,) = attention(qkv, heads)
+    ctx, (probs,) = attention(qkv, heads, [qkv.shape[0]])
     return ctx, probs
 
 
@@ -144,7 +145,7 @@ def run_attention(fn, qkv, heads, upstream):
     x = Tensor(qkv.copy(), requires_grad=True)
     with Tape() as tape:
         ctx, probs = fn(x, heads)
-        loss = (ctx * Tensor(upstream)).sum()
+        loss = tsum(ctx * Tensor(upstream))
     tape.backward(loss)
     return ctx.data, probs, x.grad
 
@@ -167,7 +168,7 @@ def test_transformer_block_records_eight_entries():
     blk = block_params(ParamStore(0), "b.", 4, 16)
     with Tape() as tape:
         out, (probs,) = transformer_block(rand_tensor((5, 4)), blk,
-                                          blk["qkv_w"], 2)
+                                          blk["qkv_w"], 2, [5])
     # ln + qkv, attention, linear, add, ln + fc1, gelu, linear, add
     assert len(tape._entries) == 8
     assert out.shape == (5, 4)
@@ -179,15 +180,15 @@ def test_attention_nan_raises_and_records_nothing():
     qkv[2, 1] = np.nan
     with Tape() as tape:
         with pytest.raises(NumericError, match="NaN or"):
-            attention(Tensor(qkv, requires_grad=True), 1)
+            attention(Tensor(qkv, requires_grad=True), 1, [4])
         assert tape._entries == []
 
 
 def test_attention_shape_errors():
     with pytest.raises(ShapeError):
-        attention(Tensor(np.zeros((4, 8))), 1)   # width not a multiple of 3
+        attention(Tensor(np.zeros((4, 8))), 1, [4])  # width not a multiple of 3
     with pytest.raises(ShapeError, match="head count"):
-        attention(Tensor(np.zeros((4, 12))), 3)  # 3 heads do not divide 4
+        attention(Tensor(np.zeros((4, 12))), 3, [4])  # 3 heads do not divide 4
 
 
 def unpacked_attention(qkv, heads):
@@ -242,7 +243,7 @@ def test_segmented_attention_matches_each_segment_alone():
     x = Tensor(qkv.copy(), requires_grad=True)
     with Tape() as tape:
         ctx, probs = attention(x, heads, lengths)
-        loss = (ctx * Tensor(upstream)).sum()
+        loss = tsum(ctx * Tensor(upstream))
     tape.backward(loss)
     assert [p.shape for p in probs] == [(heads, n, n) for n in lengths]
     lo = 0
@@ -412,32 +413,32 @@ def test_bilinear_linear_ramp_interior():
 
 def test_backward_sum_gives_ones():
     x = rand_tensor((3, 4), requires_grad=True)
-    with Tape():
-        loss = x.sum()
-    backward(loss)
+    with Tape() as tape:
+        loss = tsum(x)
+    tape.backward(loss)
     np.testing.assert_allclose(x.grad, np.ones((3, 4)), atol=0)
 
 
 def test_backward_quadratic():
     x = rand_tensor((5,), requires_grad=True)
-    with Tape():
-        loss = (x * x).sum()
-    backward(loss)
+    with Tape() as tape:
+        loss = tsum(x * x)
+    tape.backward(loss)
     np.testing.assert_allclose(x.grad, 2 * x.data, atol=1e-12)
 
 
 def test_backward_accumulates_on_reuse():
     x = rand_tensor((4,), requires_grad=True)
-    with Tape():
-        loss = x.sum() + x.sum()
-    backward(loss)
+    with Tape() as tape:
+        loss = tsum(x) + tsum(x)
+    tape.backward(loss)
     np.testing.assert_allclose(x.grad, np.full(4, 2.0), atol=0)
 
 
 def test_backward_twice_is_error():
     x = rand_tensor((2,), requires_grad=True)
     with Tape() as tape:
-        loss = x.sum()
+        loss = tsum(x)
     tape.backward(loss)
     with pytest.raises(TapeError):
         tape.backward(loss)
@@ -445,24 +446,24 @@ def test_backward_twice_is_error():
 
 def test_backward_non_scalar_is_error():
     x = rand_tensor((2,), requires_grad=True)
-    with Tape():
+    with Tape() as tape:
         y = x * 2.0
     with pytest.raises(ShapeError):
-        backward(y)
+        tape.backward(y)
 
 
 def test_backward_detached_is_error():
     x = rand_tensor((2,), requires_grad=True)
-    loss = x.sum()  # no tape active
+    loss = tsum(x)  # no tape active
     with pytest.raises(TapeError):
-        backward(loss)
+        Tape().backward(loss)
 
 
 def test_grads_merge_across_tapes():
     x = rand_tensor((3,), requires_grad=True)
     for _ in range(2):
         with Tape() as tape:
-            loss = x.sum()
+            loss = tsum(x)
         tape.backward(loss)
     np.testing.assert_allclose(x.grad, np.full(3, 2.0), atol=0)
 
@@ -474,7 +475,7 @@ def test_tape_with_grads_dict_leaves_param_grads_alone():
 
     def loss_of():
         # x twice: its two adjoints (one a read-only broadcast) add up
-        return (x * w).sum() + x.sum()
+        return tsum(x * w) + tsum(x)
 
     with Tape() as tape:
         loss = loss_of()
@@ -498,13 +499,13 @@ def test_ops_on_another_thread_skip_the_callers_tape():
 
     def work():
         seen["tape"] = active_tape()
-        seen["out"] = (x * x).sum()
+        seen["out"] = tsum(x * x)
 
     with Tape() as tape:
         worker = threading.Thread(target=work)
         worker.start()
         worker.join(timeout=60)
-        loss = x.sum()
+        loss = tsum(x)
     assert not worker.is_alive()
     assert seen["tape"] is None and seen["out"]._tape is None
     assert len(tape._entries) == 1 and loss._tape is tape
@@ -513,7 +514,7 @@ def test_ops_on_another_thread_skip_the_callers_tape():
 def test_backward_empties_the_tape():
     x = rand_tensor((3, 4), requires_grad=True)
     with Tape() as tape:
-        loss = (x * x).sum()
+        loss = tsum(x * x)
     assert len(tape._entries) == 2
     tape.backward(loss)
     assert tape._entries == []
@@ -523,7 +524,7 @@ def test_backward_empties_the_tape():
 def test_nonfinite_loss_drops_entries():
     x = Tensor(np.array([0.5, 1.0, 2.0]), requires_grad=True)
     with Tape() as tape:
-        loss = (x * np.inf).sum()
+        loss = tsum(x * np.inf)
     with pytest.raises(NumericError):
         tape.backward(loss)
     assert tape._entries == []
@@ -534,13 +535,13 @@ def test_failed_forward_drops_entries():
     x = rand_tensor((3,), requires_grad=True)
     with pytest.raises(NumericError):
         with Tape() as tape:
-            loss = x.sum()
+            loss = tsum(x)
             softmax(x * np.nan)
     assert tape._entries == []
     with pytest.raises(TapeError):
         tape.backward(loss)
     with Tape() as fresh:
-        again = x.sum()
+        again = tsum(x)
     fresh.backward(again)
     np.testing.assert_allclose(x.grad, np.ones(3), atol=0)
 
@@ -550,27 +551,28 @@ def test_failed_forward_drops_entries():
 
 
 def square_sum(y):
-    return (y * y).sum()
+    return tsum(y * y)
 
 
 def test_grad_check_sum_is_zero_error():
     # exact up to central-difference rounding
     x = rand_tensor((6,), requires_grad=True)
-    assert grad_check(lambda t: t.sum(), x) < 1e-10
+    assert grad_check(tsum, x) < 1e-10
 
 
 @pytest.mark.parametrize("name,fn,shape", [
-    ("mul", lambda x: (x * x * 0.5).sum(), (7,)),
-    ("add_broadcast", lambda x: ((x + x.sum(axis=0, keepdims=True))
-                                 * (x + x.sum(axis=0, keepdims=True))).sum(),
+    ("mul", lambda x: tsum(x * x * 0.5), (7,)),
+    ("add_broadcast", lambda x: tsum((x + tsum(x, axis=0, keepdims=True))
+                                     * (x + tsum(x, axis=0, keepdims=True))),
      (5, 2)),
-    ("softmax", lambda x: (softmax(x, axis=-1) * softmax(x, axis=-1)).sum(), (4, 5)),
-    ("gelu", lambda x: gelu(x).sum(), (11,)),
-    ("sigmoid", lambda x: (sigmoid(x) * sigmoid(x)).sum(), (9,)),
-    ("mean_axis", lambda x: (x.mean(axis=0) * x.mean(axis=0)).sum(), (4, 3)),
-    ("sum_axis", lambda x: (x.sum(axis=1, keepdims=True) * x).sum(), (3, 4)),
-    ("mean", lambda x: x.mean(), (3, 4)),
-    ("reshape_t", lambda x: (x.reshape((6, 2)).transpose() * 2.0).sum(), (3, 4)),
+    ("softmax", lambda x: tsum(softmax(x, axis=-1) * softmax(x, axis=-1)), (4, 5)),
+    ("gelu", lambda x: tsum(gelu(x)), (11,)),
+    ("sigmoid", lambda x: tsum(sigmoid(x) * sigmoid(x)), (9,)),
+    ("mean_axis", lambda x: tsum(tmean(x, axis=0) * tmean(x, axis=0)), (4, 3)),
+    ("sum_axis", lambda x: tsum(tsum(x, axis=1, keepdims=True) * x), (3, 4)),
+    ("mean", lambda x: tmean(x), (3, 4)),
+    ("reshape_t", lambda x: tsum(transpose(reshape(x, (6, 2)), (1, 0)) * 2.0),
+     (3, 4)),
 ])
 def test_grad_check_elementwise_ops(name, fn, shape):
     x = rand_tensor(shape, requires_grad=True)
@@ -592,7 +594,7 @@ def run_projection(fn, leaves, upstream):
         leaf.zero_grad()
     with Tape() as tape:
         y = fn(*leaves)
-        loss = (y * Tensor(upstream)).sum()
+        loss = tsum(y * Tensor(upstream))
     tape.backward(loss)
     return [y.data] + [leaf.grad.copy() for leaf in leaves]
 
@@ -637,7 +639,7 @@ def test_grad_check_detects_wrong_rule():
         return _record(out, (x,), lambda g: (3.0 * g * x.data,))  # should be 2x
 
     x = rand_tensor((5,), requires_grad=True)
-    assert grad_check(lambda t: bad_square(t).sum(), x) > 1e-2
+    assert grad_check(lambda t: tsum(bad_square(t)), x) > 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +648,7 @@ def test_grad_check_detects_wrong_rule():
 
 def test_tensor_shape_data_invariant():
     t = rand_tensor((2, 3, 4), requires_grad=True)
-    assert int(np.prod(t.shape)) == t.size
+    assert int(np.prod(t.shape)) == t.data.size
     assert t.grad.shape == t.data.shape
 
 

@@ -247,7 +247,8 @@ def test_checkpoint_entry_order_does_not_matter(dataset, tmp_path):
 
     model, _, _, _ = training.load_checkpoint(ckpt, dataset)
     permuted, _, _, _ = training.load_checkpoint(old_order, dataset)
-    assert permuted.store.names() == model.store.names()
+    assert ([n for n, _ in permuted.store.items()]
+            == [n for n, _ in model.store.items()])
     for name, p in model.store.items():
         assert np.array_equal(permuted.store[name].data, p.data)
     sample = load_dataset(dataset, "val")[0]
@@ -413,7 +414,7 @@ def test_one_chunk_step_equals_one_tape_over_the_batch(dataset, tmp_path,
                              pred.mask.probs, training.loss_weights_from(cfg),
                              cfg.mode)
     tape.backward(loss)
-    assert grads.keys() == set(model.store.names())
+    assert grads.keys() == {n for n, _ in model.store.items()}
     for name, p in model.store.items():
         assert np.array_equal(grads[name], p.grad), name
 
@@ -780,7 +781,8 @@ def test_word_affinity_matches_manual_trace(dataset, tmp_path):
 
     from lawground.law import generate_all
 
-    _, (alphas,) = generate_all(model.text.encode([tokens]), model.law)
+    _, (alphas,) = generate_all(model.text.encode([tokens]), model.law,
+                                [len(tokens)])
     # manual trace for the duplicated word "red" (positions 1 and 6)
     per_layer = np.array([a.mean(axis=0)[[1, 6]].mean() for a in alphas])
     want = np.exp(per_layer - per_layer.max())
@@ -986,6 +988,38 @@ def test_cli_eval_truncated_image_exit_code(dataset, tmp_path, capsys):
     assert main(["eval", "--ckpt", str(tmp_path / "run" / "last.ckpt"),
                  "--config", str(cfg)]) == 2
     assert victim.name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,split", [("train", "train"), ("eval", "val")])
+def test_cli_unreadable_image_is_data_error(dataset, tmp_path, capsys,
+                                            command, split):
+    # a directory where the split's last image should be
+    data = tmp_path / "ds"
+    shutil.copytree(dataset, data)
+    victim = load_dataset(data, split)[-1].image_path
+    victim.unlink()
+    victim.mkdir()
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config_to_text(tiny_cfg(data, steps=8, eval_every=8)))
+    run = tmp_path / "run"
+    if command == "train":
+        argv = ["train", "--config", str(cfg), "--out", str(run)]
+    else:
+        training.train(tiny_cfg(dataset, steps=0), run)
+        argv = ["eval", "--ckpt", str(run / "last.ckpt"), "--config",
+                str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"cannot read {victim}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("res", [8, 0, -4])
+def test_cli_gen_resolution_too_small_is_data_error(tmp_path, capsys, res):
+    out = tmp_path / "ds"
+    assert main(["gen", "--out", str(out), "--n-train", "2", "--n-val", "1",
+                 "--n-test", "1", "--res", str(res)]) == 2
+    assert f"resolution {res} leaves no centre" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_eval_non_checkpoint_container_exit_code(tmp_path, capsys):

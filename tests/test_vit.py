@@ -3,7 +3,7 @@ import pytest
 
 from lawground.errors import ShapeError
 from lawground.params import ParamStore
-from lawground.tensor import Tensor, grad_check
+from lawground.tensor import Tensor, grad_check, tmean
 from lawground.vit import VisualBackbone, attention_rollout
 
 RNG = np.random.default_rng(21)
@@ -50,7 +50,7 @@ def test_patch_embed_rejects_indivisible():
 def test_block_single_token_reduces_to_residual_stack():
     bb, _ = build(image_size=8, patch=8, d_model=8, blocks=1, heads=2)
     x = Tensor(RNG.normal(size=(1, 8)))
-    out, (probs,) = bb.attention_block(x, bb.static_weights()[0], 0)
+    out, (probs,) = bb.attention_block(x, bb.static_weights()[0], 0, [1])
     np.testing.assert_allclose(probs, np.ones((2, 1, 1)), atol=0)
     assert out.shape == (1, 8)
 
@@ -60,7 +60,7 @@ def test_block_matches_brute_force_attention():
     bb, _ = build(image_size=24, patch=8, d_model=4, blocks=1, heads=1)
     x = RNG.normal(size=(3, 4))
     w = bb.static_weights()[0]
-    got, (probs,) = bb.attention_block(Tensor(x), w, 0)
+    got, (probs,) = bb.attention_block(Tensor(x), w, 0, [3])
 
     blk = bb.blocks[0]
 
@@ -94,8 +94,8 @@ def test_block_static_reference_identical_when_delta_zero():
     static = bb.static_weights()[0]
     zero_delta = static + Tensor(np.zeros(static.shape))
     x = Tensor(RNG.normal(size=(4, 8)))
-    a, _ = bb.attention_block(x, static, 0)
-    b, _ = bb.attention_block(x, zero_delta, 0)
+    a, _ = bb.attention_block(x, static, 0, [4])
+    b, _ = bb.attention_block(x, zero_delta, 0, [4])
     assert np.array_equal(a.data, b.data)
 
 
@@ -128,22 +128,23 @@ def test_forward_attention_rows_sum_to_one():
 
 
 def test_forward_grad_check_through_two_blocks():
-    bb, store = build(image_size=8, patch=4, d_model=4, blocks=2, heads=2)
-    img = Tensor(RNG.uniform(0, 1, (3, 8, 8)), requires_grad=True)
+    # images are inputs: the gradient reaches the patch embedding and both
+    # blocks' QKV weights
+    bb, _ = build(image_size=8, patch=4, d_model=4, blocks=2, heads=2)
+    img = Tensor(RNG.uniform(0, 1, (3, 8, 8)))
 
-    def readout(t):
-        feats, _ = bb.forward([t], bb.static_weights())
-        return (feats * feats).mean()
+    def readout(*_):
+        feats, _ = bb.forward([img], bb.static_weights())
+        return tmean(feats * feats)
 
-    assert grad_check(readout, img) <= 1e-4
+    assert grad_check(readout, [bb.patch_w, *bb.static_weights()]) <= 1e-4
 
 
 def test_forward_grad_check_two_images_with_per_image_weights():
     # stacked rows: each image projected by its own QKV weights, gradients
-    # reach both images and both weight stacks
+    # reach the patch embedding and both weight stacks
     bb, _ = build(image_size=8, patch=4, d_model=4, blocks=2, heads=2)
-    imgs = [Tensor(RNG.uniform(0, 1, (3, 8, 8)), requires_grad=True)
-            for _ in range(2)]
+    imgs = [Tensor(RNG.uniform(0, 1, (3, 8, 8))) for _ in range(2)]
     weights = [Tensor(np.stack([w.data + RNG.normal(0, 0.3, w.shape)
                                 for _ in imgs]), requires_grad=True)
                for w in bb.static_weights()]
@@ -152,9 +153,9 @@ def test_forward_grad_check_two_images_with_per_image_weights():
 
     def readout(*_):
         feats, _ = bb.forward(imgs, weights)
-        return (feats * feats * per_image).mean()
+        return tmean(feats * feats * per_image)
 
-    assert grad_check(readout, imgs + weights) <= 1e-4
+    assert grad_check(readout, [bb.patch_w, *weights]) <= 1e-4
 
 
 def test_block_permutation_equivariance():
@@ -162,8 +163,8 @@ def test_block_permutation_equivariance():
     x = RNG.normal(size=(16, 8))
     perm = RNG.permutation(16)
     w = bb.static_weights()[0]
-    base, _ = bb.attention_block(Tensor(x), w, 0)
-    shuffled, _ = bb.attention_block(Tensor(x[perm]), w, 0)
+    base, _ = bb.attention_block(Tensor(x), w, 0, [16])
+    shuffled, _ = bb.attention_block(Tensor(x[perm]), w, 0, [16])
     np.testing.assert_allclose(shuffled.data, base.data[perm], rtol=1e-12,
                                atol=1e-12)
 
@@ -198,10 +199,3 @@ def test_rollout_two_layers_matches_hand_product():
     want = want / want.max()
     np.testing.assert_allclose(got, want, atol=1e-12)
 
-
-def test_rollout_anchor_row():
-    # augmented uniform attention keeps self-weight: diag (0.25+1)/2, rest 0.125
-    probs = np.full((1, 4, 4), 0.25)
-    grid = attention_rollout([probs], side=2, anchor=1)
-    want = np.array([0.125, 0.625, 0.125, 0.125]) / 0.625
-    np.testing.assert_allclose(grid, want.reshape(2, 2), atol=1e-12)
