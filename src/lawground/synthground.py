@@ -319,7 +319,8 @@ def generate_dataset(out_dir, seed=0, n_train=4000, n_val=500, n_test=500,
     skipped = 0
     scene_id = 0
     counts = {}
-    for split, quota in (("train", n_train), ("val", n_val), ("test", n_test)):
+    quotas = {"train": n_train, "val": n_val, "test": n_test}
+    for split, quota in quotas.items():
         kept = 0
         for _ in range(quota):
             built = build_sample(seed, scene_id, resolution)
@@ -350,6 +351,13 @@ def generate_dataset(out_dir, seed=0, n_train=4000, n_val=500, n_test=500,
             scene_id += 1
         counts[split] = kept
 
+    empty = [split for split, quota in quotas.items()
+             if quota and not counts[split]]
+    if empty:
+        raise DataError(
+            f"resolution {resolution} kept no sample in the requested "
+            f"{', '.join(empty)} split{'s' if len(empty) > 1 else ''} "
+            f"({skipped} scenes skipped)")
     with open(out / "index.jsonl", "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")

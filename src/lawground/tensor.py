@@ -320,8 +320,10 @@ def gelu(x):
     return out
 
 
-def _softmax_(p, axis=-1):
+def _softmax_stats_(p, axis=-1):
     """Max-subtracted softmax of the float64 array p along `axis`, in place.
+    Returns the slice maxima m and normalisers s, with which _resoftmax_
+    redoes the same softmax of the same input bit for bit.
 
     Finiteness is checked on the slice maxima: a NaN or +inf anywhere in a
     slice makes its maximum non-finite, and so does a slice that is all -inf
@@ -332,7 +334,22 @@ def _softmax_(p, axis=-1):
         raise NumericError("softmax input contains NaN or +/-Inf")
     p -= m
     np.exp(p, out=p)
-    p /= np.sum(p, axis=axis, keepdims=True)
+    s = np.sum(p, axis=axis, keepdims=True)
+    p /= s
+    return m, s
+
+
+def _resoftmax_(p, m, s):
+    """The softmax _softmax_stats_ took of p, in place, from its stats."""
+    p -= m
+    np.exp(p, out=p)
+    p /= s
+    return p
+
+
+def _softmax_(p, axis=-1):
+    """Max-subtracted softmax of p along `axis`, in place; returns p."""
+    _softmax_stats_(p, axis)
     return p
 
 
@@ -375,8 +392,10 @@ def attention(qkv, heads, lengths):
     only to the rows of its own segment, so packed sequences never see each
     other. Returns the head-merged context (T, d), taped with qkv as its one
     parent, and one (H, L, L) probability array per segment. Each segment's
-    scores are built once and softmaxed in place; backward writes the three
-    gradient blocks into one (T, 3d) buffer.
+    scores are built once and softmaxed in place. The tape keeps only each
+    probability row's max and normaliser: backward rebuilds a segment's
+    probabilities with the forward's own ops, so they come out bit for bit
+    the same, and writes the three gradient blocks into one (T, 3d) buffer.
     """
     qkv = as_tensor(qkv)
     if qkv.ndim != 2 or qkv.shape[1] % 3:
@@ -389,22 +408,28 @@ def attention(qkv, heads, lengths):
     scale = 1.0 / np.sqrt(dh)
     q, k, v = qkv.data.reshape(n_tok, 3, heads, dh).transpose(1, 2, 0, 3)
     kt = k.swapaxes(1, 2)
-    ctx = np.empty((heads, n_tok, dh))
-    probs = []
-    for lo, hi in spans:
+
+    def scores(lo, hi):
         p = q[:, lo:hi] @ kt[:, :, lo:hi]
         p *= scale
-        _softmax_(p)
+        return p
+
+    ctx = np.empty((heads, n_tok, dh))
+    probs, stats = [], []
+    for lo, hi in spans:
+        p = scores(lo, hi)
+        stats.append(_softmax_stats_(p))
         ctx[:, lo:hi] = p @ v[:, lo:hi]
         probs.append(p)
     out = Tensor(ctx.transpose(1, 0, 2).reshape(n_tok, d))
 
-    def backfn(g, q=q, k=k, v=v):
+    def backfn(g):
         gctx = g.reshape(n_tok, heads, dh).transpose(1, 0, 2)
         gqkv = np.empty((n_tok, 3 * d))
         gq, gk, gv = gqkv.reshape(n_tok, 3, heads, dh).transpose(1, 2, 0, 3)
         qt, vt = q.swapaxes(1, 2), v.swapaxes(1, 2)
-        for (lo, hi), p in zip(spans, probs):
+        for (lo, hi), (m, s) in zip(spans, stats):
+            p = _resoftmax_(scores(lo, hi), m, s)
             gc = gctx[:, lo:hi]
             gv[:, lo:hi] = p.swapaxes(1, 2) @ gc
             gs = gc @ vt[:, :, lo:hi]  # w.r.t. p, then (in place) scores

@@ -37,9 +37,10 @@ LENGTH_BUCKETS = ((1, 5), (6, 7), (8, 10), (11, None))
 # 128x128 (at 64x64, 4-sample chunks cost less per sample than 8-sample ones)
 EVAL_ROWS = 256
 
-# visual-token rows per taped training chunk: 8 samples at 64x64, 2 at
-# 128x128. Taped chunks of 256 rows made the B=16 desk64 step slower, and
-# split a B=2 step at 128x128 into two chunks that raised its peak memory.
+# visual-token rows that fill a taped training chunk: a step of fewer rows
+# runs as one chunk, a step of this many or more as two or more chunks of
+# at most this many rows, so that both cores work (see split_batch).
+# Chunks of 256 rows made the B=16 desk64 step slower.
 STEP_ROWS = 512
 
 
@@ -265,6 +266,18 @@ def check_resolution(samples, cfg):
             f"dataset resolution {res} != model.image_size {cfg.image_size}")
 
 
+def split_batch(batch, tokens):
+    """A training batch of images of `tokens` visual tokens each, in order,
+    as chunks: one chunk below STEP_ROWS rows, else chunks of
+    min(STEP_ROWS // tokens, ceil(B / 2)) samples (at least one), the last
+    one short. The split reads only B and T, never the CPU count."""
+    n = len(batch)
+    size = n
+    if n * tokens >= STEP_ROWS:
+        size = max(1, min(STEP_ROWS // tokens, -(-n // 2)))
+    return [batch[i:i + size] for i in range(0, n, size)]
+
+
 def step_chunk(model, weights, mode, chunk, share, grads):
     """One chunk of a training batch on a tape of its own: the batch
     forward, the joint loss weighted by `share` (the chunk's fraction of the
@@ -355,8 +368,6 @@ def train(cfg, out_dir):
                 save_checkpoint(out / "best.ckpt", model, cfg, step, rng)
             return report
 
-        size = max(1, STEP_ROWS // model.backbone.n_tokens)
-
         def run_chunk(work):
             return step_chunk(model, weights, cfg.mode, *work)
 
@@ -378,7 +389,7 @@ def train(cfg, out_dir):
             # chunk 0 writes into each parameter's grad and the others into
             # dicts of their own, which this thread adds in chunk order, so
             # the sums depend on the chunk split only
-            chunks = [batch[i:i + size] for i in range(0, len(batch), size)]
+            chunks = split_batch(batch, model.backbone.n_tokens)
             work = [(chunk, len(chunk) / len(batch), {} if k else None)
                     for k, chunk in enumerate(chunks)]
             parts, failure = {}, None

@@ -303,12 +303,36 @@ def test_backward_closures_hold_no_weight_stack_or_layer_norm_output(
     tape.backward(loss)
 
 
+def test_backward_closures_hold_no_attention_probabilities(vocab,
+                                                          monkeypatch):
+    # attention keeps each probability row's max and normaliser, and its
+    # backward rebuilds every segment's (H, L, L) probabilities
+    probs = []
+    original = attention.attention
+
+    def spying(qkv, heads, lengths):
+        ctx, maps = original(qkv, heads, lengths)
+        probs.extend(maps)
+        return ctx, maps
+
+    monkeypatch.setattr(attention, "attention", spying)
+    model, images, tokens, boxes, masks = desk64_chunk(vocab)
+    tape, loss = record_chunk(model, images, tokens, boxes, masks)
+    cfg, t = model.config, model.backbone.n_tokens
+    assert len(probs) == (cfg.text_layers + cfg.blocks) * len(images)
+    assert (cfg.heads, t, t) in {p.shape for p in probs}
+    held = [a for *_, backfn in tape._entries for a in held_arrays(backfn)]
+    assert held and not [p.shape for p in probs for a in held
+                         if a.shape == p.shape and np.array_equal(a, p)]
+    tape.backward(loss)
+
+
 # tracemalloc bytes one 8-sample desk64 chunk's tape holds after its forward
-# and joint loss: 21.40 MiB measured with each activation kept once and the
-# mask branch on token rows. The 0.5 MiB margin is half of one ViT block's
-# GELU slope array, so a closure that keeps a block's activation by accident
-# fails it.
-CHUNK_GRAPH_MIB = 21.40 + 0.5
+# and joint loss: 17.53 MiB measured with each activation kept once, the
+# mask branch on token rows and attention probabilities rebuilt in
+# backward. The 0.5 MiB margin is half of one ViT block's GELU slope array,
+# so a closure that keeps a block's activation by accident fails it.
+CHUNK_GRAPH_MIB = 17.53 + 0.5
 
 
 def test_chunk_graph_size_is_pinned(vocab):

@@ -28,6 +28,7 @@ from lawground.tensor import (
     layer_norm_linear,
     linear,
     reshape,
+    segment_bounds,
     sigmoid,
     softmax,
     take_rows,
@@ -257,6 +258,68 @@ def test_segmented_attention_matches_each_segment_alone():
         np.testing.assert_allclose(x.grad[rows], want_g, rtol=0, atol=1e-15)
         lo += n
     assert np.array_equal(probs[1], np.ones((heads, 1, 1)))
+
+
+def kept_probs_attention(qkv, heads, lengths):
+    """tensor.attention as it was while its tape entry kept each segment's
+    probabilities, kept verbatim as the oracle of the rebuilding backward."""
+    n_tok, d = qkv.shape[0], qkv.shape[1] // 3
+    spans = segment_bounds(lengths, n_tok)
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+    q, k, v = qkv.data.reshape(n_tok, 3, heads, dh).transpose(1, 2, 0, 3)
+    kt = k.swapaxes(1, 2)
+    ctx = np.empty((heads, n_tok, dh))
+    probs = []
+    for lo, hi in spans:
+        p = q[:, lo:hi] @ kt[:, :, lo:hi]
+        p *= scale
+        _softmax_(p)
+        ctx[:, lo:hi] = p @ v[:, lo:hi]
+        probs.append(p)
+    out = Tensor(ctx.transpose(1, 0, 2).reshape(n_tok, d))
+
+    def backfn(g, q=q, k=k, v=v):
+        gctx = g.reshape(n_tok, heads, dh).transpose(1, 0, 2)
+        gqkv = np.empty((n_tok, 3 * d))
+        gq, gk, gv = gqkv.reshape(n_tok, 3, heads, dh).transpose(1, 2, 0, 3)
+        qt, vt = q.swapaxes(1, 2), v.swapaxes(1, 2)
+        for (lo, hi), p in zip(spans, probs):
+            gc = gctx[:, lo:hi]
+            gv[:, lo:hi] = p.swapaxes(1, 2) @ gc
+            gs = gc @ vt[:, :, lo:hi]
+            dot = np.sum(gs * p, axis=-1, keepdims=True)
+            gs -= dot
+            gs *= p
+            gs *= scale
+            gq[:, lo:hi] = gs @ k[:, lo:hi]
+            gk[:, lo:hi] = (qt[:, :, lo:hi] @ gs).swapaxes(1, 2)
+        return (gqkv,)
+
+    return _record(out, (qkv,), backfn), probs
+
+
+@pytest.mark.parametrize("lengths,heads,dh", [
+    ((7, 3, 12, 1, 9, 5, 10, 4), 4, 16),  # packed text-like expressions
+    ((256,), 4, 16),                       # one 128x128 image's tokens
+    ((6, 2, 9), 3, 3),                     # a scale that is not exact
+])
+def test_rebuilt_probabilities_give_the_kept_probabilities_gradients(
+        lengths, heads, dh):
+    # backward rebuilds each segment's probabilities with the forward's ops
+    # from the row maxima and normalisers, so every output and gradient
+    # equals the keep-the-probabilities formula's bit for bit
+    rng = np.random.default_rng(sum(lengths))
+    qkv = 2.0 * rng.normal(size=(sum(lengths), 3 * heads * dh))
+    upstream = rng.normal(size=(sum(lengths), heads * dh))
+    got = run_attention(lambda x, h: attention(x, h, lengths), qkv, heads,
+                        upstream)
+    want = run_attention(lambda x, h: kept_probs_attention(x, h, lengths),
+                         qkv, heads, upstream)
+    assert np.array_equal(got[0], want[0])
+    assert len(got[1]) == len(want[1]) == len(lengths)
+    assert all(np.array_equal(g, w) for g, w in zip(got[1], want[1]))
+    assert np.array_equal(got[2], want[2])
 
 
 def test_attention_rejects_bad_segments():

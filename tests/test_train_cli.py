@@ -419,24 +419,59 @@ def test_one_chunk_step_equals_one_tape_over_the_batch(dataset, tmp_path,
         assert np.array_equal(grads[name], p.grad), name
 
 
+@pytest.mark.parametrize("rows,batch,sizes", [
+    (32, 2, [1, 1]),  # 32 rows fill a chunk: split in two
+    (32, 1, [1]),
+    (64, 3, [3]),     # 48 rows stay one chunk
+])
+def test_step_splits_only_batches_that_fill_step_rows(dataset, tmp_path,
+                                                      monkeypatch, rows,
+                                                      batch, sizes):
+    # the tiny config's images have 16 visual tokens
+    monkeypatch.setattr(training, "STEP_ROWS", rows)
+    cfg = tiny_cfg(dataset, batch_size=batch)
+    _, _, chunks = one_step(monkeypatch, cfg, tmp_path / "run")
+    assert [len(c) for c in chunks] == sizes
+
+
+@pytest.mark.parametrize("batch,tokens,sizes", [
+    (2, 256, [1, 1]),   # B=2 at 128x128
+    (3, 256, [2, 1]),
+    (8, 64, [4, 4]),    # B=8 at 64x64
+    (16, 64, [8, 8]),
+    (4, 64, [4]),
+    (1, 1024, [1]),     # one image past STEP_ROWS alone
+])
+def test_split_batch_at_step_rows_512(batch, tokens, sizes):
+    assert training.STEP_ROWS == 512
+    chunks = training.split_batch(list(range(batch)), tokens)
+    assert [len(c) for c in chunks] == sizes
+    assert sum(chunks, []) == list(range(batch))
+
+
 def test_chunked_run_does_not_depend_on_worker_count(dataset, tmp_path,
                                                      monkeypatch):
-    # chunks of 2 samples: a B=5 step is 3 chunks, the last one short
+    # chunks of 2 samples: a B=5 step is 3 chunks, the last one short; a
+    # B=2 step fills the 32 rows exactly and runs as two 1-sample chunks
     monkeypatch.setattr(training, "STEP_ROWS", 32)
-    cfg = tiny_cfg(dataset, steps=4, batch_size=5, log_every=1, eval_every=2)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        # more workers than this host may have cores, switching often
-        for workers in (1, 2, 4):
-            monkeypatch.setattr(training, "usable_cpus", lambda: workers)
-            training.train(cfg, tmp_path / str(workers))
-    finally:
-        sys.setswitchinterval(interval)
-    for workers in (2, 4):
-        for rel in ("metrics.csv", "batches.log", "last.ckpt", "best.ckpt"):
-            assert (tmp_path / "1" / rel).read_bytes() == \
-                (tmp_path / str(workers) / rel).read_bytes(), (workers, rel)
+    for batch in (5, 2):
+        cfg = tiny_cfg(dataset, steps=4, batch_size=batch, log_every=1,
+                       eval_every=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # more workers than this host may have cores, switching often
+            for workers in (1, 2, 4):
+                monkeypatch.setattr(training, "usable_cpus", lambda: workers)
+                training.train(cfg, tmp_path / f"{batch}-{workers}")
+        finally:
+            sys.setswitchinterval(interval)
+        for workers in (2, 4):
+            for rel in ("metrics.csv", "batches.log", "last.ckpt",
+                        "best.ckpt"):
+                assert (tmp_path / f"{batch}-1" / rel).read_bytes() == \
+                    (tmp_path / f"{batch}-{workers}" / rel).read_bytes(), \
+                    (batch, workers, rel)
 
 
 def test_package_import_pins_openblas_to_one_thread():
@@ -1020,6 +1055,19 @@ def test_cli_gen_resolution_too_small_is_data_error(tmp_path, capsys, res):
                  "--n-test", "1", "--res", str(res)]) == 2
     assert f"resolution {res} leaves no centre" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("res", [11, 16])
+def test_cli_gen_resolution_that_keeps_no_sample_is_data_error(tmp_path,
+                                                               capsys, res):
+    # a large object fits, but every scene is skipped: no split is written
+    out = tmp_path / "ds"
+    assert main(["gen", "--out", str(out), "--n-train", "20", "--n-val", "4",
+                 "--n-test", "0", "--res", str(res)]) == 2
+    err = capsys.readouterr().err
+    assert f"resolution {res} kept no sample in the requested train, val " \
+           f"splits" in err
+    assert not (out / "index.jsonl").exists()
 
 
 def test_cli_eval_non_checkpoint_container_exit_code(tmp_path, capsys):
