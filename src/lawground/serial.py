@@ -1,4 +1,5 @@
-"""Flat named-array container used for checkpoints and test fixtures.
+"""Flat named-array container used for checkpoints and test fixtures, and
+the output-directory helper every writer of the package shares.
 
 Layout (all integers little-endian):
 
@@ -13,6 +14,7 @@ Entry order is preserved, so save -> load -> save is byte-identical.
 
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +24,19 @@ MAGIC = b"NARR1\x00"
 
 _TAG_TO_DTYPE = {0: "<f8", 1: "<i8", 2: "u1"}
 _KIND_TO_TAG = {"f": 0, "i": 1, "u": 2}
+
+
+def make_dir(path):
+    """Create directory `path` and any missing parents, and return it as a
+    Path. A path that names an existing file, or lies under one, or that
+    cannot be created, raises DataError naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {path}: "
+                        f"{exc.strerror or exc}") from exc
+    return path
 
 
 def write_arrays(path, arrays):

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import netpbm
 from .errors import DataError
+from .serial import make_dir
 from .text import Vocabulary
 
 SHAPES = ("circle", "square", "triangle")
@@ -311,9 +312,9 @@ def generate_dataset(out_dir, seed=0, n_train=4000, n_val=500, n_test=500,
     if resolution < 2 * radius + 5:
         raise DataError(f"resolution {resolution} leaves no centre for a "
                         f"large object of radius {radius}")
-    out = Path(out_dir)
-    (out / "images").mkdir(parents=True, exist_ok=True)
-    (out / "masks").mkdir(parents=True, exist_ok=True)
+    out = make_dir(out_dir)
+    make_dir(out / "images")
+    make_dir(out / "masks")
 
     records = []
     skipped = 0

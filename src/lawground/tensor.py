@@ -384,18 +384,61 @@ def segment_bounds(lengths, n_rows):
     return bounds
 
 
-def attention(qkv, heads, lengths):
+# Scores one block of heads holds at once: 2^16 float64 (512 KiB), so that
+# no (H, L, L) array is live unless the caller collects the probabilities.
+# That is one head of a 256-token (128x128) image and every head of a
+# 64-token image or a text segment; a head whose scores alone exceed it is
+# a block by itself.
+_BLOCK_SCORES = 2 ** 16
+
+
+def _head_blocks(spans, heads):
+    """(lo, hi, h0, h1) per block: a segment's rows lo:hi and the run of
+    heads h0:h1 whose scores fit _BLOCK_SCORES (at least one head)."""
+    blocks = []
+    for lo, hi in spans:
+        step = max(1, _BLOCK_SCORES // (hi - lo) ** 2)
+        blocks += [(lo, hi, h, min(h + step, heads))
+                   for h in range(0, heads, step)]
+    return blocks
+
+
+def _scratch(blocks):
+    """A flat buffer that can hold the scores of any one of the blocks."""
+    return np.empty(max((h1 - h0) * (hi - lo) ** 2
+                        for lo, hi, h0, h1 in blocks))
+
+
+def _block_view(buf, block):
+    """The leading (h1 - h0, L, L) of buf, for one block's scores."""
+    lo, hi, h0, h1 = block
+    return buf[:(h1 - h0) * (hi - lo) ** 2].reshape(h1 - h0, hi - lo, hi - lo)
+
+
+def _scores(buf, q, kt, scale, block):
+    """One block's scaled scores q kᵀ * scale, written into buf."""
+    lo, hi, h0, h1 = block
+    p = np.matmul(q[h0:h1, lo:hi], kt[h0:h1, :, lo:hi],
+                  out=_block_view(buf, block))
+    p *= scale
+    return p
+
+
+def attention(qkv, heads, lengths, collect=False):
     """Scaled dot-product attention of fused (T, 3d) query/key/value rows.
 
     Heads split each d-wide block into `heads` slices of dh = d / heads.
     `lengths` splits the rows into consecutive segments; a row attends
     only to the rows of its own segment, so packed sequences never see each
     other. Returns the head-merged context (T, d), taped with qkv as its one
-    parent, and one (H, L, L) probability array per segment. Each segment's
-    scores are built once and softmaxed in place. The tape keeps only each
-    probability row's max and normaliser: backward rebuilds a segment's
-    probabilities with the forward's own ops, so they come out bit for bit
-    the same, and writes the three gradient blocks into one (T, 3d) buffer.
+    parent, and, if `collect`, one (H, L, L) probability array per segment
+    (else None). Each segment runs one block of heads at a time (see
+    _BLOCK_SCORES), its scores built and softmaxed in place in a scratch
+    buffer of this call. The tape keeps only each probability row's max
+    and normaliser: backward rebuilds a block's probabilities with the
+    forward's own ops in a scratch buffer of its own, so they come out bit
+    for bit the same, and writes the three gradient blocks into one
+    (T, 3d) buffer.
     """
     qkv = as_tensor(qkv)
     if qkv.ndim != 2 or qkv.shape[1] % 3:
@@ -404,23 +447,24 @@ def attention(qkv, heads, lengths):
     if d % heads:
         raise ShapeError(f"head count {heads} does not divide width {d}")
     spans = segment_bounds(lengths, n_tok)
+    blocks = _head_blocks(spans, heads)
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
     q, k, v = qkv.data.reshape(n_tok, 3, heads, dh).transpose(1, 2, 0, 3)
     kt = k.swapaxes(1, 2)
 
-    def scores(lo, hi):
-        p = q[:, lo:hi] @ kt[:, :, lo:hi]
-        p *= scale
-        return p
-
+    buf = _scratch(blocks)
     ctx = np.empty((heads, n_tok, dh))
-    probs, stats = [], []
-    for lo, hi in spans:
-        p = scores(lo, hi)
+    probs, stats = [] if collect else None, []
+    for block in blocks:
+        lo, hi, h0, h1 = block
+        p = _scores(buf, q, kt, scale, block)
         stats.append(_softmax_stats_(p))
-        ctx[:, lo:hi] = p @ v[:, lo:hi]
-        probs.append(p)
+        ctx[h0:h1, lo:hi] = p @ v[h0:h1, lo:hi]
+        if collect:
+            if h0 == 0:  # a segment's first block
+                probs.append(np.empty((heads, hi - lo, hi - lo)))
+            probs[-1][h0:h1] = p
     out = Tensor(ctx.transpose(1, 0, 2).reshape(n_tok, d))
 
     def backfn(g):
@@ -428,19 +472,23 @@ def attention(qkv, heads, lengths):
         gqkv = np.empty((n_tok, 3 * d))
         gq, gk, gv = gqkv.reshape(n_tok, 3, heads, dh).transpose(1, 2, 0, 3)
         qt, vt = q.swapaxes(1, 2), v.swapaxes(1, 2)
-        for (lo, hi), (m, s) in zip(spans, stats):
-            p = _resoftmax_(scores(lo, hi), m, s)
-            gc = gctx[:, lo:hi]
-            gv[:, lo:hi] = p.swapaxes(1, 2) @ gc
-            gs = gc @ vt[:, :, lo:hi]  # w.r.t. p, then (in place) scores
+        p_buf, gs_buf = _scratch(blocks), _scratch(blocks)
+        for block, (m, s) in zip(blocks, stats):
+            lo, hi, h0, h1 = block
+            p = _resoftmax_(_scores(p_buf, q, kt, scale, block), m, s)
+            gc = gctx[h0:h1, lo:hi]
+            gv[h0:h1, lo:hi] = p.swapaxes(1, 2) @ gc
+            # w.r.t. p, then (in place) scores
+            gs = np.matmul(gc, vt[h0:h1, :, lo:hi],
+                           out=_block_view(gs_buf, block))
             dot = np.sum(gs * p, axis=-1, keepdims=True)
             gs -= dot
             gs *= p
             gs *= scale
-            gq[:, lo:hi] = gs @ k[:, lo:hi]
+            gq[h0:h1, lo:hi] = gs @ k[h0:h1, lo:hi]
             # k's gradient as (q^T gs)^T, the product the unfused ops took;
             # BLAS may round gs^T q differently
-            gk[:, lo:hi] = (qt[:, :, lo:hi] @ gs).swapaxes(1, 2)
+            gk[h0:h1, lo:hi] = (qt[h0:h1, :, lo:hi] @ gs).swapaxes(1, 2)
         return (gqkv,)
 
     return _record(out, (qkv,), backfn), probs
@@ -509,6 +557,34 @@ def linear(x, w, b=None):
     y += b.data
     return _record(Tensor(y), (x, w, b), lambda g: (
         *_project_grads(g, xd, wd), g.sum(axis=0)))
+
+
+def gelu_linear(u, w, b):
+    """linear(gelu(u), w, b) as one op with the same arithmetic, for a
+    transformer block's fc2 over its (n, k) pre-activation u.
+
+    The tape entry keeps only u: backward rebuilds the GELU output and its
+    slope from u with gelu_cdf and gelu_slope, as the forward and gelu's
+    own record build them, so the MLP hidden is not kept twice.
+    """
+    u, w, b = as_tensor(u), as_tensor(w), as_tensor(b)
+    _check_linear(u.shape, w.shape)
+    ud, wd = u.data, w.data
+    y = _project(ud * gelu_cdf(ud), wd)
+    y += b.data
+    out = Tensor(y)
+    tape = active_tape()
+    if tape is None:
+        return out
+
+    def backfn(g):
+        cdf = gelu_cdf(ud)
+        gh, gw = _project_grads(g, ud * cdf, wd)
+        gh *= gelu_slope(ud, cdf)
+        return gh, gw, g.sum(axis=0)
+
+    tape.record(out, (u, w, b), backfn)
+    return out
 
 
 def tsum(x, axis=None, keepdims=False):

@@ -23,7 +23,8 @@ from .losses import (LossWeights, box_iou, mask_iou, prec_at_05,
                      total_loss)
 from .model import GroundingModel
 from .optim import AdamW
-from .serial import array_to_str, read_arrays, str_to_array, write_arrays
+from .serial import (array_to_str, make_dir, read_arrays, str_to_array,
+                     write_arrays)
 from .synthground import flip_sample, load_dataset, load_vocab
 from .tensor import Tape
 from .vit import attention_rollout
@@ -320,8 +321,7 @@ def train(cfg, out_dir):
     """Run the configured schedule; writes checkpoints, metrics.csv,
     batches.log, and returns a TrainResult."""
     cfg = validate(replace(cfg))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(out_dir)
     if not cfg.data_path:
         raise ConfigError("data.path is required for training")
 
@@ -430,15 +430,14 @@ def train(cfg, out_dir):
 
 
 def evaluate_checkpoint(ckpt_path, data_path, split, out_dir=None):
+    out = None if out_dir is None else make_dir(out_dir)
     model, cfg, step, _ = load_checkpoint(ckpt_path, data_path)
     samples = load_dataset(cfg.data_path, split)
     if not samples:
         raise ConfigError(f"split {split!r} is empty under {cfg.data_path}")
     check_resolution(samples, cfg)
     report = evaluate_model(model, samples, cfg.threshold)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         lines = [",".join(METRIC_COLUMNS), *report_rows(step, split, report)]
         (out / "eval_metrics.csv").write_text("\n".join(lines) + "\n",
                                               encoding="utf-8")
@@ -485,13 +484,12 @@ def word_layer_affinity(vocab, tokens, alphas):
 
 def inspect(ckpt_path, data_path, scene_id, out_dir):
     """Dump attention maps, prediction overlay, and the word/layer table."""
+    out = make_dir(out_dir)
     model, cfg, _, _ = load_checkpoint(ckpt_path, data_path)
     sample = next((s for s in load_dataset(cfg.data_path)
                    if s.scene_id == scene_id), None)
     if sample is None:
         raise ConfigError(f"sample {scene_id} not found in {cfg.data_path}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     tokens = model.tokenize(sample.expression)
     image, gt_mask = sample.arrays(cfg.image_size)
@@ -549,8 +547,7 @@ ABLATION_ARMS = (
 def ablate(base_cfg, out_dir):
     """Train the four component arms with a shared seed and budget; emits a
     toggle-table CSV of val precision (overall and relational subset)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(out_dir)
     rows = []
     batch_logs = []
     for label, toggles in ABLATION_ARMS:

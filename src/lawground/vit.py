@@ -78,16 +78,16 @@ class VisualBackbone:
         x = reshape(x, (n, t, self.d_model)) + self.pos
         return reshape(x, (n * t, self.d_model))
 
-    def attention_block(self, x, qkv_w, layer, lengths):
+    def attention_block(self, x, qkv_w, layer, lengths, collect=False):
         """Block `layer` of the stack over the row block x with the supplied
         fused QKV projection: one (3d, d) matrix for all rows, or the
         generator's Rebuilt (B, 3d, d) stack, whose weight b projects the
         b-th of B equal row blocks.
         `lengths` splits the rows into images that attend only within
-        themselves. Returns the block output and one (H, T, T) array of
-        attention probabilities per image."""
+        themselves. Returns the block output and, if `collect`, one
+        (H, T, T) array of attention probabilities per image (else None)."""
         return transformer_block(x, self.blocks[layer], qkv_w, self.heads,
-                                 lengths)
+                                 lengths, collect)
 
     def forward(self, images, weights, collect_attention=False):
         """Run all blocks once over a batch of images stacked into one row
@@ -107,7 +107,8 @@ class VisualBackbone:
         x = self.patch_embed(images)
         attn = []
         for i in range(self.n_blocks):
-            x, probs = self.attention_block(x, weights[i], i, lengths)
+            x, probs = self.attention_block(x, weights[i], i, lengths,
+                                            collect_attention)
             if collect_attention:
                 attn.append(probs)
         x = layer_norm(x, self.final_g, self.final_b)

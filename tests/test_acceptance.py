@@ -31,6 +31,7 @@ from lawground.tensor import (
     attention,
     bilinear_upsample,
     gelu,
+    gelu_linear,
     grad_check,
     layer_norm,
     layer_norm_linear,
@@ -265,6 +266,12 @@ def test_criterion_2_gradient_suite():
           lambda z: losses.mask_loss(masks_true, sigmoid(z),
                                      losses.LossWeights())[0],
           [Tensor(loss_rng.normal(size=(3, 3, 3)), requires_grad=True)])
+    # a transformer block's fused GELU and fc2, own stream
+    fc2_rng = np.random.default_rng(20)
+    check("gelu_linear", lambda u, w, b: sq(gelu_linear(u, w, b)),
+          [Tensor(fc2_rng.normal(size=(4, 6)), requires_grad=True),
+           Tensor(fc2_rng.normal(size=(5, 6)), requires_grad=True),
+           Tensor(fc2_rng.normal(size=(5,)), requires_grad=True)])
 
     # full multitask loss through a 2-block toy model, grads w.r.t. all params
     model = toy_model(seed=5)

@@ -9,15 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lawground import attention, losses, vit
+from lawground import attention, losses, tensor, vit
 from lawground.attention import transformer_block
 from lawground.config import TrainConfig
 from lawground.law import layer_cores
 from lawground.model import GroundingModel
 from lawground.synthground import LEXICON, generate_dataset
 from lawground.tensor import (Tape, Tensor, bilinear_upsample, gelu,
-                              layer_norm, linear, reshape, sigmoid, softmax,
-                              tmean, transpose)
+                              gelu_cdf, gelu_slope, layer_norm, linear,
+                              reshape, sigmoid, softmax, tmean, transpose)
 from lawground.text import Vocabulary
 from lawground.train import train
 
@@ -257,8 +257,8 @@ def test_backward_closures_hold_no_graph_tensor(vocab, monkeypatch):
     residual = []
     original = vit.VisualBackbone.attention_block
 
-    def keeping_block0(self, x, qkv_w, layer, lengths=None):
-        out, probs = original(self, x, qkv_w, layer, lengths)
+    def keeping_block0(self, x, qkv_w, layer, lengths, collect=False):
+        out, probs = original(self, x, qkv_w, layer, lengths, collect)
         if layer == 0:
             residual.append(weakref.ref(out))
         return out, probs
@@ -310,8 +310,8 @@ def test_backward_closures_hold_no_attention_probabilities(vocab,
     probs = []
     original = attention.attention
 
-    def spying(qkv, heads, lengths):
-        ctx, maps = original(qkv, heads, lengths)
+    def spying(qkv, heads, lengths, collect=False):
+        ctx, maps = original(qkv, heads, lengths, True)
         probs.extend(maps)
         return ctx, maps
 
@@ -327,12 +327,85 @@ def test_backward_closures_hold_no_attention_probabilities(vocab,
     tape.backward(loss)
 
 
+def res128_sample(vocab):
+    """A 128x128 default-config model and the inputs of one taped sample
+    (256 visual tokens, so attention runs one head per block)."""
+    rng = np.random.default_rng(8)
+    model = GroundingModel(TrainConfig(image_size=128), vocab)
+    image = model.image_tensor(rng.integers(0, 255, (128, 128, 3),
+                                            dtype=np.uint8))
+    tokens = model.tokenize("the leftmost blue square")
+    mask = np.zeros((1, 128, 128))
+    mask[0, 20:60, 40:80] = 1.0
+    return model, [image], [tokens], np.array([[0.4, 0.3, 0.3, 0.3]]), mask
+
+
+def test_backward_closures_hold_no_attention_scratch_or_gelu_hidden(
+        vocab, monkeypatch):
+    # attention's score blocks live in a scratch buffer of the forward call,
+    # and fc2's entry keeps only the GELU's input: no tape entry reaches a
+    # scratch buffer, a GELU output or a GELU slope
+    buffers, hidden = [], []
+    scratch = tensor._scratch
+
+    def recording_scratch(blocks):
+        buffers.append(scratch(blocks))
+        return buffers[-1]
+
+    fused = attention.gelu_linear
+
+    def recording_gelu_linear(u, w, b):
+        cdf = gelu_cdf(u.data)
+        hidden.extend([u.data * cdf, gelu_slope(u.data, cdf)])
+        return fused(u, w, b)
+
+    monkeypatch.setattr(tensor, "_scratch", recording_scratch)
+    monkeypatch.setattr(attention, "gelu_linear", recording_gelu_linear)
+    model, images, tokens, boxes, masks = res128_sample(vocab)
+    tape, loss = record_chunk(model, images, tokens, boxes, masks)
+    cfg = model.config
+    assert len(buffers) == cfg.text_layers + cfg.blocks
+    assert len(hidden) == 2 * (cfg.text_layers + cfg.blocks)
+    assert buffers[-1].size == 2 ** 16  # one 256-token head's scores
+    held = [a for *_, backfn in tape._entries for a in held_arrays(backfn)]
+    assert held and not [a for a in held for b in buffers if a is b]
+    assert not [a.shape for a in held for h in hidden
+                if a.shape == h.shape and np.array_equal(a, h)]
+    tape.backward(loss)
+
+
+# tracemalloc peak of one taped 128x128 sample's forward, joint loss and
+# backward: 7.38 MiB measured with attention in head blocks through
+# per-call scratch buffers, probabilities built only when collected and
+# fc2's entry keeping only the GELU input (13.03 MiB before). The 0.5 MiB
+# margin is one ViT block's (256, 256) GELU hidden array, so an (H, T, T)
+# array or a kept hidden fails it.
+SAMPLE_128_PEAK_MIB = 7.38 + 0.5
+
+
+def test_128_sample_peak_is_pinned(vocab):
+    model, images, tokens, boxes, masks = res128_sample(vocab)
+    model.forward_batch(images, tokens)  # fills the upsampling cache
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tape, loss = record_chunk(model, images, tokens, boxes, masks)
+        tape.backward(loss)
+        del tape, loss
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= SAMPLE_128_PEAK_MIB * 2 ** 20, peak / 2 ** 20
+
+
 # tracemalloc bytes one 8-sample desk64 chunk's tape holds after its forward
-# and joint loss: 17.53 MiB measured with each activation kept once, the
-# mask branch on token rows and attention probabilities rebuilt in
-# backward. The 0.5 MiB margin is half of one ViT block's GELU slope array,
-# so a closure that keeps a block's activation by accident fails it.
-CHUNK_GRAPH_MIB = 17.53 + 0.5
+# and joint loss: 13.38 MiB measured with each activation kept once, the
+# mask branch on token rows, attention probabilities rebuilt in backward
+# and fc2's entry keeping only the GELU input (17.53 MiB while the GELU
+# slope and output were kept too). The 0.5 MiB margin is half of one ViT
+# block's GELU hidden array, so a closure that keeps a block's activation
+# by accident fails it.
+CHUNK_GRAPH_MIB = 13.38 + 0.5
 
 
 def test_chunk_graph_size_is_pinned(vocab):
@@ -493,7 +566,7 @@ def per_sample_forward(model, image, tokens):
     maps = []
     for layer in range(bb.n_blocks):
         x, probs = transformer_block(x, bb.blocks[layer], weights[layer],
-                                     bb.heads, [bb.n_tokens])
+                                     bb.heads, [bb.n_tokens], True)
         maps.append(probs[0])
     x = layer_norm(x, bb.final_g, bb.final_b)
     return (x.data, maps,

@@ -14,6 +14,8 @@ from lawground.params import ParamStore
 from lawground.tensor import (
     Tape,
     Tensor,
+    _BLOCK_SCORES,
+    _head_blocks,
     _libm_ufunc,
     _record,
     _softmax_,
@@ -23,6 +25,7 @@ from lawground.tensor import (
     erf,
     expit,
     gelu,
+    gelu_linear,
     grad_check,
     layer_norm,
     layer_norm_linear,
@@ -137,7 +140,7 @@ def composed_attention(qkv, heads, key_bias=None):
 
 def one_segment(qkv, heads):
     """attention over one sequence: its context and (H, T, T) probabilities."""
-    ctx, (probs,) = attention(qkv, heads, [qkv.shape[0]])
+    ctx, (probs,) = attention(qkv, heads, [qkv.shape[0]], True)
     return ctx, probs
 
 
@@ -165,15 +168,18 @@ def test_attention_matches_composed_primitives(n_tok, heads, dh):
             np.testing.assert_allclose(g, w, rtol=1e-15, atol=0)
 
 
-def test_transformer_block_records_eight_entries():
+def test_transformer_block_records_seven_entries():
     blk = block_params(ParamStore(0), "b.", 4, 16)
     with Tape() as tape:
         out, (probs,) = transformer_block(rand_tensor((5, 4)), blk,
-                                          blk["qkv_w"], 2, [5])
-    # ln + qkv, attention, linear, add, ln + fc1, gelu, linear, add
-    assert len(tape._entries) == 8
+                                          blk["qkv_w"], 2, [5], True)
+    # ln + qkv, attention, linear, add, ln + fc1, gelu + fc2, add
+    assert len(tape._entries) == 7
     assert out.shape == (5, 4)
     assert isinstance(probs, np.ndarray) and probs.shape == (2, 5, 5)
+    # probabilities are built only when collected
+    assert transformer_block(rand_tensor((5, 4)), blk, blk["qkv_w"], 2,
+                             [5])[1] is None
 
 
 def test_attention_nan_raises_and_records_nothing():
@@ -243,7 +249,7 @@ def test_segmented_attention_matches_each_segment_alone():
     upstream = rng.normal(size=(sum(lengths), d))
     x = Tensor(qkv.copy(), requires_grad=True)
     with Tape() as tape:
-        ctx, probs = attention(x, heads, lengths)
+        ctx, probs = attention(x, heads, lengths, True)
         loss = tsum(ctx * Tensor(upstream))
     tape.backward(loss)
     assert [p.shape for p in probs] == [(heads, n, n) for n in lengths]
@@ -303,23 +309,40 @@ def kept_probs_attention(qkv, heads, lengths):
     ((7, 3, 12, 1, 9, 5, 10, 4), 4, 16),  # packed text-like expressions
     ((256,), 4, 16),                       # one 128x128 image's tokens
     ((6, 2, 9), 3, 3),                     # a scale that is not exact
+    ((256, 256), 4, 16),                   # two 128x128 images
+    ((256, 3, 256), 4, 16),                # one-block segment between them
+    ((256,), 3, 12),                       # head blocks, inexact scale
 ])
 def test_rebuilt_probabilities_give_the_kept_probabilities_gradients(
         lengths, heads, dh):
-    # backward rebuilds each segment's probabilities with the forward's ops
-    # from the row maxima and normalisers, so every output and gradient
-    # equals the keep-the-probabilities formula's bit for bit
+    # forward and backward run each segment one block of heads at a time and
+    # backward rebuilds each block's probabilities with the forward's ops
+    # from the row maxima and normalisers, so every output, collected
+    # probability and gradient equals the keep-the-probabilities formula's
+    # bit for bit
     rng = np.random.default_rng(sum(lengths))
     qkv = 2.0 * rng.normal(size=(sum(lengths), 3 * heads * dh))
     upstream = rng.normal(size=(sum(lengths), heads * dh))
-    got = run_attention(lambda x, h: attention(x, h, lengths), qkv, heads,
-                        upstream)
+    got = run_attention(lambda x, h: attention(x, h, lengths, True), qkv,
+                        heads, upstream)
     want = run_attention(lambda x, h: kept_probs_attention(x, h, lengths),
                          qkv, heads, upstream)
     assert np.array_equal(got[0], want[0])
     assert len(got[1]) == len(want[1]) == len(lengths)
     assert all(np.array_equal(g, w) for g, w in zip(got[1], want[1]))
     assert np.array_equal(got[2], want[2])
+
+
+def test_head_blocks_hold_at_most_the_score_budget():
+    # one head of a 256-token segment fills the budget; a 64-token image or
+    # a text segment runs all its heads in one block
+    spans = segment_bounds((256, 64, 7), 327)
+    assert _head_blocks(spans, 4) == [
+        (0, 256, 0, 1), (0, 256, 1, 2), (0, 256, 2, 3), (0, 256, 3, 4),
+        (256, 320, 0, 4), (320, 327, 0, 4)]
+    assert _BLOCK_SCORES == 256 * 256
+    # a head bigger than the budget is a block by itself
+    assert _head_blocks([(0, 300)], 2) == [(0, 300, 0, 1), (0, 300, 1, 2)]
 
 
 def test_attention_rejects_bad_segments():
@@ -349,6 +372,34 @@ def test_gelu_matches_quadrature():
         want = x * normal_cdf(x)
         got = gelu(Tensor(x)).item()
         assert abs(got - want) < 1e-10
+
+
+@pytest.mark.parametrize("n,k,m", [
+    (512, 256, 64),  # a desk64 chunk's ViT fc2: 8 images of 64 tokens
+    (23, 256, 64),   # the text encoder's fc2 over packed expressions
+    (5, 7, 3),       # an odd shape
+])
+def test_gelu_linear_is_bit_identical_to_gelu_then_linear(n, k, m):
+    # backward rebuilds the GELU output and slope from its input with the
+    # forward's helpers, so the output and every gradient equal the
+    # composed ops' bit for bit
+    rng = np.random.default_rng(n + k)
+    u, w, b = rng.normal(size=(n, k)), rng.normal(size=(m, k)), rng.normal(
+        size=m)
+    upstream = rng.normal(size=(n, m))
+
+    def run(fn):
+        ts = [Tensor(a.copy(), requires_grad=True) for a in (u, w, b)]
+        with Tape() as tape:
+            y = fn(*ts)
+            loss = tsum(y * Tensor(upstream))
+        tape.backward(loss)
+        return [y.data] + [t.grad for t in ts]
+
+    got = run(gelu_linear)
+    want = run(lambda u, w, b: linear(gelu(u), w, b))
+    for g, w_ in zip(got, want):
+        assert np.array_equal(g, w_)
 
 
 # ---------------------------------------------------------------------------

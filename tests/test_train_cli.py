@@ -1070,6 +1070,29 @@ def test_cli_gen_resolution_that_keeps_no_sample_is_data_error(tmp_path,
     assert not (out / "index.jsonl").exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "inspect",
+                                     "ablate"])
+def test_cli_out_naming_a_file_is_data_error(tmp_path, capsys, command):
+    # --out that is a file, or lies under one, fails before any work: the
+    # missing dataset and checkpoint below are never read
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    missing = str(tmp_path / "missing")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config_to_text(tiny_cfg(missing)))
+    args = {"gen": ["--n-train", "2", "--n-val", "1", "--n-test", "1",
+                    "--res", "32"],
+            "train": ["--config", str(cfg)],
+            "eval": ["--ckpt", missing],
+            "inspect": ["--ckpt", missing, "--sample-id", "0"],
+            "ablate": ["--config", str(cfg)]}[command]
+    for out in (afile, afile / "sub"):
+        assert main([command, *args, "--out", str(out)]) == 2
+        assert (f"error: cannot create output directory {out}"
+                in capsys.readouterr().err)
+    assert afile.read_text() == "kept\n"
+
+
 def test_cli_eval_non_checkpoint_container_exit_code(tmp_path, capsys):
     container = tmp_path / "x.ckpt"
     write_arrays(container, {"param/w": np.zeros(3)})

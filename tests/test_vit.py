@@ -50,7 +50,8 @@ def test_patch_embed_rejects_indivisible():
 def test_block_single_token_reduces_to_residual_stack():
     bb, _ = build(image_size=8, patch=8, d_model=8, blocks=1, heads=2)
     x = Tensor(RNG.normal(size=(1, 8)))
-    out, (probs,) = bb.attention_block(x, bb.static_weights()[0], 0, [1])
+    out, (probs,) = bb.attention_block(x, bb.static_weights()[0], 0, [1],
+                                       True)
     np.testing.assert_allclose(probs, np.ones((2, 1, 1)), atol=0)
     assert out.shape == (1, 8)
 
@@ -60,7 +61,7 @@ def test_block_matches_brute_force_attention():
     bb, _ = build(image_size=24, patch=8, d_model=4, blocks=1, heads=1)
     x = RNG.normal(size=(3, 4))
     w = bb.static_weights()[0]
-    got, (probs,) = bb.attention_block(Tensor(x), w, 0, [3])
+    got, (probs,) = bb.attention_block(Tensor(x), w, 0, [3], True)
 
     blk = bb.blocks[0]
 
