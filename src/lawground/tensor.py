@@ -10,6 +10,7 @@ with fixed reduction orders, so repeated runs are bit-identical.
 """
 
 import ctypes
+import os
 import threading
 
 import numpy as np
@@ -86,6 +87,9 @@ class _ThreadTapes(threading.local):
 
 
 _tapes = _ThreadTapes()
+# a forked child starts with no tape open: the tapes its parent had open are
+# the parent's to finish
+os.register_at_fork(after_in_child=lambda: setattr(_tapes, "stack", []))
 
 
 def active_tape():
@@ -99,18 +103,14 @@ class Tape:
 
     Use as a context manager around the forward pass; ops created inside are
     recorded in execution order. ``backward`` walks the record once, in
-    reverse, accumulating into the ``grad`` buffers of requires_grad leaves,
-    or, given a ``grads`` dict, into that dict instead: one zero-initialised
-    array per leaf, keyed by the leaf Tensor. Tapes with dicts of their own
-    can then take gradients of the same leaves on different threads at once.
+    reverse, accumulating into the ``grad`` buffers of requires_grad leaves.
     """
 
-    def __init__(self, grads=None):
+    def __init__(self):
         # (parents, backfn) per op in execution order; an op's output is
         # known by its entry's index here, its slot
         self._entries = []
         self._consumed = False
-        self._grads = grads
 
     def __enter__(self):
         _tapes.stack.append(self)
@@ -152,7 +152,7 @@ class Tape:
             raise TapeError("backward already ran on this tape, or its forward "
                             "failed; build a new tape")
         self._consumed = True
-        entries, grads = self._entries, self._grads
+        entries = self._entries
         try:
             if not np.isfinite(loss.data):
                 raise NumericError(f"loss is not finite: {float(loss.data)}")
@@ -170,13 +170,8 @@ class Tape:
                     if type(parent) is int:
                         held = adjoint[parent]
                         adjoint[parent] = gp if held is None else held + gp
-                    elif grads is None:
-                        parent.grad += gp
                     else:
-                        held = grads.get(parent)
-                        if held is None:
-                            held = grads[parent] = np.zeros_like(parent.data)
-                        held += gp
+                        parent.grad += gp
         finally:
             # a replay that stops early drops the rest of the graph too
             entries.clear()

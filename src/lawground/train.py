@@ -8,8 +8,6 @@ all artifacts (checkpoints, CSV logs, batch hashes) are byte-stable.
 import hashlib
 import json
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -28,6 +26,7 @@ from .serial import (array_to_str, make_dir, read_arrays, str_to_array,
 from .synthground import flip_sample, load_dataset, load_vocab
 from .tensor import Tape
 from .vit import attention_rollout
+from .workers import SharedParameters, Workers
 
 METRIC_COLUMNS = ("step", "split", "prec_at_05", "miou", "loss_total",
                   "loss_l1", "loss_giou", "loss_focal", "loss_dice")
@@ -40,7 +39,8 @@ EVAL_ROWS = 256
 
 # visual-token rows that fill a taped training chunk: a step of fewer rows
 # runs as one chunk, a step of this many or more as two or more chunks of
-# at most this many rows, so that both cores work (see split_batch).
+# at most this many rows, so that the worker processes share it (see
+# split_batch).
 # Chunks of 256 rows made the B=16 desk64 step slower.
 STEP_ROWS = 512
 
@@ -111,21 +111,25 @@ def load_checkpoint(path, data_path=None):
 # evaluation
 
 
-def predict_sample(pred, b, threshold):
-    """Sample b of a batch Prediction: a copy of its box and its binarised
-    mask (None without the mask branch)."""
-    box = pred.box.data[b].copy()
-    mask = (binarize(pred.mask.probs.data[b], threshold)
-            if pred.mask is not None else None)
+def predict_sample(out, b, threshold):
+    """Sample b of a chunk's forward_chunk output: a copy of its box and its
+    binarised mask (None without the mask branch)."""
+    boxes, probs = out
+    box = boxes[b].copy()
+    mask = binarize(probs[b], threshold) if probs is not None else None
     return box, mask
 
 
 def forward_chunk(model, samples):
-    """One tape-free batch Prediction for a chunk of samples."""
+    """A chunk's tape-free batch forward, as the arrays predict_sample
+    reads: the (n, 4) boxes and the (n, H, W) mask probabilities (None
+    without the mask branch)."""
     size = model.config.image_size
-    return model.forward_batch(
+    pred = model.forward_batch(
         [model.image_tensor(s.arrays(size)[0]) for s in samples],
         [model.tokenize(s.expression) for s in samples])
+    return (pred.box.data,
+            pred.mask.probs.data if pred.mask is not None else None)
 
 
 def usable_cpus():
@@ -133,51 +137,30 @@ def usable_cpus():
     return len(os.sched_getaffinity(0))
 
 
-def in_order(fn, chunks):
-    """Yield (chunk, fn(chunk)) for each chunk, in chunk order.
-
-    One worker thread per usable CPU (capped at the chunk count) runs the
-    chunks, with at most one chunk per worker in flight. A caller that
-    reduces the results in the order they come gets the same answer on any
-    CPU count. A failing chunk raises its error here, and the chunks not yet
-    started are cancelled."""
-    workers = max(1, min(usable_cpus(), len(chunks)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque(pool.submit(fn, chunk) for chunk in chunks[:workers])
-        try:
-            for k, chunk in enumerate(chunks):
-                # no name may hold a failed future: it holds its error,
-                # whose traceback holds this frame, a cycle that would keep
-                # the chunk's graph alive until the cyclic collector ran
-                result = pending.popleft().result()
-                if k + workers < len(chunks):
-                    pending.append(pool.submit(fn, chunks[k + workers]))
-                yield chunk, result
-        finally:
-            for future in pending:
-                future.cancel()
-
-
 def evaluate_model(model, samples, threshold):
     """Box precision, mask mIoU, the relational subset, and length buckets.
 
     The samples split, in order, into chunks of EVAL_ROWS // T samples (T
-    visual tokens per image, at least one sample), which `in_order` runs
-    through the tape-free batch forward. This thread reads every sample out
-    with predict_sample, in sample order, so metrics reduce in sample order
-    whatever the CPU count."""
+    visual tokens per image, at least one sample). Worker processes, one
+    per usable CPU up to the chunk count, run the chunks through
+    forward_chunk; this process reads every sample out with predict_sample,
+    in sample order, so metrics reduce in sample order whatever the CPU
+    count."""
     size = max(1, EVAL_ROWS // model.backbone.n_tokens)
-    chunks = [samples[i:i + size] for i in range(0, len(samples), size)]
+    spans = [(i, min(i + size, len(samples)))
+             for i in range(0, len(samples), size)]
     # per sample, once: its box's precision at 0.5 (1 or 0) and its mask
     # IoU (None without a mask branch)
     hits, mask_ious = [], []
-    for chunk, pred in in_order(lambda chunk: forward_chunk(model, chunk),
-                                chunks):
-        for b, sample in enumerate(chunk):
-            box, mask = predict_sample(pred, b, threshold)
-            hits.append(prec_at_05([box], [sample.box]))
-            mask_ious.append(None if mask is None
-                             else mask_iou(mask, sample.mask()))
+    with Workers(min(usable_cpus(), len(spans)),
+                 lambda span: forward_chunk(model, samples[slice(*span)])
+                 ) as pool:
+        for (lo, hi), out in pool.in_order(spans):
+            for b, sample in enumerate(samples[lo:hi]):
+                box, mask = predict_sample(out, b, threshold)
+                hits.append(prec_at_05([box], [sample.box]))
+                mask_ious.append(None if mask is None
+                                 else mask_iou(mask, sample.mask()))
 
     def subset_metrics(indices):
         if not indices:
@@ -279,17 +262,17 @@ def split_batch(batch, tokens):
     return [batch[i:i + size] for i in range(0, n, size)]
 
 
-def step_chunk(model, weights, mode, chunk, share, grads):
+def step_chunk(model, weights, mode, chunk, share):
     """One chunk of a training batch on a tape of its own: the batch
     forward, the joint loss weighted by `share` (the chunk's fraction of the
-    batch) and backward into `grads` (None: each parameter's own grad).
+    batch) and backward into each parameter's grad.
 
     Returns the chunk's loss parts and, when its loss is not finite,
     backward's NumericError (else None). The error is returned, not raised,
     so the other chunks still run and the step's nan_dump.json gets the
     parts of every chunk."""
     images, masks, boxes, exprs = zip(*chunk)
-    with Tape(grads) as tape:
+    with Tape() as tape:
         pred = model.forward_batch(
             [model.image_tensor(image) for image in images],
             [model.tokenize(expr) for expr in exprs])
@@ -301,11 +284,7 @@ def step_chunk(model, weights, mode, chunk, share, grads):
     try:
         tape.backward(loss)
     except NumericError as exc:
-        # without its traceback: the traceback's frames lead back to the
-        # worker's frame, which holds the future that will hold this error,
-        # and in that cycle the chunk's graph would wait for the cyclic
-        # collector
-        return parts, exc.with_traceback(None)
+        return parts, exc
     return parts, None
 
 
@@ -342,13 +321,23 @@ def train(cfg, out_dir):
                 weight_decay=cfg.weight_decay)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     stream = _BatchStream(len(train_samples), rng)
+    # one worker per usable CPU, up to the chunk count of a step
+    workers = min(usable_cpus(), len(split_batch(range(cfg.batch_size),
+                                                 model.backbone.n_tokens)))
+    shared = SharedParameters((p for _, p in model.store.items()), workers)
+
+    def run_chunk(task):
+        # in a worker: the chunk's gradient lands in the worker's own slot
+        shared.zero_slot()
+        return shared.slot, step_chunk(model, weights, cfg.mode, *task)
 
     best_metric, best_step = -1.0, -1
 
     (out / "config.cfg").write_text(config_to_text(cfg), encoding="utf-8")
 
     report = None
-    with open(out / "metrics.csv", "w", encoding="utf-8") as metrics_fh, \
+    with Workers(workers, run_chunk, on_fork=shared.use_slot) as pool, \
+            open(out / "metrics.csv", "w", encoding="utf-8") as metrics_fh, \
             open(out / "batches.log", "w", encoding="utf-8") as batches_fh:
 
         def emit(line):
@@ -368,9 +357,6 @@ def train(cfg, out_dir):
                 save_checkpoint(out / "best.ckpt", model, cfg, step, rng)
             return report
 
-        def run_chunk(work):
-            return step_chunk(model, weights, cfg.mode, *work)
-
         for step in range(1, cfg.steps + 1):
             indices = stream.take(cfg.batch_size)
             flips = rng.random(cfg.batch_size) < cfg.flip_prob
@@ -386,19 +372,17 @@ def train(cfg, out_dir):
                 item = (*sample.arrays(cfg.image_size), sample.box,
                         sample.expression)
                 batch.append(flip_sample(*item) if flip else item)
-            # chunk 0 writes into each parameter's grad and the others into
-            # dicts of their own, which this thread adds in chunk order, so
-            # the sums depend on the chunk split only
+            # each chunk's gradient comes back in its worker's slot, and
+            # this process adds the slots in chunk order, so the sums depend
+            # on the chunk split only
             chunks = split_batch(batch, model.backbone.n_tokens)
-            work = [(chunk, len(chunk) / len(batch), {} if k else None)
-                    for k, chunk in enumerate(chunks)]
+            tasks = [(chunk, len(chunk) / len(batch)) for chunk in chunks]
             parts, failure = {}, None
-            for (_, share, grads), (chunk_parts, error) in in_order(
-                    run_chunk, work):
+            for (_, share), (slot, (chunk_parts, error)) in pool.in_order(
+                    tasks):
                 for key, value in chunk_parts.items():
                     parts[key] = parts.get(key, 0.0) + share * value
-                for param, grad in (grads or {}).items():
-                    param.grad += grad
+                shared.add_slot(slot)
                 failure = failure or error
             if failure is not None:
                 dump = {"step": step, "loss_parts": parts,

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import os
 import re
 import tracemalloc
 import types
@@ -423,19 +424,25 @@ def test_chunk_graph_size_is_pinned(vocab):
 
 def step_tape_entries(tmp_path, monkeypatch, **overrides):
     """Tape entries of one real training step at the default (desk64)
-    shapes and batch size."""
+    shapes and batch size. The step's chunks record on worker processes, so
+    every record, in whichever process, appends one byte to a file."""
     generate_dataset(tmp_path / "ds", seed=2, n_train=16, n_val=1, n_test=0)
     cfg = TrainConfig(data_path=str(tmp_path / "ds"), steps=1, **overrides)
-    recorded = []
+    log = tmp_path / "records"
+    log.touch()
     original = Tape.record
 
     def counting(tape, out, parents, backfn):
-        recorded.append(out)
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, b"x")
+        finally:
+            os.close(fd)
         return original(tape, out, parents, backfn)
 
     monkeypatch.setattr(Tape, "record", counting)
     train(cfg, tmp_path / "run")
-    return len(recorded)
+    return log.stat().st_size
 
 
 def test_tape_entries_per_step_match_readme(tmp_path, monkeypatch):

@@ -1,13 +1,16 @@
 import contextlib
 import gc
+import hashlib
 import json
 import os
+import pickle
 import platform
 import shutil
+import signal
 import subprocess
 import sys
 import textwrap
-import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,13 +28,14 @@ from lawground.config import (
     parse_config_text,
     validate,
 )
-from lawground.errors import ConfigError, DataError, NumericError
+from lawground.errors import ConfigError, DataError, NumericError, ShapeError
 from lawground.losses import total_loss
 from lawground.model import GroundingModel
 from lawground.optim import AdamW
 from lawground.serial import read_arrays, write_arrays
 from lawground.synthground import generate_dataset, load_dataset, load_vocab
-from lawground.tensor import Tape, Tensor
+from lawground.tensor import Tape, Tensor, active_tape
+from lawground.workers import Workers
 
 
 def tiny_cfg(data_path, **kw):
@@ -55,6 +59,27 @@ def forward_sample(model, sample):
     """The B=1 tape-free Prediction for one sample."""
     return model.forward(model.image_tensor(sample.image()),
                          model.tokenize(sample.expression))
+
+
+def append_record(path, record):
+    """Append one pickled record to path in a single write, so that records
+    appended by worker processes at once do not interleave."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, pickle.dumps(record))
+    finally:
+        os.close(fd)
+
+
+def read_records(path):
+    """The records append_record wrote to path, in file order."""
+    records = []
+    if not path.exists():
+        return records
+    with open(path, "rb") as fh:
+        while fh.peek(1):
+            records.append(pickle.load(fh))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +356,14 @@ def test_failed_step_frees_its_graph_without_cyclic_gc(dataset, tmp_path,
 def test_failing_second_chunk_dumps_the_whole_batch(dataset, tmp_path,
                                                    monkeypatch):
     # chunks of 2 samples: a B=3 step is a 2-sample chunk and a 1-sample
-    # one, and only the 1-sample chunk's loss is not finite
+    # one, and only the 1-sample chunk's loss is not finite. The chunks run
+    # on worker processes, which record each chunk's parts in a file.
     real = training.total_loss
-    parts_of = {}
+    log = tmp_path / "parts"
 
     def poisoned(box_true, *args, **kwargs):
         loss, parts = real(box_true, *args, **kwargs)
-        parts_of[len(box_true)] = parts
+        append_record(log, (len(box_true), parts))
         return (loss * np.inf if len(box_true) == 1 else loss), parts
 
     monkeypatch.setattr(training, "STEP_ROWS", 32)
@@ -350,30 +376,51 @@ def test_failing_second_chunk_dumps_the_whole_batch(dataset, tmp_path,
     assert counts == {"Tensor": 0, "Tape": 0}
     dump = json.loads((tmp_path / "run" / "nan_dump.json").read_text())
     assert dump["step"] == 1 and len(dump["scene_ids"]) == 3
+    parts_of = dict(read_records(log))
+    assert sorted(parts_of) == [1, 2]
     assert dump["loss_parts"] == {
         key: 2 / 3 * parts_of[2][key] + 1 / 3 * parts_of[1][key]
         for key in parts_of[1]}
 
 
+def chunk_key(chunk):
+    """A chunk's samples as bytes and text, comparable across processes."""
+    return [(image.tobytes(), mask.tobytes(), box.tobytes(), expr)
+            for image, mask, box, expr in chunk]
+
+
 def one_step(monkeypatch, cfg, out):
     """Train one step; returns each parameter's gradient as AdamW saw it,
-    the train row's loss parts and the chunks the step ran."""
+    the train row's loss parts and the chunks the step ran, in chunk order.
+    The chunks are recorded as the step splits its batch, and the worker
+    processes record each chunk they run: the two must be the same."""
     grads, chunks = {}, []
-    real_step, real_chunk = AdamW.step, training.step_chunk
+    real_step, real_split = AdamW.step, training.split_batch
+    real_chunk = training.step_chunk
+    log = out.parent / f"{out.name}.chunks"
 
     def step(opt, lr_scale=1.0):
         for params, _ in opt.groups:
             grads.update((name, p.grad.copy()) for name, p in params)
         return real_step(opt, lr_scale)
 
-    def step_chunk(model, weights, mode, chunk, share, dest):
-        chunks.append(chunk)
-        return real_chunk(model, weights, mode, chunk, share, dest)
+    def split_batch(batch, tokens):
+        # the step's split is the last one (train also splits range(B) to
+        # count its workers)
+        chunks[:] = real_split(batch, tokens)
+        return chunks[:]
+
+    def step_chunk(model, weights, mode, chunk, share):
+        append_record(log, chunk)
+        return real_chunk(model, weights, mode, chunk, share)
 
     with monkeypatch.context() as patch:
         patch.setattr(AdamW, "step", step)
+        patch.setattr(training, "split_batch", split_batch)
         patch.setattr(training, "step_chunk", step_chunk)
         training.train(replace(cfg, steps=1, log_every=1), out)
+    ran = read_records(log)
+    assert sorted(map(chunk_key, ran)) == sorted(map(chunk_key, chunks))
     row = next(r for r in (out / "metrics.csv").read_text().splitlines()
                if r.split(",")[1] == "train")
     parts = [float(v) for v in row.split(",")[4:]]
@@ -457,15 +504,10 @@ def test_chunked_run_does_not_depend_on_worker_count(dataset, tmp_path,
     for batch in (5, 2):
         cfg = tiny_cfg(dataset, steps=4, batch_size=batch, log_every=1,
                        eval_every=2)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            # more workers than this host may have cores, switching often
-            for workers in (1, 2, 4):
-                monkeypatch.setattr(training, "usable_cpus", lambda: workers)
-                training.train(cfg, tmp_path / f"{batch}-{workers}")
-        finally:
-            sys.setswitchinterval(interval)
+        # more worker processes than this host may have cores
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(training, "usable_cpus", lambda: workers)
+            training.train(cfg, tmp_path / f"{batch}-{workers}")
         for workers in (2, 4):
             for rel in ("metrics.csv", "batches.log", "last.ckpt",
                         "best.ckpt"):
@@ -546,24 +588,37 @@ def test_runtime_imports_no_scipy(dataset, tmp_path):
 
 def test_training_steps_do_not_fault_freed_memory_back_in(tmp_path):
     """A step frees its whole graph when its chunks return; the package's
-    malloc settings keep that memory mapped for the next step. Run in a
-    fresh interpreter, so the import applies them before anything else
+    malloc settings keep that memory mapped for the next step, in the
+    worker process that ran the chunk as in the parent. Run in a fresh
+    interpreter, so the import applies them before anything else
     allocates."""
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("the malloc settings are glibc's")
     generate_dataset(tmp_path / "ds", seed=2, n_train=8, n_val=1, n_test=0)
     probe = textwrap.dedent("""
-        import json, resource, sys
+        import json, os, resource, sys
         from lawground import optim, train
         from lawground.config import TrainConfig
         faults = []
-        real = optim.AdamW.step
+        real_step, real_chunk = optim.AdamW.step, train.step_chunk
+
+        def minflt():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
         def step(opt, lr_scale=1.0):
-            real(opt, lr_scale)
-            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+            real_step(opt, lr_scale)
+            faults.append(minflt())
+
+        def step_chunk(*args):
+            # on the worker: its fault count after each chunk, one line a
+            # chunk in a file of its own
+            out = real_chunk(*args)
+            with open(f"{sys.argv[2]}.{os.getpid()}", "a") as fh:
+                fh.write(f"{minflt()}\\n")
+            return out
 
         optim.AdamW.step = step
+        train.step_chunk = step_chunk
         train.train(TrainConfig(data_path=sys.argv[1], steps=6, batch_size=4,
                                 eval_every=6, log_every=6), sys.argv[2])
         print(json.dumps([b - a for a, b in zip(faults, faults[1:])]))
@@ -577,9 +632,15 @@ def test_training_steps_do_not_fault_freed_memory_back_in(tmp_path):
          str(tmp_path / "run")], env=env, capture_output=True, text=True,
         timeout=300, check=True)
     per_step = json.loads(done.stdout.strip().splitlines()[-1])
+    # a B=4 desk64 step is one chunk, so one worker runs all six
+    logs = list(tmp_path.glob("run.*"))
+    assert len(logs) == 1, logs
+    counts = [int(line) for line in logs[0].read_text().split()]
+    per_chunk = [b - a for a, b in zip(counts, counts[1:])]
     # a desk64 B=4 step re-faulted about 5,700 pages (22 MiB) when the top
     # of the heap went back to the kernel after each step
-    assert len(per_step) == 5 and sorted(per_step)[2] < 1000, per_step
+    for faults in (per_step, per_chunk):
+        assert len(faults) == 5 and sorted(faults)[2] < 1000, faults
 
 
 def test_resolution_mismatch_is_config_error(dataset, tmp_path):
@@ -640,23 +701,18 @@ def test_evaluate_report_does_not_depend_on_worker_count(dataset, eval_model,
     samples = load_dataset(dataset, "val")
     real = training.predict_sample
     runs = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        # more workers than this host may have cores, switching often
-        for workers in (1, 2, 4):
-            outputs = []
+    # more worker processes than this host may have cores
+    for workers in (1, 2, 4):
+        outputs = []
 
-            def record(pred, b, thr):
-                outputs.append(real(pred, b, thr))
-                return outputs[-1]
+        def record(out, b, thr):
+            outputs.append(real(out, b, thr))
+            return outputs[-1]
 
-            monkeypatch.setattr(training, "usable_cpus", lambda: workers)
-            monkeypatch.setattr(training, "predict_sample", record)
-            report = training.evaluate_model(model, samples, threshold)
-            runs[workers] = report, outputs
-    finally:
-        sys.setswitchinterval(interval)
+        monkeypatch.setattr(training, "usable_cpus", lambda: workers)
+        monkeypatch.setattr(training, "predict_sample", record)
+        report = training.evaluate_model(model, samples, threshold)
+        runs[workers] = report, outputs
     report, outputs = runs[1]
     assert len(outputs) == len(samples)
     for other, other_outputs in (runs[2], runs[4]):
@@ -678,9 +734,9 @@ def test_evaluate_matches_per_sample_forward(dataset, eval_model, monkeypatch,
     seen = []
     real = training.predict_sample
 
-    def record(pred, b, thr):
-        seen.append((pred.box.data[b].copy(), pred.mask.probs.data[b].copy()))
-        return real(pred, b, thr)
+    def record(out, b, thr):
+        seen.append((out[0][b].copy(), out[1][b].copy()))
+        return real(out, b, thr)
 
     monkeypatch.setattr(training, "usable_cpus", lambda: 2)
     monkeypatch.setattr(training, "predict_sample", record)
@@ -692,43 +748,56 @@ def test_evaluate_matches_per_sample_forward(dataset, eval_model, monkeypatch,
         assert np.abs(probs - single.mask.probs.data).max() <= 1e-13
 
 
-def test_predict_sample_runs_on_calling_thread_in_sample_order(dataset,
-                                                               monkeypatch):
+def test_predict_sample_runs_in_calling_process_in_sample_order(dataset,
+                                                                monkeypatch):
     samples = load_dataset(dataset, "val")
-    forward_threads, calls = set(), []
+    forward_pids, calls = set(), []
 
     def forward(model, chunk):
-        forward_threads.add(threading.get_ident())
-        return chunk
+        return os.getpid(), chunk
 
-    def predict(chunk, b, thr):
-        calls.append((threading.get_ident(), chunk[b].scene_id))
+    def predict(out, b, thr):
+        pid, chunk = out
+        forward_pids.add(pid)
+        calls.append((os.getpid(), chunk[b].scene_id))
         return chunk[b].box.copy(), None
 
     monkeypatch.setattr(training, "usable_cpus", lambda: 2)
     monkeypatch.setattr(training, "forward_chunk", forward)
     monkeypatch.setattr(training, "predict_sample", predict)
     training.evaluate_model(STUB_MODEL, samples, 0.35)
-    assert calls == [(threading.get_ident(), s.scene_id) for s in samples]
-    assert threading.get_ident() not in forward_threads
+    assert calls == [(os.getpid(), s.scene_id) for s in samples]
+    assert forward_pids and os.getpid() not in forward_pids
 
 
 def test_evaluate_records_nothing_on_callers_tape(dataset, eval_model,
-                                                  monkeypatch):
+                                                  tmp_path, monkeypatch):
     model, threshold = eval_model
+    real = training.forward_chunk
+    log = tmp_path / "tapes"
+
+    def forward(model, chunk):
+        # on a worker process, forked while the caller's tape was open
+        append_record(log, active_tape() is None)
+        return real(model, chunk)
+
     monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(training, "forward_chunk", forward)
     with Tape() as tape:
         training.evaluate_model(model, load_dataset(dataset, "val"), threshold)
     assert tape._entries == []
+    assert read_records(log) == [True, True]
 
 
 def test_evaluate_failing_chunk_raises_and_cancels_the_rest(dataset,
+                                                            tmp_path,
                                                             monkeypatch):
     samples = load_dataset(dataset, "val")
-    started = []
+    log = tmp_path / "started"
 
     def forward(model, chunk):
-        started.append(chunk[0].scene_id)
+        # on a worker process: the parent reads the starts from the file
+        append_record(log, chunk[0].scene_id)
         raise NumericError(f"chunk at scene {chunk[0].scene_id} failed")
 
     monkeypatch.setattr(training, "usable_cpus", lambda: 2)
@@ -737,7 +806,8 @@ def test_evaluate_failing_chunk_raises_and_cancels_the_rest(dataset,
     with pytest.raises(NumericError, match=f"scene {samples[0].scene_id} "):
         training.evaluate_model(one_per_chunk, samples, 0.35)
     # 6 chunks, of which at most one per worker was ever handed out
-    assert len(started) <= 2
+    started = read_records(log)
+    assert 1 <= len(started) <= 2 and samples[0].scene_id in started
 
 
 def test_rerun_evaluation_identical(dataset, tmp_path):
@@ -754,6 +824,160 @@ def test_rerun_evaluation_identical(dataset, tmp_path):
     assert buckets[0] == "bucket,count,prec_at_05"
     assert [row.split(",")[0] for row in buckets[1:]] == \
         ["1-5", "6-7", "8-10", "11+"]
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+
+@contextlib.contextmanager
+def forked(monkeypatch):
+    """The pids os.fork returns to this process inside the block. Any of
+    them still running afterwards is killed but not waited for, so
+    `reaped` still tells whether the code under test waited for it."""
+    pids, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    try:
+        yield pids
+    finally:
+        monkeypatch.setattr(os, "fork", real)
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+
+
+def unreaped(pids):
+    """The children among pids that the code under test had not waited
+    for; waits for each of them, a killed leftover included."""
+    left = []
+    for pid in pids:
+        try:
+            done, _ = os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        if not done:
+            os.waitpid(pid, 0)
+        left.append(pid)
+    return left
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_no_worker_outlives_train_or_evaluate(dataset, tmp_path, monkeypatch,
+                                              cpus):
+    # chunks of 2 samples: a B=3 step is two chunks
+    monkeypatch.setattr(training, "STEP_ROWS", 32)
+    monkeypatch.setattr(training, "usable_cpus", lambda: cpus)
+    with forked(monkeypatch) as pids:
+        training.train(tiny_cfg(dataset, steps=2, batch_size=3,
+                                eval_every=1), tmp_path / "run")
+        training.evaluate_checkpoint(tmp_path / "run" / "last.ckpt", dataset,
+                                     "val")
+    # the step pool's workers, and one per evaluation (two val rounds and
+    # the eval): 6 val samples are one chunk at 16 visual tokens an image
+    assert len(pids) == cpus + 3
+    assert unreaped(pids) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_no_worker_outlives_a_chunk_that_raises(dataset, tmp_path,
+                                                monkeypatch, cpus):
+    real = training.step_chunk
+
+    def step_chunk(model, weights, mode, chunk, share):
+        if len(chunk) == 1:
+            raise ShapeError("the 1-sample chunk failed")
+        return real(model, weights, mode, chunk, share)
+
+    def forward(model, chunk):
+        raise ShapeError(f"chunk at scene {chunk[0].scene_id} failed")
+
+    monkeypatch.setattr(training, "STEP_ROWS", 32)
+    monkeypatch.setattr(training, "usable_cpus", lambda: cpus)
+    training.train(tiny_cfg(dataset, steps=1), tmp_path / "ok")
+    monkeypatch.setattr(training, "step_chunk", step_chunk)
+    monkeypatch.setattr(training, "forward_chunk", forward)
+    with forked(monkeypatch) as pids:
+        with pytest.raises(ShapeError, match="1-sample chunk failed"):
+            training.train(tiny_cfg(dataset, steps=2, batch_size=3),
+                           tmp_path / "run")
+        with pytest.raises(ShapeError, match="chunk at scene"):
+            training.evaluate_checkpoint(tmp_path / "ok" / "last.ckpt",
+                                         dataset, "val")
+    assert len(pids) == cpus + 1
+    assert unreaped(pids) == []
+
+
+def test_non_finite_loss_dumps_every_scene_and_leaves_no_worker(
+        dataset, tmp_path, monkeypatch):
+    real = training.total_loss
+
+    def poisoned(box_true, *args, **kwargs):
+        loss, parts = real(box_true, *args, **kwargs)
+        return (loss * np.inf if len(box_true) == 1 else loss), parts
+
+    monkeypatch.setattr(training, "STEP_ROWS", 32)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(training, "total_loss", poisoned)
+    with forked(monkeypatch) as pids:
+        with pytest.raises(NumericError, match="nan_dump.json"):
+            training.train(tiny_cfg(dataset, steps=2, batch_size=3),
+                           tmp_path / "run")
+    assert len(pids) == 2 and unreaped(pids) == []
+    dump = json.loads((tmp_path / "run" / "nan_dump.json").read_text())
+    # the dumped batch is the one batches.log hashed for step 1
+    logged = (tmp_path / "run" / "batches.log").read_text().split()
+    digest = hashlib.sha256(",".join(
+        f"{scene}:{int(flip)}" for scene, flip in zip(
+            dump["scene_ids"], dump["flips"])).encode()).hexdigest()
+    assert len(dump["scene_ids"]) == 3 and logged == [f"1,{digest}"]
+
+
+def test_worker_killed_mid_chunk_is_exit_3_naming_the_chunk(
+        dataset, tmp_path, monkeypatch, capsys):
+    real = training.step_chunk
+
+    def step_chunk(model, weights, mode, chunk, share):
+        if len(chunk) == 1:
+            os._exit(7)
+        return real(model, weights, mode, chunk, share)
+
+    monkeypatch.setattr(training, "STEP_ROWS", 32)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(training, "step_chunk", step_chunk)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config_to_text(tiny_cfg(dataset, steps=2, batch_size=3)))
+    capsys.readouterr()
+    with forked(monkeypatch) as pids:
+        code = main(["train", "--config", str(cfg), "--out",
+                     str(tmp_path / "run")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "ended with exit code 7 while running chunk 1" in err, err
+    assert len(pids) == 2 and unreaped(pids) == []
+
+
+def test_worker_exits_when_its_parent_closes_the_pipe():
+    pool = Workers(1, lambda task: task)
+    try:
+        assert [r for _, r in pool.in_order(["ping"])] == ["ping"]
+        pool._conns[0].close()
+        pid = pool._pids[0]
+        deadline = time.monotonic() + 60
+        done = 0, 0
+        while done[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+            done = os.waitpid(pid, os.WNOHANG)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+        pool._pids[0] = None
+    finally:
+        pool.close(kill=True)
 
 
 # ---------------------------------------------------------------------------
