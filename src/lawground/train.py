@@ -5,6 +5,7 @@ a dedicated PCG64 stream, evaluation reduces metrics in sample order, and
 all artifacts (checkpoints, CSV logs, batch hashes) are byte-stable.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -137,26 +138,33 @@ def usable_cpus():
     return len(os.sched_getaffinity(0))
 
 
-def evaluate_model(model, samples, threshold):
+def eval_chunks(count, tokens):
+    """The chunks, as slices, that evaluate_model splits `count` samples
+    into, in order: EVAL_ROWS // tokens samples each (tokens: visual tokens
+    per image), at least one."""
+    size = max(1, EVAL_ROWS // tokens)
+    return [slice(i, min(i + size, count)) for i in range(0, count, size)]
+
+
+def evaluate_model(model, samples, threshold, pool=None):
     """Box precision, mask mIoU, the relational subset, and length buckets.
 
-    The samples split, in order, into chunks of EVAL_ROWS // T samples (T
-    visual tokens per image, at least one sample). Worker processes, one
-    per usable CPU up to the chunk count, run the chunks through
-    forward_chunk; this process reads every sample out with predict_sample,
-    in sample order, so metrics reduce in sample order whatever the CPU
-    count."""
-    size = max(1, EVAL_ROWS // model.backbone.n_tokens)
-    spans = [(i, min(i + size, len(samples)))
-             for i in range(0, len(samples), size)]
+    Worker processes run the samples' eval_chunks through forward_chunk:
+    `pool`, an open Workers that answers a slice task with
+    forward_chunk(model, samples[task]) (training's val rounds pass their
+    step pool), or else a pool forked for this call, one worker per usable
+    CPU up to the chunk count. This process reads every sample out with
+    predict_sample, in sample order, so metrics reduce in sample order
+    whatever the CPU count."""
+    chunks = eval_chunks(len(samples), model.backbone.n_tokens)
     # per sample, once: its box's precision at 0.5 (1 or 0) and its mask
     # IoU (None without a mask branch)
     hits, mask_ious = [], []
-    with Workers(min(usable_cpus(), len(spans)),
-                 lambda span: forward_chunk(model, samples[slice(*span)])
-                 ) as pool:
-        for (lo, hi), out in pool.in_order(spans):
-            for b, sample in enumerate(samples[lo:hi]):
+    with contextlib.nullcontext(pool) if pool is not None else Workers(
+            min(usable_cpus(), len(chunks)),
+            lambda chunk: forward_chunk(model, samples[chunk])) as pool:
+        for chunk, out in pool.in_order(chunks):
+            for b, sample in enumerate(samples[chunk]):
                 box, mask = predict_sample(out, b, threshold)
                 hits.append(prec_at_05([box], [sample.box]))
                 mask_ious.append(None if mask is None
@@ -321,13 +329,19 @@ def train(cfg, out_dir):
                 weight_decay=cfg.weight_decay)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     stream = _BatchStream(len(train_samples), rng)
-    # one worker per usable CPU, up to the chunk count of a step
-    workers = min(usable_cpus(), len(split_batch(range(cfg.batch_size),
-                                                 model.backbone.n_tokens)))
+    # one worker per usable CPU, up to the chunk count of a step or of a
+    # val round
+    tokens = model.backbone.n_tokens
+    workers = min(usable_cpus(),
+                  max(len(split_batch(range(cfg.batch_size), tokens)),
+                      len(eval_chunks(len(val_samples), tokens))))
     shared = SharedParameters((p for _, p in model.store.items()), workers)
 
-    def run_chunk(task):
-        # in a worker: the chunk's gradient lands in the worker's own slot
+    def run_task(task):
+        # in a worker: a val round's chunk of samples, or a step's chunk,
+        # whose gradient lands in the worker's own slot
+        if isinstance(task, slice):
+            return forward_chunk(model, val_samples[task])
         shared.zero_slot()
         return shared.slot, step_chunk(model, weights, cfg.mode, *task)
 
@@ -336,7 +350,7 @@ def train(cfg, out_dir):
     (out / "config.cfg").write_text(config_to_text(cfg), encoding="utf-8")
 
     report = None
-    with Workers(workers, run_chunk, on_fork=shared.use_slot) as pool, \
+    with Workers(workers, run_task, on_fork=shared.use_slot) as pool, \
             open(out / "metrics.csv", "w", encoding="utf-8") as metrics_fh, \
             open(out / "batches.log", "w", encoding="utf-8") as batches_fh:
 
@@ -348,7 +362,8 @@ def train(cfg, out_dir):
 
         def run_eval(step):
             nonlocal best_metric, best_step
-            report = evaluate_model(model, val_samples, cfg.threshold)
+            report = evaluate_model(model, val_samples, cfg.threshold,
+                                    pool)
             for line in report_rows(step, "val", report):
                 emit(line)
             score = _selection_metric(report, cfg.mode)
@@ -375,7 +390,7 @@ def train(cfg, out_dir):
             # each chunk's gradient comes back in its worker's slot, and
             # this process adds the slots in chunk order, so the sums depend
             # on the chunk split only
-            chunks = split_batch(batch, model.backbone.n_tokens)
+            chunks = split_batch(batch, tokens)
             tasks = [(chunk, len(chunk) / len(batch)) for chunk in chunks]
             parts, failure = {}, None
             for (_, share), (slot, (chunk_parts, error)) in pool.in_order(

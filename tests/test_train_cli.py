@@ -309,31 +309,65 @@ def test_nan_loss_aborts_with_dump(dataset, tmp_path, monkeypatch):
     assert dump["step"] == 1 and len(dump["scene_ids"]) == cfg.batch_size
 
 
-@contextlib.contextmanager
-def unreachable_graph_objects():
-    """Count the Tensor and Tape objects that only the cyclic garbage
-    collector could free, among those left over by the managed block."""
+def graph_garbage():
+    """Collect, and count the Tensor and Tape objects that the collector
+    found unreachable: under DEBUG_SAVEALL it keeps them in gc.garbage."""
     gc.collect()
-    counts = {"Tensor": 0, "Tape": 0}
+    found = {"Tensor": 0, "Tape": 0}
+    for obj in gc.garbage:
+        if isinstance(obj, (Tensor, Tape)):
+            found[type(obj).__name__] += 1
+    gc.garbage.clear()
+    return found
+
+
+@contextlib.contextmanager
+def unreachable_graph_objects(monkeypatch, log):
+    """Count the Tensor and Tape objects that only the cyclic garbage
+    collector could free, among those left over by the managed block: in
+    each worker process after each chunk it runs, and in this process at
+    the block's end.
+
+    The collector is off across the block, and the workers fork with it off.
+    After each training or evaluation chunk, the worker pickles the chunk's
+    result, as it does to send it back, drops it and counts; each chunk's
+    counts are appended to `log`. The yielded dict gets the totals and, as
+    "chunks", the number of chunks counted."""
+
+    def counted(real):
+        def chunk(*args):
+            payload = pickle.dumps(real(*args))
+            append_record(log, graph_garbage())
+            return pickle.loads(payload)
+        return chunk
+
+    monkeypatch.setattr(training, "step_chunk", counted(training.step_chunk))
+    monkeypatch.setattr(training, "forward_chunk",
+                        counted(training.forward_chunk))
+    gc.collect()
+    counts = {}
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         yield counts
-        gc.collect()
-        for obj in gc.garbage:
-            if isinstance(obj, (Tensor, Tape)):
-                counts[type(obj).__name__] += 1
+        records = read_records(log)
+        for found in records + [graph_garbage()]:
+            for key, value in found.items():
+                counts[key] = counts.get(key, 0) + value
+        counts["chunks"] = len(records)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
 
 
-def test_train_frees_step_graphs_without_cyclic_gc(dataset, tmp_path):
+def test_train_frees_step_graphs_without_cyclic_gc(dataset, tmp_path,
+                                                   monkeypatch):
     cfg = tiny_cfg(dataset, steps=3, eval_every=3, log_every=1)
-    with unreachable_graph_objects() as counts:
+    with unreachable_graph_objects(monkeypatch, tmp_path / "gc") as counts:
         training.train(cfg, tmp_path / "run")
-    assert counts == {"Tensor": 0, "Tape": 0}
+    # three one-chunk steps and a one-chunk val round
+    assert counts == {"Tensor": 0, "Tape": 0, "chunks": 4}
 
 
 def test_failed_step_frees_its_graph_without_cyclic_gc(dataset, tmp_path,
@@ -346,10 +380,10 @@ def test_failed_step_frees_its_graph_without_cyclic_gc(dataset, tmp_path,
 
     monkeypatch.setattr(training, "total_loss", poisoned)
     cfg = tiny_cfg(dataset, steps=3)
-    with unreachable_graph_objects() as counts:
+    with unreachable_graph_objects(monkeypatch, tmp_path / "gc") as counts:
         with pytest.raises(NumericError, match="nan_dump.json"):
             training.train(cfg, tmp_path / "run")
-    assert counts == {"Tensor": 0, "Tape": 0}
+    assert counts == {"Tensor": 0, "Tape": 0, "chunks": 1}
     assert (tmp_path / "run" / "nan_dump.json").exists()
 
 
@@ -370,10 +404,10 @@ def test_failing_second_chunk_dumps_the_whole_batch(dataset, tmp_path,
     monkeypatch.setattr(training, "usable_cpus", lambda: 2)
     monkeypatch.setattr(training, "total_loss", poisoned)
     cfg = tiny_cfg(dataset, steps=3, batch_size=3)
-    with unreachable_graph_objects() as counts:
+    with unreachable_graph_objects(monkeypatch, tmp_path / "gc") as counts:
         with pytest.raises(NumericError, match="nan_dump.json"):
             training.train(cfg, tmp_path / "run")
-    assert counts == {"Tensor": 0, "Tape": 0}
+    assert counts == {"Tensor": 0, "Tape": 0, "chunks": 2}
     dump = json.loads((tmp_path / "run" / "nan_dump.json").read_text())
     assert dump["step"] == 1 and len(dump["scene_ids"]) == 3
     parts_of = dict(read_records(log))
@@ -879,9 +913,9 @@ def test_no_worker_outlives_train_or_evaluate(dataset, tmp_path, monkeypatch,
                                 eval_every=1), tmp_path / "run")
         training.evaluate_checkpoint(tmp_path / "run" / "last.ckpt", dataset,
                                      "val")
-    # the step pool's workers, and one per evaluation (two val rounds and
-    # the eval): 6 val samples are one chunk at 16 visual tokens an image
-    assert len(pids) == cpus + 3
+    # the step pool's workers, which also run both val rounds, and one for
+    # the eval: 6 val samples are one chunk at 16 visual tokens an image
+    assert len(pids) == cpus + 1
     assert unreaped(pids) == []
 
 
@@ -908,9 +942,13 @@ def test_no_worker_outlives_a_chunk_that_raises(dataset, tmp_path,
             training.train(tiny_cfg(dataset, steps=2, batch_size=3),
                            tmp_path / "run")
         with pytest.raises(ShapeError, match="chunk at scene"):
+            # chunks of 2: the step runs, and its val round's chunk raises
+            training.train(tiny_cfg(dataset, steps=1, batch_size=4),
+                           tmp_path / "val")
+        with pytest.raises(ShapeError, match="chunk at scene"):
             training.evaluate_checkpoint(tmp_path / "ok" / "last.ckpt",
                                          dataset, "val")
-    assert len(pids) == cpus + 1
+    assert len(pids) == 2 * cpus + 1
     assert unreaped(pids) == []
 
 
