@@ -34,8 +34,3 @@ class AdamW:
                 v += (1.0 - self.beta2) * g * g
                 update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
                 p.data -= eta * (update + self.weight_decay * p.data)
-
-    def zero_grad(self):
-        for params, _ in self.groups:
-            for _, p in params:
-                p.zero_grad()

@@ -38,10 +38,9 @@ LENGTH_BUCKETS = ((1, 5), (6, 7), (8, 10), (11, None))
 # 128x128 (at 64x64, 4-sample chunks cost less per sample than 8-sample ones)
 EVAL_ROWS = 256
 
-# visual-token rows that fill a taped training chunk: a step of fewer rows
-# runs as one chunk, a step of this many or more as two or more chunks of
-# at most this many rows, so that the worker processes share it (see
-# split_batch).
+# visual-token rows per taped training chunk, at most: every step of two
+# samples or more splits into two chunks or more, so that the worker
+# processes share it (see split_batch).
 # Chunks of 256 rows made the B=16 desk64 step slower.
 STEP_ROWS = 512
 
@@ -260,13 +259,11 @@ def check_resolution(samples, cfg):
 
 def split_batch(batch, tokens):
     """A training batch of images of `tokens` visual tokens each, in order,
-    as chunks: one chunk below STEP_ROWS rows, else chunks of
-    min(STEP_ROWS // tokens, ceil(B / 2)) samples (at least one), the last
-    one short. The split reads only B and T, never the CPU count."""
+    as chunks of max(1, min(STEP_ROWS // tokens, ceil(B / 2))) samples, the
+    last one short: two chunks or more for any B >= 2. The split reads only
+    B and T, never the CPU count."""
     n = len(batch)
-    size = n
-    if n * tokens >= STEP_ROWS:
-        size = max(1, min(STEP_ROWS // tokens, -(-n // 2)))
+    size = max(1, min(STEP_ROWS // tokens, -(-n // 2)))
     return [batch[i:i + size] for i in range(0, n, size)]
 
 
@@ -324,33 +321,37 @@ def train(cfg, out_dir):
     vocab = load_vocab(cfg.data_path)
     model = build_model(cfg, vocab)
     weights = loss_weights_from(cfg)
-    backbone_params, rest_params = model.parameter_groups()
-    opt = AdamW([(backbone_params, cfg.lr_backbone), (rest_params, cfg.lr_rest)],
-                weight_decay=cfg.weight_decay)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    stream = _BatchStream(len(train_samples), rng)
     # one worker per usable CPU, up to the chunk count of a step or of a
     # val round
     tokens = model.backbone.n_tokens
     workers = min(usable_cpus(),
                   max(len(split_batch(range(cfg.batch_size), tokens)),
                       len(eval_chunks(len(val_samples), tokens))))
+    # before AdamW, so that its moments reuse the heap of the private
+    # arrays the mapping replaces
     shared = SharedParameters((p for _, p in model.store.items()), workers)
+    backbone_params, rest_params = model.parameter_groups()
+    opt = AdamW([(backbone_params, cfg.lr_backbone), (rest_params, cfg.lr_rest)],
+                weight_decay=cfg.weight_decay)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    stream = _BatchStream(len(train_samples), rng)
 
     def run_task(task):
-        # in a worker: a val round's chunk of samples, or a step's chunk,
-        # whose gradient lands in the worker's own slot
+        # in a worker: a val round's chunk of samples, or a step's chunk k,
+        # whose gradient lands in the step gradient (k = 0) or in the
+        # worker's own slot
         if isinstance(task, slice):
             return forward_chunk(model, val_samples[task])
-        shared.zero_slot()
-        return shared.slot, step_chunk(model, weights, cfg.mode, *task)
+        k, chunk, share = task
+        slot = shared.gradient_for(k)
+        return slot, step_chunk(model, weights, cfg.mode, chunk, share)
 
     best_metric, best_step = -1.0, -1
 
     (out / "config.cfg").write_text(config_to_text(cfg), encoding="utf-8")
 
     report = None
-    with Workers(workers, run_task, on_fork=shared.use_slot) as pool, \
+    with Workers(workers, run_task, on_fork=shared.on_fork) as pool, \
             open(out / "metrics.csv", "w", encoding="utf-8") as metrics_fh, \
             open(out / "batches.log", "w", encoding="utf-8") as batches_fh:
 
@@ -387,17 +388,19 @@ def train(cfg, out_dir):
                 item = (*sample.arrays(cfg.image_size), sample.box,
                         sample.expression)
                 batch.append(flip_sample(*item) if flip else item)
-            # each chunk's gradient comes back in its worker's slot, and
-            # this process adds the slots in chunk order, so the sums depend
-            # on the chunk split only
+            # chunk 0's gradient lands in the step gradient and every other
+            # chunk's in its worker's slot, which this process adds in, in
+            # chunk order, so the sums depend on the chunk split only
             chunks = split_batch(batch, tokens)
-            tasks = [(chunk, len(chunk) / len(batch)) for chunk in chunks]
+            tasks = [(k, chunk, len(chunk) / len(batch))
+                     for k, chunk in enumerate(chunks)]
             parts, failure = {}, None
-            for (_, share), (slot, (chunk_parts, error)) in pool.in_order(
-                    tasks):
+            for (_, _, share), (slot, (chunk_parts, error)) in \
+                    pool.in_order(tasks):
                 for key, value in chunk_parts.items():
                     parts[key] = parts.get(key, 0.0) + share * value
-                shared.add_slot(slot)
+                if slot is not None:
+                    shared.add_slot(slot)
                 failure = failure or error
             if failure is not None:
                 dump = {"step": step, "loss_parts": parts,
@@ -412,7 +415,6 @@ def train(cfg, out_dir):
                                    ) from failure
             scale = cfg.decay_factor if step > cfg.decay_step else 1.0
             opt.step(lr_scale=scale)
-            opt.zero_grad()
 
             if step % cfg.log_every == 0 or step == cfg.steps:
                 emit(metric_row(step, "train", parts=parts))

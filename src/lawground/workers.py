@@ -174,14 +174,18 @@ def _shared_zeros(n):
 
 
 class SharedParameters:
-    """Parameter values in one shared anonymous mapping, beside one gradient
-    slot per worker.
+    """Parameter values, the step's gradient and one gradient slot per
+    worker, in one shared anonymous mapping.
 
-    Made before the workers fork. The parent's optimizer updates the values
-    in place, and the workers read them at their next task. In worker k,
-    `use_slot(k)` points every parameter's grad into slot k, which the worker
-    zeroes before each backward; the parent adds each chunk's slot into its
-    own grads, in chunk order (`add_slot`)."""
+    Made before the workers fork. In this process every parameter's data
+    and grad become views into the values and the step gradient; the
+    private arrays they replace are dropped. The optimizer updates the
+    values in place, and the workers read them at their next task. Before
+    each step chunk a worker calls `gradient_for(chunk)`: chunk 0 runs its
+    backward straight into the step gradient, every later chunk into the
+    worker's own slot, each zeroed first. The parent adds each later
+    chunk's slot into the step gradient, in chunk order (`add_slot`), so
+    the slot of a worker that runs only chunk 0 is never touched."""
 
     def __init__(self, params, slots):
         self.params = list(params)
@@ -190,27 +194,39 @@ class SharedParameters:
         for p in self.params:
             self._offsets.append(size)
             size += -(-p.data.size // 8) * 8
-        memory = _shared_zeros((slots + 1) * size)
-        # per slot: the flat slot, then each parameter's view into it
-        self._slots = [(flat, self._views(flat)) for flat in (
-            memory[(k + 1) * size:(k + 2) * size] for k in range(slots))]
-        for p, view in zip(self.params, self._views(memory[:size])):
-            view[...] = p.data
-            p.data = view
-        self.slot = None  # in a worker, the index of its own slot
+        memory = _shared_zeros((slots + 2) * size)
+        # the values, the step gradient, then each worker's slot
+        values, self.gradient, *self.slots = (
+            memory[k * size:(k + 1) * size] for k in range(slots + 2))
+        # each parameter's views into the step gradient and into each slot
+        self._grad_views, *self._slot_views = (
+            self._views(flat) for flat in (self.gradient, *self.slots))
+        for p, value, grad in zip(self.params, self._views(values),
+                                  self._grad_views):
+            value[...] = p.data
+            p.data, p.grad = value, grad
+        self.worker = None  # in a worker, its index: set by on_fork
 
     def _views(self, flat):
         return [flat[o:o + p.data.size].reshape(p.data.shape)
                 for p, o in zip(self.params, self._offsets)]
 
-    def use_slot(self, k):
-        self.slot = k
-        for p, view in zip(self.params, self._slots[k][1]):
-            p.grad = view
+    def on_fork(self, k):
+        self.worker = k
 
-    def zero_slot(self):
-        self._slots[self.slot][0][...] = 0.0
+    def gradient_for(self, chunk):
+        """In a worker, before a step's chunk `chunk`: point every grad at
+        the step gradient (chunk 0) or at this worker's slot, zeroed.
+        Returns the slot for the parent to add in, or None for chunk 0."""
+        if chunk == 0:
+            slot, flat, views = None, self.gradient, self._grad_views
+        else:
+            slot = self.worker
+            flat, views = self.slots[slot], self._slot_views[slot]
+        flat[...] = 0.0
+        for p, view in zip(self.params, views):
+            p.grad = view
+        return slot
 
     def add_slot(self, k):
-        for p, view in zip(self.params, self._slots[k][1]):
-            p.grad += view
+        self.gradient += self.slots[k]

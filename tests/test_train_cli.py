@@ -35,7 +35,7 @@ from lawground.optim import AdamW
 from lawground.serial import read_arrays, write_arrays
 from lawground.synthground import generate_dataset, load_dataset, load_vocab
 from lawground.tensor import Tape, Tensor, active_tape
-from lawground.workers import Workers
+from lawground.workers import SharedParameters, Workers
 
 
 def tiny_cfg(data_path, **kw):
@@ -366,8 +366,8 @@ def test_train_frees_step_graphs_without_cyclic_gc(dataset, tmp_path,
     cfg = tiny_cfg(dataset, steps=3, eval_every=3, log_every=1)
     with unreachable_graph_objects(monkeypatch, tmp_path / "gc") as counts:
         training.train(cfg, tmp_path / "run")
-    # three one-chunk steps and a one-chunk val round
-    assert counts == {"Tensor": 0, "Tape": 0, "chunks": 4}
+    # three steps of two 1-sample chunks and a one-chunk val round
+    assert counts == {"Tensor": 0, "Tape": 0, "chunks": 7}
 
 
 def test_failed_step_frees_its_graph_without_cyclic_gc(dataset, tmp_path,
@@ -383,7 +383,8 @@ def test_failed_step_frees_its_graph_without_cyclic_gc(dataset, tmp_path,
     with unreachable_graph_objects(monkeypatch, tmp_path / "gc") as counts:
         with pytest.raises(NumericError, match="nan_dump.json"):
             training.train(cfg, tmp_path / "run")
-    assert counts == {"Tensor": 0, "Tape": 0, "chunks": 1}
+    # both 1-sample chunks of step 1 run, and both fail
+    assert counts == {"Tensor": 0, "Tape": 0, "chunks": 2}
     assert (tmp_path / "run" / "nan_dump.json").exists()
 
 
@@ -461,53 +462,66 @@ def one_step(monkeypatch, cfg, out):
     return grads, parts, chunks
 
 
-def test_split_step_matches_one_chunk_step(dataset, tmp_path, monkeypatch):
-    cfg = tiny_cfg(dataset, batch_size=16)
-    # 16 visual tokens an image: 512 rows make one chunk of 16 samples, and
-    # 128 rows two chunks of 8
-    one, one_parts, one_chunks = one_step(monkeypatch, cfg, tmp_path / "one")
-    monkeypatch.setattr(training, "STEP_ROWS", 128)
-    two, two_parts, two_chunks = one_step(monkeypatch, cfg, tmp_path / "two")
-    assert [len(c) for c in one_chunks] == [16]
-    assert [len(c) for c in two_chunks] == [8, 8]
-    assert one.keys() == two.keys()
-    for name, grad in one.items():
-        assert np.abs(two[name] - grad).max() <= 1e-12 * np.abs(grad).max(), \
-            name
-    assert len(one_parts) == 5
-    for a, b in zip(one_parts, two_parts):
-        assert abs(b - a) <= 1e-12 * abs(a)
-
-
-def test_one_chunk_step_equals_one_tape_over_the_batch(dataset, tmp_path,
-                                                       monkeypatch):
-    cfg = validate(tiny_cfg(dataset, batch_size=4))
-    grads, _, chunks = one_step(monkeypatch, cfg, tmp_path / "run")
-    assert len(chunks) == 1
-    model = GroundingModel(cfg, load_vocab(dataset))
-    images, masks, boxes, exprs = zip(*chunks[0])
+def one_tape_step(cfg, batch):
+    """Each parameter's gradient and the loss parts of the whole batch on
+    one tape in this process, from the model train starts from."""
+    model = GroundingModel(cfg, load_vocab(cfg.data_path))
+    images, masks, boxes, exprs = zip(*batch)
     with Tape() as tape:
         pred = model.forward_batch(
             [model.image_tensor(image) for image in images],
             [model.tokenize(expr) for expr in exprs])
-        loss, _ = total_loss(np.stack(boxes), pred.box,
-                             np.stack(masks).astype(np.float64),
-                             pred.mask.probs, training.loss_weights_from(cfg),
-                             cfg.mode)
+        loss, parts = total_loss(np.stack(boxes), pred.box,
+                                 np.stack(masks).astype(np.float64),
+                                 pred.mask.probs,
+                                 training.loss_weights_from(cfg), cfg.mode)
     tape.backward(loss)
-    assert grads.keys() == {n for n, _ in model.store.items()}
-    for name, p in model.store.items():
-        assert np.array_equal(grads[name], p.grad), name
+    return {name: p.grad for name, p in model.store.items()}, parts
+
+
+def test_split_step_matches_one_chunk_step(dataset, tmp_path, monkeypatch):
+    """A split step's gradients and loss parts match one chunk of the whole
+    batch on one tape in this process, to rounding."""
+    cfg = validate(tiny_cfg(dataset, batch_size=16))
+    # 16 visual tokens an image: at 512 rows two chunks of ceil(B / 2), at
+    # 64 rows four chunks of 4, more than there are workers
+    for rows, sizes in ((512, [8, 8]), (64, [4, 4, 4, 4])):
+        monkeypatch.setattr(training, "STEP_ROWS", rows)
+        grads, parts, chunks = one_step(monkeypatch, cfg,
+                                        tmp_path / str(rows))
+        assert [len(c) for c in chunks] == sizes
+        ref, ref_parts = one_tape_step(cfg, sum(chunks, []))
+        assert grads.keys() == ref.keys()
+        for name, grad in ref.items():
+            assert np.abs(grads[name] - grad).max() <= \
+                1e-12 * np.abs(grad).max(), (rows, name)
+        assert len(parts) == 5
+        for key, b in zip(("total", "l1", "giou", "focal", "dice"), parts):
+            a = ref_parts[key]
+            assert abs(b - a) <= 1e-12 * abs(a), (rows, key)
+
+
+def test_one_chunk_step_equals_one_tape_over_the_batch(dataset, tmp_path,
+                                                       monkeypatch):
+    # only a B=1 step is one chunk: its backward runs straight into the
+    # step gradient that AdamW reads
+    cfg = validate(tiny_cfg(dataset, batch_size=1))
+    grads, _, chunks = one_step(monkeypatch, cfg, tmp_path / "run")
+    assert len(chunks) == 1
+    ref, _ = one_tape_step(cfg, chunks[0])
+    assert grads.keys() == ref.keys()
+    for name, grad in ref.items():
+        assert np.array_equal(grads[name], grad), name
 
 
 @pytest.mark.parametrize("rows,batch,sizes", [
-    (32, 2, [1, 1]),  # 32 rows fill a chunk: split in two
+    (32, 2, [1, 1]),
     (32, 1, [1]),
-    (64, 3, [3]),     # 48 rows stay one chunk
+    (64, 3, [2, 1]),  # 48 rows split too: chunks of ceil(B / 2)
 ])
-def test_step_splits_only_batches_that_fill_step_rows(dataset, tmp_path,
-                                                      monkeypatch, rows,
-                                                      batch, sizes):
+def test_step_splits_every_batch_of_two_or_more(dataset, tmp_path,
+                                                monkeypatch, rows, batch,
+                                                sizes):
     # the tiny config's images have 16 visual tokens
     monkeypatch.setattr(training, "STEP_ROWS", rows)
     cfg = tiny_cfg(dataset, batch_size=batch)
@@ -520,7 +534,7 @@ def test_step_splits_only_batches_that_fill_step_rows(dataset, tmp_path,
     (3, 256, [2, 1]),
     (8, 64, [4, 4]),    # B=8 at 64x64
     (16, 64, [8, 8]),
-    (4, 64, [4]),
+    (4, 64, [2, 2]),    # B=4 at 64x64: 256 rows, split all the same
     (1, 1024, [1]),     # one image past STEP_ROWS alone
 ])
 def test_split_batch_at_step_rows_512(batch, tokens, sizes):
@@ -532,10 +546,12 @@ def test_split_batch_at_step_rows_512(batch, tokens, sizes):
 
 def test_chunked_run_does_not_depend_on_worker_count(dataset, tmp_path,
                                                      monkeypatch):
-    # chunks of 2 samples: a B=5 step is 3 chunks, the last one short; a
-    # B=2 step fills the 32 rows exactly and runs as two 1-sample chunks
-    monkeypatch.setattr(training, "STEP_ROWS", 32)
-    for batch in (5, 2):
+    # at 32 rows, chunks of 2 samples: a B=5 step is 3 chunks, the last one
+    # short, and a B=2 step two 1-sample chunks; at the default 512 rows a
+    # B=3 step (48 rows) is chunks of 2 and 1. So 1, 2 and 4 workers run
+    # more chunks than workers, as many, and fewer than the CPUs allowed.
+    for rows, batch in ((32, 5), (32, 2), (512, 3)):
+        monkeypatch.setattr(training, "STEP_ROWS", rows)
         cfg = tiny_cfg(dataset, steps=4, batch_size=batch, log_every=1,
                        eval_every=2)
         # more worker processes than this host may have cores
@@ -548,6 +564,40 @@ def test_chunked_run_does_not_depend_on_worker_count(dataset, tmp_path,
                 assert (tmp_path / f"{batch}-1" / rel).read_bytes() == \
                     (tmp_path / f"{batch}-{workers}" / rel).read_bytes(), \
                     (batch, workers, rel)
+
+
+def test_step_gradient_is_summed_in_the_shared_mapping(dataset, tmp_path,
+                                                       monkeypatch):
+    """AdamW reads each parameter's grad where the step's chunks summed it,
+    in the shared mapping. A B=4 step on two workers is two chunks, one a
+    worker: chunk 0's backward writes the step gradient itself, so worker
+    0's slot is never touched, and only worker 1's slot is added in."""
+    made, steps = [], []
+
+    class Recorded(SharedParameters):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    real_step = AdamW.step
+
+    def step(opt, lr_scale=1.0):
+        (shared,) = made
+        for params, _ in opt.groups:
+            for name, p in params:
+                assert np.shares_memory(p.grad, shared.gradient), name
+        steps.append(shared.gradient.any())
+        return real_step(opt, lr_scale)
+
+    monkeypatch.setattr(training, "SharedParameters", Recorded)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(AdamW, "step", step)
+    training.train(tiny_cfg(dataset, steps=2, batch_size=4), tmp_path / "run")
+    (shared,) = made
+    assert steps == [True, True]
+    assert len(shared.slots) == 2
+    assert not shared.slots[0].any()
+    assert shared.slots[1].any()
 
 
 def test_package_import_pins_openblas_to_one_thread():
@@ -653,6 +703,9 @@ def test_training_steps_do_not_fault_freed_memory_back_in(tmp_path):
 
         optim.AdamW.step = step
         train.step_chunk = step_chunk
+        # two workers, whatever this host has: one runs chunk 0 of each
+        # step, the other chunk 1
+        train.usable_cpus = lambda: 2
         train.train(TrainConfig(data_path=sys.argv[1], steps=6, batch_size=4,
                                 eval_every=6, log_every=6), sys.argv[2])
         print(json.dumps([b - a for a, b in zip(faults, faults[1:])]))
@@ -666,14 +719,16 @@ def test_training_steps_do_not_fault_freed_memory_back_in(tmp_path):
          str(tmp_path / "run")], env=env, capture_output=True, text=True,
         timeout=300, check=True)
     per_step = json.loads(done.stdout.strip().splitlines()[-1])
-    # a B=4 desk64 step is one chunk, so one worker runs all six
-    logs = list(tmp_path.glob("run.*"))
-    assert len(logs) == 1, logs
-    counts = [int(line) for line in logs[0].read_text().split()]
-    per_chunk = [b - a for a, b in zip(counts, counts[1:])]
+    # a B=4 desk64 step is two chunks of 2, so each worker runs six
+    logs = sorted(tmp_path.glob("run.*"))
+    assert len(logs) == 2, logs
+    per_chunk = []
+    for log in logs:
+        counts = [int(line) for line in log.read_text().split()]
+        per_chunk.append([b - a for a, b in zip(counts, counts[1:])])
     # a desk64 B=4 step re-faulted about 5,700 pages (22 MiB) when the top
     # of the heap went back to the kernel after each step
-    for faults in (per_step, per_chunk):
+    for faults in (per_step, *per_chunk):
         assert len(faults) == 5 and sorted(faults)[2] < 1000, faults
 
 
