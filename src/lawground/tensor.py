@@ -11,7 +11,6 @@ with fixed reduction orders, so repeated runs are bit-identical.
 
 import ctypes
 import os
-import threading
 
 import numpy as np
 
@@ -78,24 +77,16 @@ _SIG_HI = float(np.nextafter(1.0, 0.0))
 _SIG_LO = 1e-300
 
 
-class _ThreadTapes(threading.local):
-    """Each thread's active tapes, innermost last: an op run on one thread
-    never records onto a tape another thread has open."""
-
-    def __init__(self):
-        self.stack = []
-
-
-_tapes = _ThreadTapes()
+# the open tapes, innermost last
+_tapes = []
 # a forked child starts with no tape open: the tapes its parent had open are
 # the parent's to finish
-os.register_at_fork(after_in_child=lambda: setattr(_tapes, "stack", []))
+os.register_at_fork(after_in_child=_tapes.clear)
 
 
 def active_tape():
-    """The innermost Tape this thread has open, or None."""
-    stack = _tapes.stack
-    return stack[-1] if stack else None
+    """The innermost open Tape, or None."""
+    return _tapes[-1] if _tapes else None
 
 
 class Tape:
@@ -113,11 +104,11 @@ class Tape:
         self._consumed = False
 
     def __enter__(self):
-        _tapes.stack.append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tapes.stack.pop()
+        popped = _tapes.pop()
         assert popped is self
         if exc_type is not None:
             # a forward that failed leaves no graph behind

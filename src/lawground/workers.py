@@ -175,29 +175,33 @@ def _shared_zeros(n):
 
 class SharedParameters:
     """Parameter values, the step's gradient and one gradient slot per
-    worker, in one shared anonymous mapping.
+    worker, in one shared anonymous mapping, laid out group after group;
+    `groups` holds each group's flat (values, gradient) ranges.
 
     Made before the workers fork. In this process every parameter's data
-    and grad become views into the values and the step gradient; the
-    private arrays they replace are dropped. The optimizer updates the
-    values in place, and the workers read them at their next task. Before
-    each step chunk a worker calls `gradient_for(chunk)`: chunk 0 runs its
-    backward straight into the step gradient, every later chunk into the
-    worker's own slot, each zeroed first. The parent adds each later
-    chunk's slot into the step gradient, in chunk order (`add_slot`), so
-    the slot of a worker that runs only chunk 0 is never touched."""
+    and grad become views into the values and the step gradient, replacing
+    its private arrays. The optimizer updates the values in place, and the
+    workers read them at their next task. Before each step chunk a worker
+    calls `gradient_for(chunk)`: chunk 0 runs its backward straight into
+    the step gradient, every later chunk into the worker's own slot, each
+    zeroed first. The parent adds each later chunk's slot into the step
+    gradient in chunk order (`add_slot`); chunk 0 touches no slot."""
 
-    def __init__(self, params, slots):
-        self.params = list(params)
+    def __init__(self, groups, slots):
         # each parameter starts on a 64-byte boundary
-        self._offsets, size = [], 0
-        for p in self.params:
-            self._offsets.append(size)
-            size += -(-p.data.size // 8) * 8
+        self.params, self._offsets, ends, size = [], [], [], 0
+        for group in groups:
+            for _, p in group:
+                self.params.append(p)
+                self._offsets.append(size)
+                size += -(-p.data.size // 8) * 8
+            ends.append(size)
         memory = _shared_zeros((slots + 2) * size)
         # the values, the step gradient, then each worker's slot
         values, self.gradient, *self.slots = (
             memory[k * size:(k + 1) * size] for k in range(slots + 2))
+        self.groups = [(values[a:b], self.gradient[a:b])
+                       for a, b in zip([0, *ends], ends)]
         # each parameter's views into the step gradient and into each slot
         self._grad_views, *self._slot_views = (
             self._views(flat) for flat in (self.gradient, *self.slots))

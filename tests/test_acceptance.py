@@ -543,7 +543,7 @@ def test_criterion_4_oracle_equivalence():
 
 # ---------------------------------------------------------------------------
 # criterion 5: the shipped desk protocol reaches the training target.
-# It trains for 15 minutes or more, so it is opt-in: python -m pytest -m desk
+# It trains for about five minutes, so it is opt-in: python -m pytest -m desk
 
 
 @pytest.mark.desk

@@ -166,6 +166,15 @@ def test_loader_round_trips_fields(small_dataset):
     np.testing.assert_allclose(first.box, raw["box"], atol=0)
 
 
+def test_sample_arrays_are_decoded_on_every_call(small_dataset):
+    root, _ = small_dataset
+    sample = load_dataset(root)[0]
+    for read in (sample.image, sample.mask):
+        first, second = read(), read()
+        assert first is not second and not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+
+
 def test_loader_errors_name_file_and_line(tmp_path, small_dataset):
     root, _ = small_dataset
     broken = tmp_path / "broken"

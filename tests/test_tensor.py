@@ -19,7 +19,6 @@ from lawground.tensor import (
     _libm_ufunc,
     _record,
     _softmax_,
-    active_tape,
     attention,
     bilinear_upsample,
     erf,
@@ -580,24 +579,6 @@ def test_grads_merge_across_tapes():
             loss = tsum(x)
         tape.backward(loss)
     np.testing.assert_allclose(x.grad, np.full(3, 2.0), atol=0)
-
-
-def test_ops_on_another_thread_skip_the_callers_tape():
-    x = rand_tensor((3,), requires_grad=True)
-    seen = {}
-
-    def work():
-        seen["tape"] = active_tape()
-        seen["out"] = tsum(x * x)
-
-    with Tape() as tape:
-        worker = threading.Thread(target=work)
-        worker.start()
-        worker.join(timeout=60)
-        loss = tsum(x)
-    assert not worker.is_alive()
-    assert seen["tape"] is None and seen["out"]._tape is None
-    assert len(tape._entries) == 1 and loss._tape is tape
 
 
 def test_backward_empties_the_tape():

@@ -429,14 +429,18 @@ def one_step(monkeypatch, cfg, out):
     the train row's loss parts and the chunks the step ran, in chunk order.
     The chunks are recorded as the step splits its batch, and the worker
     processes record each chunk they run: the two must be the same."""
-    grads, chunks = {}, []
+    grads, chunks, models = {}, [], []
     real_step, real_split = AdamW.step, training.split_batch
-    real_chunk = training.step_chunk
+    real_chunk, real_build = training.step_chunk, training.build_model
     log = out.parent / f"{out.name}.chunks"
 
+    def build_model(cfg, vocab):
+        models.append(real_build(cfg, vocab))
+        return models[-1]
+
     def step(opt, lr_scale=1.0):
-        for params, _ in opt.groups:
-            grads.update((name, p.grad.copy()) for name, p in params)
+        (model,) = models
+        grads.update((name, p.grad.copy()) for name, p in model.store.items())
         return real_step(opt, lr_scale)
 
     def split_batch(batch, tokens):
@@ -451,6 +455,7 @@ def one_step(monkeypatch, cfg, out):
 
     with monkeypatch.context() as patch:
         patch.setattr(AdamW, "step", step)
+        patch.setattr(training, "build_model", build_model)
         patch.setattr(training, "split_batch", split_batch)
         patch.setattr(training, "step_chunk", step_chunk)
         training.train(replace(cfg, steps=1, log_every=1), out)
@@ -583,9 +588,10 @@ def test_step_gradient_is_summed_in_the_shared_mapping(dataset, tmp_path,
 
     def step(opt, lr_scale=1.0):
         (shared,) = made
-        for params, _ in opt.groups:
-            for name, p in params:
-                assert np.shares_memory(p.grad, shared.gradient), name
+        for k, p in enumerate(shared.params):
+            assert np.shares_memory(p.grad, shared.gradient), k
+        for _, _, grad, *_ in opt.groups:
+            assert np.shares_memory(grad, shared.gradient)
         steps.append(shared.gradient.any())
         return real_step(opt, lr_scale)
 
@@ -598,6 +604,48 @@ def test_step_gradient_is_summed_in_the_shared_mapping(dataset, tmp_path,
     assert len(shared.slots) == 2
     assert not shared.slots[0].any()
     assert shared.slots[1].any()
+
+
+def test_arm_without_weight_generator_trains_over_two_ranges(dataset,
+                                                             tmp_path,
+                                                             monkeypatch):
+    """With no weight generator there is no law.* range: the backbone's
+    range holds the text and ViT parameters and the rest's the head's, one
+    after the other, and both train. The padding between parameters keeps
+    zero values and a zero gradient."""
+    made, models = [], []
+    real_build = training.build_model
+
+    class Recorded(SharedParameters):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    def build_model(cfg, vocab):
+        models.append(real_build(cfg, vocab))
+        return models[-1]
+
+    monkeypatch.setattr(training, "SharedParameters", Recorded)
+    monkeypatch.setattr(training, "build_model", build_model)
+    cfg = tiny_cfg(dataset, steps=2, lawg_enabled=False)
+    training.train(cfg, tmp_path / "run")
+    (shared,), (model,) = made, models
+    (backbone, _), (rest, _) = shared.groups
+    assert backbone.size + rest.size == shared.gradient.size
+    init = GroundingModel(cfg, load_vocab(dataset))
+    moved = [False, False]
+    for name, p in model.store.items():
+        assert not name.startswith("law."), name
+        k = 0 if name.startswith(("text.", "vit.")) else 1
+        assert np.shares_memory(p.data, shared.groups[k][0]), name
+        moved[k] |= not np.array_equal(p.data, init.store[name].data)
+    assert moved == [True, True]
+    padding = np.ones(shared.gradient.size, bool)
+    for p, offset in zip(shared.params, shared._offsets):
+        padding[offset:offset + p.data.size] = False
+    values = np.concatenate([backbone, rest])
+    assert padding.any()
+    assert not values[padding].any() and not shared.gradient[padding].any()
 
 
 def test_package_import_pins_openblas_to_one_thread():
