@@ -122,21 +122,27 @@ def _radius_for(size, resolution):
 
 
 def _rasterize_object(obj, resolution):
-    ys, xs = np.mgrid[0:resolution, 0:resolution]
-    px = xs + 0.5
-    py = ys + 0.5
     r = obj.radius
+    # every pixel the shape covers has its centre within r of the object's
+    # centre on both axes, so the per-pixel test runs on that window, one
+    # pixel wider on each side, and the rest of the canvas stays False
+    y0, y1 = max(obj.cy - r - 1, 0), min(obj.cy + r + 2, resolution)
+    x0, x1 = max(obj.cx - r - 1, 0), min(obj.cx + r + 2, resolution)
+    py = np.arange(y0, y1)[:, None] + 0.5
+    px = np.arange(x0, x1) + 0.5
     if obj.shape == "circle":
-        return (px - obj.cx) ** 2 + (py - obj.cy) ** 2 <= r * r
-    if obj.shape == "square":
-        return np.maximum(np.abs(px - obj.cx), np.abs(py - obj.cy)) <= r
-    # upward triangle: apex (cx, cy-r), base corners (cx +- r, cy + r)
-    inside = py <= obj.cy + r
-    # left edge from apex to bottom-left, right edge mirrored
-    t = (py - (obj.cy - r)) / (2.0 * r)
-    inside &= px >= obj.cx - r * t
-    inside &= px <= obj.cx + r * t
-    return inside
+        inside = (px - obj.cx) ** 2 + (py - obj.cy) ** 2 <= r * r
+    elif obj.shape == "square":
+        inside = np.maximum(np.abs(px - obj.cx), np.abs(py - obj.cy)) <= r
+    else:
+        # upward triangle: apex (cx, cy-r), base corners (cx +- r, cy + r);
+        # left edge from apex to bottom-left, right edge mirrored
+        t = (py - (obj.cy - r)) / (2.0 * r)
+        inside = ((py <= obj.cy + r) & (px >= obj.cx - r * t)
+                  & (px <= obj.cx + r * t))
+    mask = np.zeros((resolution, resolution), dtype=bool)
+    mask[y0:y1, x0:x1] = inside
+    return mask
 
 
 def render_scene(objects, resolution):

@@ -34,13 +34,10 @@ METRIC_COLUMNS = ("step", "split", "prec_at_05", "miou", "loss_total",
 
 LENGTH_BUCKETS = ((1, 5), (6, 7), (8, 10), (11, None))
 
-# visual-token rows per tape-free evaluation chunk: 4 samples at 64x64, 1 at
-# 128x128 (at 64x64, 4-sample chunks cost less per sample than 8-sample ones)
-EVAL_ROWS = 256
-
-# visual-token rows per taped training chunk, at most: every step of two
-# samples or more splits into two chunks or more, so that the worker
-# processes share it (see split_batch).
+# visual-token rows per chunk, at most, of a taped training step and of a
+# tape-free evaluation: every step or evaluation of two samples or more
+# splits into two chunks or more, so that the worker processes share it
+# (see split_batch).
 # Chunks of 256 rows made the B=16 desk64 step slower.
 STEP_ROWS = 512
 
@@ -137,25 +134,19 @@ def usable_cpus():
     return len(os.sched_getaffinity(0))
 
 
-def eval_chunks(count, tokens):
-    """The chunks, as slices, that evaluate_model splits `count` samples
-    into, in order: EVAL_ROWS // tokens samples each (tokens: visual tokens
-    per image), at least one."""
-    size = max(1, EVAL_ROWS // tokens)
-    return [slice(i, min(i + size, count)) for i in range(0, count, size)]
-
-
 def evaluate_model(model, samples, threshold, pool=None):
     """Box precision, mask mIoU, the relational subset, and length buckets.
 
-    Worker processes run the samples' eval_chunks through forward_chunk:
-    `pool`, an open Workers that answers a slice task with
+    The samples split into chunks as a training batch does (split_batch),
+    and worker processes run each chunk, as a slice of `samples`, through
+    forward_chunk: `pool`, an open Workers that answers a slice task with
     forward_chunk(model, samples[task]) (training's val rounds pass their
     step pool), or else a pool forked for this call, one worker per usable
     CPU up to the chunk count. This process reads every sample out with
     predict_sample, in sample order, so metrics reduce in sample order
     whatever the CPU count."""
-    chunks = eval_chunks(len(samples), model.backbone.n_tokens)
+    chunks = [slice(r.start, r.stop) for r in split_batch(
+        range(len(samples)), model.backbone.n_tokens)]
     # per sample, once: its box's precision at 0.5 (1 or 0) and its mask
     # IoU (None without a mask branch)
     hits, mask_ious = [], []
@@ -258,10 +249,11 @@ def check_resolution(samples, cfg):
 
 
 def split_batch(batch, tokens):
-    """A training batch of images of `tokens` visual tokens each, in order,
-    as chunks of max(1, min(STEP_ROWS // tokens, ceil(B / 2))) samples, the
-    last one short: two chunks or more for any B >= 2. The split reads only
-    B and T, never the CPU count."""
+    """A training batch, or the samples of an evaluation, of images of
+    `tokens` visual tokens each, in order, as chunks of
+    max(1, min(STEP_ROWS // tokens, ceil(B / 2))) samples, the last one
+    short: two chunks or more for any B >= 2. The split reads only B and T,
+    never the CPU count, and the chunk count never falls as B grows."""
     n = len(batch)
     size = max(1, min(STEP_ROWS // tokens, -(-n // 2)))
     return [batch[i:i + size] for i in range(0, n, size)]
@@ -324,9 +316,8 @@ def train(cfg, out_dir):
     # one worker per usable CPU, up to the chunk count of a step or of a
     # val round
     tokens = model.backbone.n_tokens
-    workers = min(usable_cpus(),
-                  max(len(split_batch(range(cfg.batch_size), tokens)),
-                      len(eval_chunks(len(val_samples), tokens))))
+    workers = min(usable_cpus(), len(split_batch(
+        range(max(cfg.batch_size, len(val_samples))), tokens)))
     # AdamW after the mapping: moments made before it cost 5-6 MB peak RSS
     shared = SharedParameters(model.parameter_groups(), workers)
     opt = AdamW([(values, grad, lr) for (values, grad), lr in zip(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from lawground.synthground import (
     mask_to_box,
     render_scene,
     verify_manifest,
+    _radius_for,
     _rasterize_object,
     SceneObject,
 )
@@ -142,6 +144,54 @@ def test_image_pixels_match_rendered_scene(small_dataset):
     sample = load_dataset(root)[0]
     want = render_scene(sample.objects, sample.image().shape[0])
     assert np.array_equal(sample.image(), want)
+
+
+def full_grid_rasterization(obj, resolution):
+    """The per-pixel shape test over the whole canvas (oracle)."""
+    ys, xs = np.mgrid[0:resolution, 0:resolution]
+    px = xs + 0.5
+    py = ys + 0.5
+    r = obj.radius
+    if obj.shape == "circle":
+        return (px - obj.cx) ** 2 + (py - obj.cy) ** 2 <= r * r
+    if obj.shape == "square":
+        return np.maximum(np.abs(px - obj.cx), np.abs(py - obj.cy)) <= r
+    inside = py <= obj.cy + r
+    t = (py - (obj.cy - r)) / (2.0 * r)
+    inside &= px >= obj.cx - r * t
+    inside &= px <= obj.cx + r * t
+    return inside
+
+
+@pytest.mark.parametrize("resolution", [32, 64, 128])
+def test_rasterization_matches_full_grid_formula(resolution):
+    for size in ("small", "large"):
+        radius = _radius_for(size, resolution)
+        # the legal centres, as _place_objects draws them
+        lo, hi = radius + 2, resolution - radius - 3
+        centres = sorted({lo, lo + 1, (lo + hi) // 2, hi - 1, hi})
+        for shape in ("circle", "square", "triangle"):
+            for cx in centres:
+                for cy in centres:
+                    obj = SceneObject(shape, "red", size, cx, cy, radius)
+                    got = _rasterize_object(obj, resolution)
+                    want = full_grid_rasterization(obj, resolution)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want), (shape, size, cx, cy)
+                    assert got.any()
+
+
+@pytest.mark.parametrize("resolution,digest", [
+    (32, "f771a2a2a3e04fed7b923fae8fe50c3e1c685fe2e01c3d516faf03be83b48f12"),
+    (64, "5b547091cffcc83a7fc15176d25d49f2ddcc9b7143f8bca2e7b6b8dcfa80b2c2"),
+    (128, "b4874366e5b733fa04e1a3bcdfe552741aac21c0b4150d8fe6902f9a47ad6ba5"),
+])
+def test_dataset_bytes_are_pinned(tmp_path, resolution, digest):
+    # the manifest holds the sha256 of every file the generator writes
+    generate_dataset(tmp_path, seed=11, n_train=40, n_val=12, n_test=12,
+                     resolution=resolution)
+    manifest = (tmp_path / "manifest.sha").read_bytes()
+    assert hashlib.sha256(manifest).hexdigest() == digest
 
 
 def test_split_sizes_and_isolation(small_dataset):

@@ -366,8 +366,9 @@ def test_train_frees_step_graphs_without_cyclic_gc(dataset, tmp_path,
     cfg = tiny_cfg(dataset, steps=3, eval_every=3, log_every=1)
     with unreachable_graph_objects(monkeypatch, tmp_path / "gc") as counts:
         training.train(cfg, tmp_path / "run")
-    # three steps of two 1-sample chunks and a one-chunk val round
-    assert counts == {"Tensor": 0, "Tape": 0, "chunks": 7}
+    # three steps of two 1-sample chunks and a val round of two 3-sample
+    # chunks
+    assert counts == {"Tensor": 0, "Tape": 0, "chunks": 8}
 
 
 def test_failed_step_frees_its_graph_without_cyclic_gc(dataset, tmp_path,
@@ -444,10 +445,12 @@ def one_step(monkeypatch, cfg, out):
         return real_step(opt, lr_scale)
 
     def split_batch(batch, tokens):
-        # the step's split is the last one (train also splits range(B) to
-        # count its workers)
-        chunks[:] = real_split(batch, tokens)
-        return chunks[:]
+        # only the step splits a list of samples: train also splits a range
+        # to count its workers, and the val round splits range(len(val))
+        split = real_split(batch, tokens)
+        if not isinstance(batch, range):
+            chunks[:] = split
+        return split
 
     def step_chunk(model, weights, mode, chunk, share):
         append_record(log, chunk)
@@ -541,6 +544,9 @@ def test_step_splits_every_batch_of_two_or_more(dataset, tmp_path,
     (16, 64, [8, 8]),
     (4, 64, [2, 2]),    # B=4 at 64x64: 256 rows, split all the same
     (1, 1024, [1]),     # one image past STEP_ROWS alone
+    (500, 64, [8] * 62 + [4]),  # an evaluation of 500 samples at 64x64
+    (100, 256, [2] * 50),       # of 100 at 128x128
+    (1, 64, [1]),               # of one sample
 ])
 def test_split_batch_at_step_rows_512(batch, tokens, sizes):
     assert training.STEP_ROWS == 512
@@ -790,7 +796,7 @@ def test_resolution_mismatch_is_config_error(dataset, tmp_path):
 # evaluation
 
 
-# a stand-in model whose chunks hold 256 // 64 = 4 samples
+# a stand-in model whose chunks hold at most 512 // 64 = 8 samples
 STUB_MODEL = SimpleNamespace(backbone=SimpleNamespace(n_tokens=64))
 
 
@@ -825,7 +831,8 @@ def test_evaluate_constant_box_stub_matches_loop(dataset, monkeypatch):
 
 @pytest.fixture(scope="module")
 def eval_model(dataset, tmp_path_factory):
-    """A trained model with 64 visual tokens per image: 4 samples a chunk."""
+    """A trained model with 64 visual tokens per image: at most 8 samples
+    a chunk."""
     run = tmp_path_factory.mktemp("eval_run")
     training.train(tiny_cfg(dataset, patch=4, steps=4), run)
     model, cfg, _, _ = training.load_checkpoint(run / "last.ckpt", dataset)
@@ -860,11 +867,12 @@ def test_evaluate_report_does_not_depend_on_worker_count(dataset, eval_model,
             assert np.array_equal(mask, other_mask)
 
 
-@pytest.mark.parametrize("split,count", [("val", 6), ("test", 4), ("val", 1)])
+@pytest.mark.parametrize("split,count", [("val", 6), ("val", 5), ("test", 4),
+                                         ("val", 1)])
 def test_evaluate_matches_per_sample_forward(dataset, eval_model, monkeypatch,
                                              split, count):
-    # 6 samples make a full and a partial chunk, 4 one full chunk, 1 a
-    # partial one
+    # chunks of ceil(n / 2): 6 samples make two 3-sample chunks, 5 a
+    # 3-sample and a short 2-sample one, 4 two 2-sample chunks, 1 one chunk
     model, threshold = eval_model
     samples = load_dataset(dataset, split)[:count]
     assert len(samples) == count
@@ -939,7 +947,8 @@ def test_evaluate_failing_chunk_raises_and_cancels_the_rest(dataset,
 
     monkeypatch.setattr(training, "usable_cpus", lambda: 2)
     monkeypatch.setattr(training, "forward_chunk", forward)
-    one_per_chunk = SimpleNamespace(backbone=SimpleNamespace(n_tokens=256))
+    # images of STEP_ROWS visual tokens: one sample a chunk
+    one_per_chunk = SimpleNamespace(backbone=SimpleNamespace(n_tokens=512))
     with pytest.raises(NumericError, match=f"scene {samples[0].scene_id} "):
         training.evaluate_model(one_per_chunk, samples, 0.35)
     # 6 chunks, of which at most one per worker was ever handed out
@@ -1016,9 +1025,10 @@ def test_no_worker_outlives_train_or_evaluate(dataset, tmp_path, monkeypatch,
                                 eval_every=1), tmp_path / "run")
         training.evaluate_checkpoint(tmp_path / "run" / "last.ckpt", dataset,
                                      "val")
-    # the step pool's workers, which also run both val rounds, and one for
-    # the eval: 6 val samples are one chunk at 16 visual tokens an image
-    assert len(pids) == cpus + 1
+    # the step pool's workers, which also run both val rounds, and as many
+    # for the eval: 6 val samples are three chunks of 2 at 16 visual tokens
+    # an image
+    assert len(pids) == 2 * cpus
     assert unreaped(pids) == []
 
 
@@ -1051,7 +1061,9 @@ def test_no_worker_outlives_a_chunk_that_raises(dataset, tmp_path,
         with pytest.raises(ShapeError, match="chunk at scene"):
             training.evaluate_checkpoint(tmp_path / "ok" / "last.ckpt",
                                          dataset, "val")
-    assert len(pids) == 2 * cpus + 1
+    # each of the three calls forks one worker per CPU: every step and val
+    # round is two chunks or more
+    assert len(pids) == 3 * cpus
     assert unreaped(pids) == []
 
 
