@@ -7,6 +7,7 @@ without the section prefix: `text_width` in section `text` is `text.width`.
 Unknown keys and untypeable values raise ConfigError.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -131,6 +132,8 @@ def validate(cfg):
         value = getattr(cfg, f.name)
         if f.type is int and value < low:
             raise ConfigError(f"{key} must be >= {low}, got {value}")
+        if f.type is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     if cfg.mode not in MODES:
         raise ConfigError(f"train.mode must be one of {MODES}, got {cfg.mode!r}")
     if not cfg.mth_enabled and cfg.mode != "rec":

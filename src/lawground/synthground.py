@@ -371,6 +371,8 @@ def generate_dataset(out_dir, seed=0, n_train=4000, n_val=500, n_test=500,
 
 
 def write_manifest(root):
+    """manifest.sha: `<sha256>  <path>` per file, sorted by path, the
+    format `sha256sum -c manifest.sha` checks."""
     root = Path(root)
     lines = []
     for path in sorted(p for p in root.rglob("*") if p.is_file()
@@ -378,26 +380,6 @@ def write_manifest(root):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         lines.append(f"{digest}  {path.relative_to(root).as_posix()}")
     (root / "manifest.sha").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def verify_manifest(root):
-    """Recompute every digest; raises DataError on any mismatch."""
-    root = Path(root)
-    manifest = root / "manifest.sha"
-    if not manifest.exists():
-        raise DataError(f"{manifest}: missing manifest")
-    for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            digest, rel = line.split("  ", 1)
-        except ValueError:
-            raise DataError(f"{manifest}:{lineno}: malformed line") from None
-        target = root / rel
-        if not target.exists():
-            raise DataError(f"{manifest}:{lineno}: missing file {rel}")
-        if hashlib.sha256(target.read_bytes()).hexdigest() != digest:
-            raise DataError(f"{manifest}:{lineno}: checksum mismatch for {rel}")
 
 
 def load_dataset(root, split=None):

@@ -260,15 +260,21 @@ def split_batch(batch, tokens):
 
 
 def step_chunk(model, weights, mode, chunk, share):
-    """One chunk of a training batch on a tape of its own: the batch
-    forward, the joint loss weighted by `share` (the chunk's fraction of the
-    batch) and backward into each parameter's grad.
+    """One chunk of a training batch, as (sample, flip) pairs, on a tape of
+    its own: each sample read and, if flagged, flipped (flip_sample), then
+    the batch forward, the joint loss weighted by `share` (the chunk's
+    fraction of the batch) and backward into each parameter's grad.
 
     Returns the chunk's loss parts and, when its loss is not finite,
     backward's NumericError (else None). The error is returned, not raised,
     so the other chunks still run and the step's nan_dump.json gets the
     parts of every chunk."""
-    images, masks, boxes, exprs = zip(*chunk)
+    items = []
+    for sample, flip in chunk:
+        item = (*sample.arrays(model.config.image_size), sample.box,
+                sample.expression)
+        items.append(flip_sample(*item) if flip else item)
+    images, masks, boxes, exprs = zip(*items)
     with Tape() as tape:
         pred = model.forward_batch(
             [model.image_tensor(image) for image in images],
@@ -327,12 +333,13 @@ def train(cfg, out_dir):
     stream = _BatchStream(len(train_samples), rng)
 
     def run_task(task):
-        # in a worker: a val round's chunk of samples, or a step's chunk k,
-        # whose gradient lands in the step gradient (k = 0) or in the
-        # worker's own slot
+        # in a worker: a val round's chunk of samples, or a step's chunk k
+        # of (sample index, flip) pairs, whose gradient lands in the step
+        # gradient (k = 0) or in the worker's own slot
         if isinstance(task, slice):
             return forward_chunk(model, val_samples[task])
-        k, chunk, share = task
+        k, pairs, share = task
+        chunk = [(train_samples[i], flip) for i, flip in pairs]
         slot = shared.gradient_for(k)
         return slot, step_chunk(model, weights, cfg.mode, chunk, share)
 
@@ -372,18 +379,13 @@ def train(cfg, out_dir):
             batches_fh.write(f"{step},{digest}\n")
             batches_fh.flush()
 
-            batch = []
-            for idx, flip in zip(indices, flips):
-                sample = train_samples[idx]
-                item = (*sample.arrays(cfg.image_size), sample.box,
-                        sample.expression)
-                batch.append(flip_sample(*item) if flip else item)
-            # chunk 0's gradient lands in the step gradient and every other
-            # chunk's in its worker's slot, which this process adds in, in
-            # chunk order, so the sums depend on the chunk split only
-            chunks = split_batch(batch, tokens)
-            tasks = [(k, chunk, len(chunk) / len(batch))
-                     for k, chunk in enumerate(chunks)]
+            # chunks of (sample index, flip) pairs: chunk 0's gradient lands
+            # in the step gradient and every other chunk's in its worker's
+            # slot, which this process adds in, in chunk order, so the sums
+            # depend on the chunk split only
+            tasks = [(k, pairs, len(pairs) / cfg.batch_size)
+                     for k, pairs in enumerate(split_batch(
+                         list(zip(indices, flips.tolist())), tokens))]
             parts, failure = {}, None
             for (_, _, share), (slot, (chunk_parts, error)) in \
                     pool.in_order(tasks):

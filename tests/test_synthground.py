@@ -1,5 +1,6 @@
 import hashlib
 import json
+import subprocess
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from lawground.synthground import (
     load_vocab,
     mask_to_box,
     render_scene,
-    verify_manifest,
     _radius_for,
     _rasterize_object,
     SceneObject,
@@ -267,16 +267,23 @@ def test_corrupt_netpbm_files_are_data_errors_naming_the_file(tmp_path):
 
 
 def test_manifest_verifies_and_detects_tamper(tmp_path):
+    # manifest.sha is in coreutils' format: sha256sum -c checks it
     out = tmp_path / "ds"
     generate_dataset(out, seed=5, n_train=3, n_val=1, n_test=1, resolution=32)
-    verify_manifest(out)  # all digests recompute clean
+
+    def check():
+        return subprocess.run(["sha256sum", "-c", "--quiet", "manifest.sha"],
+                              cwd=out, capture_output=True, text=True)
+
+    clean = check()
+    assert clean.returncode == 0, clean.stdout + clean.stderr
     victim = next(iter((out / "images").iterdir()))
     data = bytearray(victim.read_bytes())
     data[-1] ^= 0xFF
     victim.write_bytes(bytes(data))
-    with pytest.raises(DataError) as err:
-        verify_manifest(out)
-    assert "checksum mismatch" in str(err.value)
+    tampered = check()
+    assert tampered.returncode != 0
+    assert f"images/{victim.name}: FAILED" in tampered.stdout
 
 
 def test_vocab_covers_every_expression(small_dataset):

@@ -33,7 +33,9 @@ from lawground.losses import total_loss
 from lawground.model import GroundingModel
 from lawground.optim import AdamW
 from lawground.serial import read_arrays, write_arrays
-from lawground.synthground import generate_dataset, load_dataset, load_vocab
+from lawground.synthground import (GroundingSample, flip_sample,
+                                   generate_dataset, load_dataset,
+                                   load_vocab)
 from lawground.tensor import Tape, Tensor, active_tape
 from lawground.workers import SharedParameters, Workers
 
@@ -420,17 +422,19 @@ def test_failing_second_chunk_dumps_the_whole_batch(dataset, tmp_path,
 
 
 def chunk_key(chunk):
-    """A chunk's samples as bytes and text, comparable across processes."""
-    return [(image.tobytes(), mask.tobytes(), box.tobytes(), expr)
-            for image, mask, box, expr in chunk]
+    """A chunk's (sample, flip) pairs as (scene_id, flip), comparable across
+    processes."""
+    return [(sample.scene_id, flip) for sample, flip in chunk]
 
 
 def one_step(monkeypatch, cfg, out):
     """Train one step; returns each parameter's gradient as AdamW saw it,
-    the train row's loss parts and the chunks the step ran, in chunk order.
-    The chunks are recorded as the step splits its batch, and the worker
-    processes record each chunk they run: the two must be the same."""
+    the train row's loss parts and the chunks the step ran, in chunk order,
+    as (sample, flip) pairs. The chunks are recorded as the step splits its
+    batch, and the worker processes record each chunk they run: the two
+    must be the same."""
     grads, chunks, models = {}, [], []
+    samples = load_dataset(cfg.data_path, "train")
     real_step, real_split = AdamW.step, training.split_batch
     real_chunk, real_build = training.step_chunk, training.build_model
     log = out.parent / f"{out.name}.chunks"
@@ -445,11 +449,13 @@ def one_step(monkeypatch, cfg, out):
         return real_step(opt, lr_scale)
 
     def split_batch(batch, tokens):
-        # only the step splits a list of samples: train also splits a range
-        # to count its workers, and the val round splits range(len(val))
+        # only the step splits a list of (sample index, flip) pairs: train
+        # also splits a range to count its workers, and the val round
+        # splits range(len(val))
         split = real_split(batch, tokens)
         if not isinstance(batch, range):
-            chunks[:] = split
+            chunks[:] = [[(samples[i], flip) for i, flip in pairs]
+                         for pairs in split]
         return split
 
     def step_chunk(model, weights, mode, chunk, share):
@@ -471,10 +477,15 @@ def one_step(monkeypatch, cfg, out):
 
 
 def one_tape_step(cfg, batch):
-    """Each parameter's gradient and the loss parts of the whole batch on
-    one tape in this process, from the model train starts from."""
+    """Each parameter's gradient and the loss parts of the whole batch of
+    (sample, flip) pairs on one tape in this process, from the model train
+    starts from."""
     model = GroundingModel(cfg, load_vocab(cfg.data_path))
-    images, masks, boxes, exprs = zip(*batch)
+    items = []
+    for sample, flip in batch:
+        item = (*sample.arrays(cfg.image_size), sample.box, sample.expression)
+        items.append(flip_sample(*item) if flip else item)
+    images, masks, boxes, exprs = zip(*items)
     with Tape() as tape:
         pred = model.forward_batch(
             [model.image_tensor(image) for image in images],
@@ -535,6 +546,22 @@ def test_step_splits_every_batch_of_two_or_more(dataset, tmp_path,
     cfg = tiny_cfg(dataset, batch_size=batch)
     _, _, chunks = one_step(monkeypatch, cfg, tmp_path / "run")
     assert [len(c) for c in chunks] == sizes
+
+
+def test_calling_process_reads_no_training_pixels(dataset, tmp_path,
+                                                  monkeypatch):
+    # a step's chunks name their samples, and the worker processes read
+    # them: this process reads one image only, check_resolution's
+    real, pid, reads = GroundingSample.image, os.getpid(), []
+
+    def image(sample):
+        if os.getpid() == pid:
+            reads.append(sample.scene_id)
+        return real(sample)
+
+    monkeypatch.setattr(GroundingSample, "image", image)
+    training.train(tiny_cfg(dataset, steps=2, batch_size=2), tmp_path / "run")
+    assert len(reads) == 1
 
 
 @pytest.mark.parametrize("batch,tokens,sizes", [
@@ -1371,6 +1398,23 @@ def test_cli_bad_shape_or_flip_prob_is_config_error(dataset, tmp_path, capsys,
     assert main(["train", "--config", str(cfg), "--out", str(run)]) == 2
     assert line.split(" = ")[0] in capsys.readouterr().err
     assert not (run / "batches.log").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("line", [
+    "optim.lr_rest = nan", "optim.lr_backbone = inf",
+    "optim.weight_decay = inf", "optim.decay_factor = nan",
+    "loss.l1 = nan", "loss.dice = -inf"])
+def test_cli_non_finite_float_is_config_error(dataset, tmp_path, capsys,
+                                              command, line):
+    # caught before any step runs, not as a numeric error steps later
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config_to_text(tiny_cfg(dataset, steps=2)) + line + "\n")
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(run)]) == 2
+    assert f"{line.split(' = ')[0]} must be finite" in capsys.readouterr().err
+    assert not run.exists()
 
 
 def test_cli_ablate_val_split_without_relational_samples(tmp_path, capsys):
